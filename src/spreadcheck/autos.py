@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CapExceeded
+from .perm import compose_images, inverse_images
 from .tables import GroupTable
 
 DEFAULT_AUT_CAP = 10**4
@@ -40,20 +41,17 @@ class Automorphism:
         # self acts first, matching the permutation convention in this package
         if other.table is not self.table:
             raise ValueError("automorphisms belong to different tables")
-        return Automorphism(self.table, tuple(map(other.mapping.__getitem__, self.mapping)))
+        return Automorphism(self.table, compose_images(self.mapping, other.mapping))
 
     def inverse(self) -> "Automorphism":
-        inv = [0] * len(self.mapping)
-        for i, img in enumerate(self.mapping):
-            inv[img] = i
-        return Automorphism(self.table, tuple(inv))
+        return Automorphism(self.table, inverse_images(self.mapping))
 
     @property
     def is_identity(self) -> bool:
-        return all(i == img for i, img in enumerate(self.mapping))
+        return self.mapping == tuple(range(len(self.mapping)))
 
     def apply_to_set(self, subset) -> frozenset[int]:
-        return frozenset(map(self.mapping.__getitem__, subset))
+        return frozenset(compose_images(subset, self.mapping))
 
 
 def identity_automorphism(table: GroupTable) -> Automorphism:

@@ -239,8 +239,18 @@ def _entry_from_builtin(name: str) -> CatalogEntry:
     )
 
 
+def _json_count(data: dict, key: str) -> int:
+    value = data[key]
+    if type(value) is not int or value < 0:
+        raise ValueError(f"{key!r} must be a nonnegative integer, got {value!r}")
+    return value
+
+
 def entry_from_json(data: dict) -> CatalogEntry:
-    degree = int(data["degree"])
+    """Parse a group description; malformed data raises ValueError or KeyError."""
+    if not isinstance(data, dict):
+        raise ValueError(f"group description must be a JSON object, got {type(data).__name__}")
+    degree = _json_count(data, "degree")
     gens = tuple(parse_permutation(g, degree) for g in data["generators"])
     aut = data.get("aut_generators")
     subgroups = {
@@ -251,7 +261,7 @@ def entry_from_json(data: dict) -> CatalogEntry:
         name=str(data["name"]),
         degree=degree,
         generators=gens,
-        known_order=int(data["known_order"]),
+        known_order=_json_count(data, "known_order"),
         aut_images=(
             tuple(tuple(parse_permutation(g, degree) for g in imgs) for imgs in aut)
             if aut

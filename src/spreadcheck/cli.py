@@ -184,6 +184,8 @@ def _cmd_verify_witness(args):
         group, label = entry.permutation_group(), entry.name
     with open(args.witness, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"witness file must hold a JSON object, got {type(data).__name__}")
     points = frozenset(int(x) for x in data["set"])
     multiset = Multiset.from_json(data["multiset"], group.degree)
     result = verify_witness(group, points, multiset, group_label=label, **_cap_kw(args))

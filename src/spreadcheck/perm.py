@@ -8,13 +8,19 @@ All algorithms here are deterministic.  Base points for the stabilizer chain are
 chosen as the smallest moved point at each level and transversals are filled by
 breadth-first search in generator order, so element enumerations, orbits and
 witness certificates are reproducible run to run.
+
+Every composition of image tuples goes through one kernel, ``compose_images``,
+which does the per-point lookups in C through ``operator.itemgetter``.  The
+stabilizer chain works on bare image tuples and stores each transversal
+element only as its inverse u^-1, the form that sifting divides by.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Collection, Iterable, Sequence
 
 from .errors import CapExceeded
 
@@ -74,10 +80,7 @@ class Permutation:
         return compose(self, other)
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, img in enumerate(self.images):
-            inv[img] = i
-        return Permutation._unchecked(tuple(inv))
+        return Permutation._unchecked(inverse_images(self.images))
 
     def __pow__(self, exponent: int) -> "Permutation":
         if exponent < 0:
@@ -93,7 +96,7 @@ class Permutation:
 
     @property
     def is_identity(self) -> bool:
-        return all(i == img for i, img in enumerate(self.images))
+        return self.images == tuple(range(len(self.images)))
 
     def moved_points(self) -> list[int]:
         return [i for i, img in enumerate(self.images) if i != img]
@@ -135,11 +138,32 @@ class Permutation:
         return f"Permutation[{self.cycle_string()}]"
 
 
+def compose_images(p: Collection[int], q: Sequence[int]) -> tuple[int, ...]:
+    """The image tuple of i -> q[p[i]]: p acts first, then q.
+
+    For any sized collection p of points this is the tuple of their images
+    under q, in p's iteration order; set images and weights use that form.
+    itemgetter returns a bare item for one index and needs at least one, so
+    fewer than two points take the plain-tuple path.
+    """
+    if len(p) < 2:
+        return tuple([q[i] for i in p])
+    return itemgetter(*p)(q)
+
+
+def inverse_images(images: Sequence[int]) -> tuple[int, ...]:
+    """The image tuple of the inverse permutation."""
+    inv = [0] * len(images)
+    for i, img in enumerate(images):
+        inv[img] = i
+    return tuple(inv)
+
+
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """The permutation i -> q(p(i)): p acts first, then q."""
     if p.degree != q.degree:
         raise ValueError(f"degree mismatch: {p.degree} vs {q.degree}")
-    return Permutation._unchecked(tuple(map(q.images.__getitem__, p.images)))
+    return Permutation._unchecked(compose_images(p.images, q.images))
 
 
 def parse_permutation(data, degree: int) -> Permutation:
@@ -159,32 +183,38 @@ def parse_permutation(data, degree: int) -> Permutation:
 
 
 class _Level:
-    __slots__ = ("base", "gens", "transversal")
+    __slots__ = ("base", "gens", "gen_invs", "inv_transversal")
 
-    def __init__(self, base: int, degree: int):
+    def __init__(self, base: int, identity: tuple[int, ...]):
         self.base = base
-        self.gens: list[Permutation] = []
-        # transversal[beta] = u with base^u = beta.  Entries are append-only:
-        # once a point has a word, the word never changes.  Level verification
-        # below relies on this (a successful sift replays identically later).
-        self.transversal: dict[int, Permutation] = {base: Permutation.identity(degree)}
+        # strong generators and their inverses, as image tuples, in one order
+        self.gens: list[tuple[int, ...]] = []
+        self.gen_invs: list[tuple[int, ...]] = []
+        # inv_transversal[beta] = u^-1 for the word u with base^u = beta; u itself
+        # is never stored.  Entries are append-only: once a point has a word, the
+        # word (and so its inverse) never changes.  Level verification below
+        # relies on this (a successful sift replays identically later), and it
+        # holds here because a new entry is built from its BFS parent's stored
+        # inverse, (u g)^-1 = g^-1 u^-1, never by rewriting an old one.
+        self.inv_transversal: dict[int, tuple[int, ...]] = {base: identity}
 
     def extend_transversal(self) -> None:
-        queue = list(self.transversal)
+        trans = self.inv_transversal
+        queue = list(trans)
         i = 0
         while i < len(queue):
             beta = queue[i]
             i += 1
-            u = self.transversal[beta]
-            for g in self.gens:
-                gamma = g(beta)
-                if gamma not in self.transversal:
-                    self.transversal[gamma] = u * g
+            u_inv = trans[beta]
+            for g, g_inv in zip(self.gens, self.gen_invs):
+                gamma = g[beta]
+                if gamma not in trans:
+                    trans[gamma] = compose_images(g_inv, u_inv)
                     queue.append(gamma)
 
 
 class _StabilizerChain:
-    """Deterministic Schreier-Sims.
+    """Deterministic Schreier-Sims on image tuples.
 
     Levels are verified top-down: a level passes once every one of its Schreier
     generators sifts to the identity through the chain below it.  Non-identity
@@ -194,50 +224,59 @@ class _StabilizerChain:
     """
 
     def __init__(self, generators: Sequence[Permutation], degree: int):
-        self.degree = degree
+        self.identity = tuple(range(degree))
         self.levels: list[_Level] = []
         for g in generators:
-            if not g.is_identity:
-                self._add_generator(0, g)
+            if g.images != self.identity:
+                self._add_generator(0, g.images)
         i = 0
         while i < len(self.levels):
             if self._verify_level(i):
                 i += 1
 
-    def _add_generator(self, start: int, g: Permutation) -> None:
+    def _add_generator(self, start: int, g: tuple[int, ...]) -> None:
         """Install g at every level from start down to the first level whose
         base point g moves (creating a new level at the end if needed)."""
+        g_inv = inverse_images(g)
         i = start
         while True:
             if i == len(self.levels):
-                self.levels.append(_Level(min(g.moved_points()), self.degree))
+                moved = next(pt for pt, img in enumerate(g) if pt != img)
+                self.levels.append(_Level(moved, self.identity))
             level = self.levels[i]
             level.gens.append(g)
+            level.gen_invs.append(g_inv)
             level.extend_transversal()
-            if g(level.base) != level.base:
+            if g[level.base] != level.base:
                 return
             i += 1
 
-    def sift(self, g: Permutation, start: int = 0) -> tuple[Permutation, int]:
-        """Reduce g through the chain; returns (residue, level where it stopped)."""
+    def sift(self, g: tuple[int, ...], start: int = 0) -> tuple[int, ...]:
+        """Reduce the image tuple g through the chain; returns the residue."""
         for i in range(start, len(self.levels)):
             level = self.levels[i]
-            beta = g(level.base)
-            if beta not in level.transversal:
-                return g, i
-            g = g * level.transversal[beta].inverse()
-        return g, len(self.levels)
+            u_inv = level.inv_transversal.get(g[level.base])
+            if u_inv is None:
+                return g
+            g = compose_images(g, u_inv)
+        return g
 
     def _verify_level(self, i: int) -> bool:
         level = self.levels[i]
-        for beta in sorted(level.transversal):
-            u = level.transversal[beta]
+        trans = level.inv_transversal
+        for beta in sorted(trans):
+            u_inv = trans[beta]
+            u = None
             for s in level.gens:
-                schreier = u * s * level.transversal[s(beta)].inverse()
-                if schreier.is_identity:
+                # the Schreier generator u s t^-1, t the word of beta^s, is
+                # trivial exactly when s t^-1 = u^-1; u is built only when needed
+                s_t_inv = compose_images(s, trans[s[beta]])
+                if s_t_inv == u_inv:
                     continue
-                residue, _ = self.sift(schreier, i + 1)
-                if not residue.is_identity:
+                if u is None:
+                    u = inverse_images(u_inv)
+                residue = self.sift(compose_images(u, s_t_inv), i + 1)
+                if residue != self.identity:
                     self._add_generator(i + 1, residue)
                     return False
         return True
@@ -245,12 +284,11 @@ class _StabilizerChain:
     def order(self) -> int:
         n = 1
         for level in self.levels:
-            n *= len(level.transversal)
+            n *= len(level.inv_transversal)
         return n
 
     def contains(self, g: Permutation) -> bool:
-        residue, _ = self.sift(g)
-        return residue.is_identity
+        return self.sift(g.images) == self.identity
 
     def base(self) -> list[int]:
         return [level.base for level in self.levels]
@@ -432,7 +470,7 @@ class PermutationGroup:
             current = out[i]
             i += 1
             for g in self.generators:
-                image = frozenset(map(g.images.__getitem__, current))
+                image = frozenset(compose_images(current, g.images))
                 if image not in seen:
                     if len(out) >= cap:
                         raise CapExceeded("set orbit", cap)

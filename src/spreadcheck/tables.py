@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, InvalidSubgroup, VerificationInconsistency
-from .perm import ConjClass, Permutation, PermutationGroup
+from .perm import ConjClass, Permutation, PermutationGroup, compose_images
 
 DEFAULT_TABLE_CAP = 10**4
 
@@ -33,31 +33,11 @@ class GroupTable:
         self.index: dict[tuple[int, ...], int] = {p.images: i for i, p in enumerate(self.elements)}
         self.inverse: list[int] = [self.index[p.inverse().images] for p in self.elements]
         self.generator_indices: list[int] = [self.index[g.images] for g in group.generators]
-        # BFS parent structure: elements[i] = elements[parent[i]] * generators[parent_gen[i]]
-        self.parent, self.parent_gen = self._parent_structure()
         self._orders: list[int] | None = None
         self._classes: list[ConjClass] | None = None
         self._class_of: list[int] | None = None
         self._class_names: list[str] | None = None
         self._gen_pair: tuple[int, int] | None = None
-
-    def _parent_structure(self) -> tuple[list[int], list[int]]:
-        parent = [-1] * len(self.elements)
-        parent_gen = [-1] * len(self.elements)
-        seen = {0}
-        queue = [0]
-        i = 0
-        while i < len(queue):
-            x = queue[i]
-            i += 1
-            for k, g in enumerate(self.group.generators):
-                y = self.index[(self.elements[x] * g).images]
-                if y not in seen:
-                    seen.add(y)
-                    parent[y] = x
-                    parent_gen[y] = k
-                    queue.append(y)
-        return parent, parent_gen
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -67,7 +47,7 @@ class GroupTable:
         return len(self.elements)
 
     def multiply(self, i: int, j: int) -> int:
-        return self.index[tuple(map(self.elements[j].images.__getitem__, self.elements[i].images))]
+        return self.index[compose_images(self.elements[i].images, self.elements[j].images)]
 
     def conjugate(self, x: int, t: int) -> int:
         """Index of t^-1 x t."""
@@ -303,7 +283,7 @@ def point_stabilizer(table: GroupTable, point: int) -> frozenset[int]:
 def setwise_stabilizer(table: GroupTable, points: Iterable[int]) -> frozenset[int]:
     pts = frozenset(points)
     return frozenset(
-        i for i, p in enumerate(table.elements) if frozenset(map(p.images.__getitem__, pts)) == pts
+        i for i, p in enumerate(table.elements) if frozenset(compose_images(pts, p.images)) == pts
     )
 
 

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Collection, Iterable
 
 from .autos import AutomorphismGroup
 from .diagonal import build_diagonal_group, subgroup_image_in_diagonal
 from .errors import InvalidSubgroup, VerificationInconsistency
-from .perm import DEFAULT_SET_ORBIT_CAP, PermutationGroup, compose
+from .perm import DEFAULT_SET_ORBIT_CAP, PermutationGroup, compose, compose_images
 from .tables import (
     GroupTable,
     cauchy_frobenius_count,
@@ -100,9 +100,18 @@ class Multiset:
 
     @classmethod
     def from_json(cls, data: dict, n: int) -> "Multiset":
+        """Read {point: multiplicity}; points must lie in 0..n-1 and
+        multiplicities be JSON integers, else ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"multiset must be a JSON object, got {type(data).__name__}")
         counts = [0] * n
         for key, mult in data.items():
-            counts[int(key)] = int(mult)
+            point = int(key)
+            if not 0 <= point < n:
+                raise ValueError(f"multiset point {key!r} outside 0..{n - 1}")
+            if type(mult) is not int:
+                raise ValueError(f"multiplicity of point {key!r} is not an integer: {mult!r}")
+            counts[point] = mult
         return cls(tuple(counts))
 
 
@@ -147,8 +156,8 @@ class Refutation:
         }
 
 
-def image_weight(points: Iterable[int], multiset: Multiset) -> int:
-    return sum(map(multiset.counts.__getitem__, points))
+def image_weight(points: Collection[int], multiset: Multiset) -> int:
+    return sum(compose_images(points, multiset.counts))
 
 
 def verify_witness(
@@ -264,11 +273,11 @@ def witness_from_subgroup_pair(
     remaining = set(delta)
     while remaining:
         start = next(y for y in delta if y in remaining)
-        a_orbit = _set_orbit_of(a_group, start)
+        a_orbit = set(a_group.set_orbit(start, cap))
         if not a_orbit <= remaining:
             raise VerificationInconsistency("A-orbit escaped the filtered image family")
         remaining -= a_orbit
-        b_orbit = _set_orbit_of(b_group, start)
+        b_orbit = set(b_group.set_orbit(start, cap))
         if b_orbit != a_orbit:
             return Refutation(
                 group_label,
@@ -297,21 +306,6 @@ def witness_from_subgroup_pair(
             f"constructed witness failed re-verification: {result.violation}"
         )
     return result
-
-
-def _set_orbit_of(group: PermutationGroup, start: frozenset[int]) -> set[frozenset[int]]:
-    seen = {start}
-    queue = [start]
-    i = 0
-    while i < len(queue):
-        current = queue[i]
-        i += 1
-        for g in group.generators:
-            image = frozenset(map(g.images.__getitem__, current))
-            if image not in seen:
-                seen.add(image)
-                queue.append(image)
-    return seen
 
 
 def diagonal_witness(

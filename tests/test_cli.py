@@ -254,6 +254,31 @@ class TestErrorPaths:
         assert code == 2
         assert report["certificate"]["error"] == "CapExceeded"
 
+    @pytest.mark.parametrize(
+        "command,data",
+        [
+            ("verify-witness", {"set": [0, 1], "multiset": {"999": 1, "0": 1}}),
+            ("verify-witness", {"set": [0, 1], "multiset": {"-1": 1, "0": 1}}),
+            ("verify-witness", {"set": [0, 1], "multiset": {"1": 1.5, "0": 1}}),
+            ("group-file", dict(D10_JSON, degree=None)),
+            ("group-file", dict(D10_JSON, degree="5")),
+            ("group-file", [1, 2, 3]),
+        ],
+        ids=["key-999", "key-minus-1", "fractional-multiplicity", "degree-null",
+             "degree-string", "top-level-list"],
+    )
+    def test_malformed_input_is_an_error_report(self, capsys, tmp_path, command, data):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        if command == "verify-witness":
+            argv = ["spreading", "verify-witness", "--group", "A5", "--witness", str(path)]
+        else:
+            argv = ["group", "info", "--file", str(path)]
+        code, report = run_json(capsys, *argv)
+        assert code == 2
+        assert report["verdict"] == "error"
+        assert report["certificate"]["error"] == "ValueError"
+
     def test_usage_errors(self, capsys):
         assert main([]) == 2
         assert main(["group"]) == 2

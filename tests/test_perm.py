@@ -3,8 +3,16 @@
 import pytest
 
 from helpers import naive_elements, naive_orbit, sorted_tuple_set_orbit
+from spreadcheck import catalog
+from spreadcheck.diagonal import build_diagonal_group
 from spreadcheck.errors import CapExceeded
-from spreadcheck.perm import Permutation, PermutationGroup, compose, parse_permutation
+from spreadcheck.perm import (
+    Permutation,
+    PermutationGroup,
+    compose,
+    compose_images,
+    parse_permutation,
+)
 
 
 def cyc(degree, *cycles):
@@ -17,6 +25,8 @@ class TestPermutation:
         assert e.is_identity
         assert e.order() == 1
         assert e.cycle_string() == "()"
+        assert Permutation.identity(0).is_identity
+        assert not cyc(4, [2, 3]).is_identity
 
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
@@ -35,6 +45,20 @@ class TestPermutation:
         q = cyc(3, [1, 2])
         assert (p * q)(0) == q(p(0)) == 2
         assert compose(p, q) == p * q
+
+    @pytest.mark.parametrize(
+        "p,q,expected",
+        [((), (), ()), ((0,), (0,), (0,)), ((1, 0), (1, 0), (0, 1)), ((0, 1), (1, 0), (1, 0))],
+    )
+    def test_compose_images_small_degrees(self, p, q, expected):
+        assert compose_images(p, q) == expected
+        assert compose(Permutation(p), Permutation(q)).images == expected
+
+    def test_compose_images_of_point_sets(self):
+        q = (4, 3, 2, 1, 0)
+        assert compose_images(frozenset(), q) == ()
+        assert compose_images(frozenset({1}), q) == (3,)
+        assert sorted(compose_images(frozenset({0, 4, 2}), q)) == [0, 2, 4]
 
     def test_inverse_and_pow(self):
         p = cyc(7, [0, 1, 2, 3, 4], [5, 6])
@@ -133,3 +157,32 @@ class TestPermutationGroup:
         t = PermutationGroup.trivial(6)
         assert t.order() == 1
         assert t.orbit(3) == {3}
+
+
+class TestDiagonalChains:
+    """The stabilizer chains of diag(T) are pinned: base, basic orbit lengths
+    and strong generators per level are part of the deterministic contract."""
+
+    @pytest.mark.parametrize(
+        "name,order,orbit_lengths",
+        [("A5", 14400, [60, 24, 5, 2]), ("PSL(2,7)", 112896, [168, 48, 7, 2])],
+    )
+    def test_chain_shape(self, name, order, orbit_lengths):
+        diag = build_diagonal_group(catalog.load_group_table(name), catalog.load_automorphisms(name))
+        chain = diag.group._get_chain()
+        assert diag.group.order() == order
+        assert diag.group.base() == [0, 1, 2, 4]
+        assert [len(level.inv_transversal) for level in chain.levels] == orbit_lengths
+        assert [len(level.gens) for level in chain.levels] == [6, 5, 2, 1]
+        for level in chain.levels:
+            for beta, u_inv in level.inv_transversal.items():
+                assert u_inv[beta] == level.base
+            for g, g_inv in zip(level.gens, level.gen_invs):
+                assert compose_images(g, g_inv) == chain.identity
+
+    def test_contains(self):
+        diag = build_diagonal_group(catalog.load_group_table("A5"), catalog.load_automorphisms("A5"))
+        assert all(diag.group.contains(g) for g in diag.group.generators)
+        assert diag.group.contains(diag.group.generators[0] * diag.group.generators[-1])
+        # diag(A5) is primitive and not the full symmetric group, so it holds no transposition
+        assert not diag.group.contains(Permutation.from_cycles(60, [[1, 2]]))
