@@ -70,36 +70,6 @@ def center(table: GroupTable) -> frozenset[int]:
     )
 
 
-def is_automorphism(table: GroupTable, mapping: Sequence[int]) -> bool:
-    """Full check: bijection on indices, multiplicative against every generator.
-
-    Multiplicativity on (all x, generator g) extends to all pairs by induction
-    on the word length of the second factor, since every element is a positive
-    word in the generators.
-    """
-    mapping = tuple(mapping)
-    n = len(table)
-    if len(mapping) != n or len(set(mapping)) != n:
-        return False
-    for g in table.generator_indices:
-        mg = mapping[g]
-        for x in range(n):
-            if mapping[table.multiply(x, g)] != table.multiply(mapping[x], mg):
-                return False
-    return True
-
-
-def inner_witness(table: GroupTable, aut: Automorphism) -> int | None:
-    """An element t with conjugation by t equal to aut, or None if aut is outer."""
-    a, b = table.generating_pair()
-    ia, ib = aut.mapping[a], aut.mapping[b]
-    for t in range(len(table)):
-        if table.conjugate(a, t) == ia and table.conjugate(b, t) == ib:
-            # agreeing on a generating pair forces agreement everywhere
-            return t
-    return None
-
-
 def _extend_images(table: GroupTable, gens: Sequence[int], images: Sequence[int]) -> Automorphism | None:
     """Build the map sending each BFS word in gens to the same word in images.
 

@@ -246,17 +246,34 @@ def _json_count(data: dict, key: str) -> int:
     return value
 
 
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
 def entry_from_json(data: dict) -> CatalogEntry:
     """Parse a group description; malformed data raises ValueError or KeyError."""
     if not isinstance(data, dict):
         raise ValueError(f"group description must be a JSON object, got {type(data).__name__}")
     degree = _json_count(data, "degree")
-    gens = tuple(parse_permutation(g, degree) for g in data["generators"])
+    gens = tuple(parse_permutation(g, degree) for g in _json_list(data["generators"], "'generators'"))
     aut = data.get("aut_generators")
+    if aut is not None:
+        aut = [_json_list(imgs, "an 'aut_generators' entry")
+               for imgs in _json_list(aut, "'aut_generators'")]
+    subgroups = data.get("subgroups", {})
+    if not isinstance(subgroups, dict):
+        raise ValueError(f"'subgroups' must be a JSON object, got {type(subgroups).__name__}")
     subgroups = {
-        label: ("generated", tuple(parse_permutation(g, degree) for g in gen_list))
-        for label, gen_list in data.get("subgroups", {}).items()
+        label: ("generated", tuple(
+            parse_permutation(g, degree) for g in _json_list(gen_list, f"subgroup {label!r}")
+        ))
+        for label, gen_list in subgroups.items()
     }
+    pairs = _json_list(data.get("supplement_pairs", []), "'supplement_pairs'")
+    if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+        raise ValueError(f"each 'supplement_pairs' entry must be a list of two labels, got {pairs!r}")
     entry = CatalogEntry(
         name=str(data["name"]),
         degree=degree,
@@ -268,10 +285,8 @@ def entry_from_json(data: dict) -> CatalogEntry:
             else None
         ),
         subgroups=subgroups,
-        supplement_pairs=tuple(
-            (a, b) for a, b in data.get("supplement_pairs", [])
-        ),
-        two_point_labels=tuple(data.get("two_point_labels", [])),
+        supplement_pairs=tuple((a, b) for a, b in pairs),
+        two_point_labels=tuple(_json_list(data.get("two_point_labels", []), "'two_point_labels'")),
     )
     validate_entry(entry)
     return entry

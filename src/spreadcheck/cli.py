@@ -109,7 +109,7 @@ def _sub(entry, from_file, table, label):
 
 
 def _cap_kw(args) -> dict:
-    return {"cap": args.cap} if getattr(args, "cap", None) else {}
+    return {"cap": args.cap} if args.cap else {}
 
 
 def _outcome(result) -> tuple[str, dict, int]:
@@ -186,7 +186,10 @@ def _cmd_verify_witness(args):
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValueError(f"witness file must hold a JSON object, got {type(data).__name__}")
-    points = frozenset(int(x) for x in data["set"])
+    points = data["set"]
+    if not isinstance(points, list) or any(type(x) is not int for x in points):
+        raise ValueError(f"witness 'set' must be a list of JSON integers, got {points!r}")
+    points = frozenset(points)
     multiset = Multiset.from_json(data["multiset"], group.degree)
     result = verify_witness(group, points, multiset, group_label=label, **_cap_kw(args))
     verdict, cert, code = _outcome(result)
@@ -316,17 +319,16 @@ def _add_group_source(p: argparse.ArgumentParser) -> None:
     src.add_argument("--file", help="path to a group description JSON file")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--json", action="store_true", help="machine-readable report")
-    p.add_argument("--cap", type=int, default=None, help="enumeration cap override")
-
-
-def _leaf(sub, name: str, path: str, handler, group_source=True):
+def _leaf(sub, name: str, path: str, handler, cap=False):
+    """One command.  Only commands that honour --cap accept it; the others
+    still report "cap": null among their inputs, so every report has the same
+    keys."""
     p = sub.add_parser(name)
-    if group_source:
-        _add_group_source(p)
-    _add_common(p)
-    p.set_defaults(handler=handler, command_path=path)
+    _add_group_source(p)
+    p.add_argument("--json", action="store_true", help="machine-readable report")
+    if cap:
+        p.add_argument("--cap", type=int, default=None, help="set-orbit enumeration cap")
+    p.set_defaults(handler=handler, command_path=path, cap=None)
     return p
 
 
@@ -343,16 +345,17 @@ def _build_parser() -> argparse.ArgumentParser:
     _leaf(chartab, "compute", "chartab compute", _cmd_chartab_compute)
 
     spreading = sections.add_parser("spreading").add_subparsers(dest="action", required=True)
-    p = _leaf(spreading, "verify-witness", "spreading verify-witness", _cmd_verify_witness)
+    p = _leaf(spreading, "verify-witness", "spreading verify-witness", _cmd_verify_witness, cap=True)
     p.add_argument("--witness", required=True, help="witness JSON file to re-check")
     p.add_argument("--diagonal", action="store_true",
                    help="verify over the diagonal-type group built from the base group")
-    p = _leaf(spreading, "ab-check", "spreading ab-check", _cmd_ab_check)
+    p = _leaf(spreading, "ab-check", "spreading ab-check", _cmd_ab_check, cap=True)
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True)
     p.add_argument("--base", type=int, default=0)
     p.add_argument("--set", default=None, help="comma-separated point set X")
-    p = _leaf(spreading, "diagonal-witness", "spreading diagonal-witness", _cmd_diagonal_witness)
+    p = _leaf(spreading, "diagonal-witness", "spreading diagonal-witness", _cmd_diagonal_witness,
+              cap=True)
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True)
     p = _leaf(spreading, "supplement", "spreading supplement", _cmd_supplement)

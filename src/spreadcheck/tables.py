@@ -10,6 +10,13 @@ Subgroups are plain frozensets of element indices.  The helpers below cover the
 constructions the catalog needs: closures, derived subgroups, centralizers,
 normalizers, Sylow subgroups and their normalizers, point and setwise
 stabilizers, and coset spaces with their induced actions.
+
+One closure routine, _closure, serves close_subgroup, generating_set and
+validate_subgroup.  It keeps an index as a generator only when the index lies
+outside the span of the smaller indices kept before it (the greedy rule), and
+multiplies each member by each kept generator once, so a subgroup H with k
+kept generators costs O(|H| k) products.  Validating H this way checks it
+through a generating set rather than through all |H|^2 products of members.
 """
 
 from __future__ import annotations
@@ -190,31 +197,66 @@ def build_group_table(
 # --- subgroup utilities ----------------------------------------------------
 
 
+def _closure(
+    table: GroupTable, indices: Iterable[int], cap: int
+) -> tuple[frozenset[int], list[int]]:
+    """The subgroup generated by the indices, with the generators kept for it.
+
+    The indices are walked in increasing order and one is kept only when it
+    lies outside the span of those kept before it.  A kept generator first
+    multiplies every member already closed, once, and the members this adds
+    are then extended by BFS over all kept generators.  So each member is
+    multiplied by each kept generator exactly once: O(|H| k) products for k
+    kept generators, plus one set lookup per index.  Raises CapExceeded as
+    soon as the span would exceed cap elements.
+    """
+    multiply = table.multiply
+    members = [0]
+    seen = {0}
+    gens: list[int] = []
+
+    def add(y: int) -> None:
+        if y not in seen:
+            if len(seen) >= cap:
+                raise CapExceeded("subgroup closure", cap)
+            seen.add(y)
+            members.append(y)
+
+    for x in sorted(set(indices)):
+        if x in seen:
+            continue
+        gens.append(x)
+        closed = len(members)
+        for i in range(closed):
+            add(multiply(members[i], x))
+        i = closed
+        while i < len(members):
+            y = members[i]
+            i += 1
+            for g in gens:
+                add(multiply(y, g))
+    return frozenset(seen), gens
+
+
 def close_subgroup(table: GroupTable, gen_indices: Iterable[int], cap: int | None = None) -> frozenset[int]:
-    """Subgroup generated by the given element indices (BFS closure)."""
-    gens = sorted(set(gen_indices) - {0})
-    if cap is None:
-        cap = len(table)
-    members = [0] + gens
-    seen = set(members)
-    if len(seen) > cap:
-        raise CapExceeded("subgroup closure", cap)
-    i = 0
-    while i < len(members):
-        x = members[i]
-        i += 1
-        for g in gens:
-            y = table.multiply(x, g)
-            if y not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded("subgroup closure", cap)
-                seen.add(y)
-                members.append(y)
-    return frozenset(seen)
+    """Subgroup generated by the given element indices.
+
+    Costs O(|H| k) products for the k indices that are not already in the span
+    of the smaller ones (see _closure); raises CapExceeded above cap elements,
+    by default |T|.
+    """
+    return _closure(table, gen_indices, len(table) if cap is None else cap)[0]
 
 
 def validate_subgroup(table: GroupTable, subset: Iterable[int]) -> frozenset[int]:
-    """Check a set of element indices is a subgroup; returns it as a frozenset."""
+    """Check a set of element indices is a subgroup; returns it as a frozenset.
+
+    The set is closed from its own members with cap |set|, so only the members
+    outside the span of the smaller ones act as generators: O(|H| k) products
+    for k such members, where checking every product of two members would
+    cost O(|H|^2).  The set is a subgroup exactly when the closure stays
+    within the cap and equals it.
+    """
     sub = frozenset(subset)
     if 0 not in sub:
         raise InvalidSubgroup("subgroup must contain the identity (index 0)")
@@ -230,16 +272,10 @@ def validate_subgroup(table: GroupTable, subset: Iterable[int]) -> frozenset[int
 
 
 def generating_set(table: GroupTable, subgroup: frozenset[int]) -> list[int]:
-    """A small deterministic generating set for a subgroup given as an index set."""
-    gens: list[int] = []
-    span: frozenset[int] = frozenset({0})
-    for x in sorted(subgroup):
-        if x not in span:
-            gens.append(x)
-            span = close_subgroup(table, gens, cap=len(subgroup))
-            if len(span) == len(subgroup):
-                break
-    return gens
+    """A small deterministic generating set for a subgroup given as an index set:
+    greedily, each member in increasing order that lies outside the span of
+    the members kept before it."""
+    return _closure(table, subgroup, len(subgroup))[1]
 
 
 def subgroup_permutation_group(table: GroupTable, subgroup: frozenset[int]) -> PermutationGroup:
@@ -333,12 +369,6 @@ def product_size(table: GroupTable, left: frozenset[int], right: frozenset[int])
     return size
 
 
-def product_set(table: GroupTable, left: Iterable[int], right: Iterable[int]) -> frozenset[int]:
-    """The literal set {b s}; quadratic, meant for oracles and small inputs."""
-    right = list(right)
-    return frozenset(table.multiply(b, s) for b in left for s in right)
-
-
 # --- coset spaces ----------------------------------------------------------
 
 
@@ -360,6 +390,16 @@ class CosetSpace:
             tuple(self.point_of[self.table.multiply(rep, t)] for rep in self.representatives)
         )
 
+    def meet_conjugate(self, subset: Iterable[int], t: int) -> frozenset[int]:
+        """The members of subset that lie in H^t = t^-1 H t, for H the subgroup.
+
+        a lies in H^t exactly when t a lies in the coset H t, so each member
+        costs one product and no conjugate of H is built.
+        """
+        point_of, multiply = self.point_of, self.table.multiply
+        cid = point_of[t]
+        return frozenset(a for a in subset if point_of[multiply(t, a)] == cid)
+
 
 def coset_space(table: GroupTable, subgroup: frozenset[int]) -> CosetSpace:
     subgroup = validate_subgroup(table, subgroup)
@@ -380,13 +420,6 @@ def coset_space(table: GroupTable, subgroup: frozenset[int]) -> CosetSpace:
                 for a in subgroup:
                     point_of[table.multiply(a, s)] = cid
     return CosetSpace(table, subgroup, tuple(reps), tuple(point_of))
-
-
-def coset_action(table: GroupTable, subgroup: frozenset[int]) -> tuple[CosetSpace, PermutationGroup]:
-    """The induced action of the whole group on the cosets of the subgroup."""
-    space = coset_space(table, subgroup)
-    image_gens = [space.action_of(g) for g in table.generator_indices]
-    return space, PermutationGroup(image_gens, len(space))
 
 
 def orbits_on_cosets(space: CosetSpace, subgroup: frozenset[int]) -> list[set[int]]:

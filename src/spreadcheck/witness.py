@@ -31,7 +31,6 @@ from .perm import DEFAULT_SET_ORBIT_CAP, PermutationGroup, compose, compose_imag
 from .tables import (
     GroupTable,
     cauchy_frobenius_count,
-    conjugate_subgroup,
     coset_space,
     generating_set,
     orbits_on_cosets,
@@ -376,8 +375,9 @@ def supplement_property(
 
     Product sizes are compared through |B||S|/|B cap S| without materializing
     the products.  Conjugates are constant on right cosets of the conjugated
-    subgroup, so only coset representatives are tested.  For scope "Aut" the
-    images run over (A^phi)^t with phi one representative per outer coset.
+    subgroup, so only coset representatives are tested, and A cap A^t is read
+    from that coset space at one product per member of A.  For scope "Aut"
+    the images run over (A^phi)^t with phi one representative per outer coset.
     """
     a_set = validate_subgroup(table, a_set)
     b_set = validate_subgroup(table, b_set)
@@ -399,7 +399,7 @@ def supplement_property(
     for outer_idx, image in outer_images:
         space = coset_space(table, image)
         for t in space.representatives:
-            inter = a_set & conjugate_subgroup(table, image, t)
+            inter = space.meet_conjugate(a_set, t)
             if product_size(table, b_set, inter) != target:
                 return SupplementReport(False, scope, failing_element=t, failing_outer=outer_idx)
     return SupplementReport(True, scope)
@@ -431,7 +431,7 @@ def two_point_stabilizer_trivial(table: GroupTable, a_set: frozenset[int]) -> in
     """The first t in index order with A cap A^t trivial, or None.
 
     A cap A^t depends only on the coset At, so each coset is tested once, at
-    its smallest element.
+    its smallest element, and A cap A^t is read from the coset space of A.
     """
     a_set = validate_subgroup(table, a_set)
     if len(a_set) >= len(table):
@@ -443,7 +443,7 @@ def two_point_stabilizer_trivial(table: GroupTable, a_set: frozenset[int]) -> in
         if cid in seen:
             continue
         seen.add(cid)
-        if len(a_set & conjugate_subgroup(table, a_set, t)) == 1:
+        if len(space.meet_conjugate(a_set, t)) == 1:
             return t
     return None
 

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from spreadcheck.perm import Permutation
+from spreadcheck.perm import Permutation, PermutationGroup
+from spreadcheck.tables import coset_space
 from spreadcheck.witness import Refutation, Witness, image_weight
 
 
@@ -103,3 +104,46 @@ def recheck_refutation(ref: Refutation, group=None) -> None:
         assert ce["B_suborbit_size"] < ce["orbit_size"]
     else:
         raise AssertionError(f"unknown violation kind {ref.violation!r}")
+
+
+def product_set(table, left, right):
+    """The literal set {b s}; quadratic, for small inputs."""
+    right = list(right)
+    return frozenset(table.multiply(b, s) for b in left for s in right)
+
+
+def coset_action(table, subgroup):
+    """The induced action of the whole group on the cosets of the subgroup."""
+    space = coset_space(table, subgroup)
+    image_gens = [space.action_of(g) for g in table.generator_indices]
+    return space, PermutationGroup(image_gens, len(space))
+
+
+def is_automorphism(table, mapping):
+    """Full check: bijection on indices, multiplicative against every generator.
+
+    Multiplicativity on (all x, generator g) extends to all pairs by induction
+    on the word length of the second factor, since every element is a positive
+    word in the generators.
+    """
+    mapping = tuple(mapping)
+    n = len(table)
+    if len(mapping) != n or len(set(mapping)) != n:
+        return False
+    for g in table.generator_indices:
+        mg = mapping[g]
+        for x in range(n):
+            if mapping[table.multiply(x, g)] != table.multiply(mapping[x], mg):
+                return False
+    return True
+
+
+def inner_witness(table, aut):
+    """An element t with conjugation by t equal to aut, or None if aut is outer."""
+    a, b = table.generating_pair()
+    ia, ib = aut.mapping[a], aut.mapping[b]
+    for t in range(len(table)):
+        if table.conjugate(a, t) == ia and table.conjugate(b, t) == ib:
+            # agreeing on a generating pair forces agreement everywhere
+            return t
+    return None

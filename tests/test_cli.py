@@ -263,9 +263,16 @@ class TestErrorPaths:
             ("group-file", dict(D10_JSON, degree=None)),
             ("group-file", dict(D10_JSON, degree="5")),
             ("group-file", [1, 2, 3]),
+            ("verify-witness", {"set": [0, None], "multiset": {"1": 1, "0": 1}}),
+            ("verify-witness", {"set": [0, 1.7], "multiset": {"1": 1, "0": 1}}),
+            ("verify-witness", {"set": [0, True], "multiset": {"1": 1, "0": 1}}),
+            ("group-file", dict(D10_JSON, generators=5)),
+            ("group-file", dict(D10_JSON, subgroups=[1])),
+            ("group-file", dict(D10_JSON, supplement_pairs=5)),
         ],
         ids=["key-999", "key-minus-1", "fractional-multiplicity", "degree-null",
-             "degree-string", "top-level-list"],
+             "degree-string", "top-level-list", "set-entry-null", "set-entry-fractional",
+             "set-entry-bool", "generators-int", "subgroups-list", "supplement-pairs-int"],
     )
     def test_malformed_input_is_an_error_report(self, capsys, tmp_path, command, data):
         path = tmp_path / "input.json"
@@ -278,6 +285,15 @@ class TestErrorPaths:
         assert code == 2
         assert report["verdict"] == "error"
         assert report["certificate"]["error"] == "ValueError"
+
+    def test_cap_rejected_where_not_honoured(self, capsys):
+        assert main(["orbits", "count", "--group", "A5", "--A", "A4", "--B", "V4", "--cap", "5"]) == 2
+        assert main(["spreading", "supplement", "--group", "A5", "--A", "C5", "--B", "1",
+                     "--cap", "5"]) == 2
+        # commands without --cap still report it, as null, among their inputs
+        code, report = run_json(capsys, "orbits", "count", "--group", "A5", "--A", "A4", "--B", "V4")
+        assert code == 0
+        assert report["inputs"]["cap"] is None
 
     def test_usage_errors(self, capsys):
         assert main([]) == 2

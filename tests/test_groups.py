@@ -4,14 +4,13 @@ import random
 
 import pytest
 
+from helpers import coset_action, inner_witness, is_automorphism, product_set
 from spreadcheck import catalog
 from spreadcheck.autos import (
     automorphism_from_generator_images,
     center,
     identity_automorphism,
     inner_automorphism,
-    inner_witness,
-    is_automorphism,
     search_automorphism_group,
 )
 from spreadcheck.diagonal import (
@@ -29,14 +28,12 @@ from spreadcheck.tables import (
     centralizer,
     close_subgroup,
     conjugate_subgroup,
-    coset_action,
     coset_space,
     derived_subgroup,
     generating_set,
     normalizer,
     orbits_on_cosets,
     point_stabilizer,
-    product_set,
     product_size,
     setwise_stabilizer,
     subgroup_permutation_group,
@@ -170,6 +167,56 @@ class TestSubgroupHelpers:
         three = next(i for i in range(60) if t.element_order(i) == 3)
         with pytest.raises(InvalidSubgroup):
             validate_subgroup(t, {0, three})
+
+    def test_validate_rejects_non_subgroups(self):
+        t = catalog.load_group_table("A5")
+        c5 = catalog.resolve_subgroup("A5", "C5")
+        with pytest.raises(InvalidSubgroup, match="identity"):
+            validate_subgroup(t, c5 - {0})
+        five = min(c5 - {0})
+        three = next(i for i in range(60) if t.element_order(i) == 3)
+        # closure of {1, x, y} is all of A5, far larger than the set
+        with pytest.raises(InvalidSubgroup):
+            validate_subgroup(t, {0, five, three})
+        # the right size, but not closed
+        with pytest.raises(InvalidSubgroup):
+            validate_subgroup(t, (c5 - {max(c5)}) | {three})
+
+    def test_closure_cap(self):
+        t = catalog.load_group_table("A5")
+        c5 = catalog.resolve_subgroup("A5", "C5")
+        assert close_subgroup(t, c5, cap=5) == c5
+        with pytest.raises(CapExceeded):
+            close_subgroup(t, [min(c5 - {0})], cap=4)
+
+    @pytest.mark.parametrize(
+        "group,label,gens",
+        [("A5", "A4", [8, 10]), ("A7", "stab3", [1, 293, 299, 433]), ("M11", "M10", [2, 36])],
+    )
+    def test_generating_set_is_greedy_and_pinned(self, group, label, gens):
+        t = catalog.load_group_table(group)
+        sub = catalog.resolve_subgroup(group, label)
+        assert generating_set(t, sub) == gens
+        # each kept member lies outside the span of the members kept before it
+        for k, g in enumerate(gens):
+            assert g not in close_subgroup(t, gens[:k])
+        assert close_subgroup(t, gens) == sub
+
+    def test_validation_cost_is_linear_in_the_subgroup(self, monkeypatch):
+        t = catalog.load_group_table("A7")
+        stab3 = catalog.resolve_subgroup("A7", "stab3")
+        k = len(generating_set(t, stab3))
+        calls = 0
+        multiply = t.multiply
+
+        def counting(i, j):
+            nonlocal calls
+            calls += 1
+            return multiply(i, j)
+
+        monkeypatch.setattr(t, "multiply", counting)
+        assert validate_subgroup(t, stab3) == stab3
+        assert 0 < calls <= len(stab3) * (k + 1)
 
     def test_generating_set_regenerates(self):
         t = catalog.load_group_table("A5")
