@@ -29,8 +29,8 @@ from .chartab import (
 from .cyclotomic import CyclotomicValue, cyclotomic_polynomial, zeta
 from .diagonal import DiagonalGroup, build_diagonal_group
 from .errors import CapExceeded, InvalidSubgroup, VerificationInconsistency
-from .perm import ConjClass, Permutation, PermutationGroup, compose, parse_permutation
-from .tables import GroupTable, build_group_table
+from .perm import Permutation, PermutationGroup, compose, parse_permutation
+from .tables import ConjClass, GroupTable, build_group_table
 from .witness import (
     Multiset,
     Refutation,

@@ -8,14 +8,17 @@ command line and the tests can say things like ``--A F21 --B C7``.
 Alternating groups also ship in a second incarnation acting on 3-element
 subsets of the natural domain; those entries are derived on the fly from
 the natural generators.
+
+load_entry caches entries by name, and each entry keeps what it derives
+(see CatalogEntry), so clear_caches forgets both.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
 
@@ -43,6 +46,13 @@ ENV_CATALOG_DIR = "SPREADCHECK_CATALOG"
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """One group and its recipes, built in or read from a file.
+
+    The permutation group, the table, the automorphism group and each resolved
+    subgroup are computed on first use and kept on the entry, so both routes
+    share one path and one cache: whatever holds the entry holds them.
+    """
+
     name: str
     degree: int
     generators: tuple[Permutation, ...]
@@ -52,9 +62,45 @@ class CatalogEntry:
     subgroups: dict
     supplement_pairs: tuple[tuple[str, str], ...]
     two_point_labels: tuple[str, ...]
+    _resolved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def permutation_group(self) -> PermutationGroup:
+    @functools.cached_property
+    def group(self) -> PermutationGroup:
         return PermutationGroup(list(self.generators), self.degree)
+
+    @functools.cached_property
+    def table(self) -> GroupTable:
+        return build_group_table(list(self.generators), name=self.name, known_order=self.known_order)
+
+    @functools.cached_property
+    def automorphisms(self) -> AutomorphismGroup:
+        table = self.table
+        if self.aut_images is None:
+            return search_automorphism_group(table)
+        supplied = []
+        for images in self.aut_images:
+            try:
+                supplied.append([table.index[p.images] for p in images])
+            except KeyError:
+                raise InvalidSubgroup(
+                    f"supplied automorphism image does not lie in {self.name}"
+                ) from None
+        return automorphism_group_from_supplied(table, supplied)
+
+    def subgroup(self, label: str) -> frozenset[int]:
+        """The subgroup with this label as element indices of the table; the
+        label "1" is the trivial subgroup."""
+        if label not in self._resolved:
+            if label == "1":
+                self._resolved[label] = frozenset({0})
+            elif label in self.subgroups:
+                self._resolved[label] = _resolve_recipe(self, self.subgroups[label])
+            else:
+                raise ValueError(
+                    f"group {self.name} has no subgroup labelled {label!r}; "
+                    f"available: {sorted(self.subgroups)} and '1'"
+                )
+        return self._resolved[label]
 
 
 def _cyc(degree: int, *cycles) -> Permutation:
@@ -252,10 +298,20 @@ def _json_list(value, what: str) -> list:
     return value
 
 
+def _json_labels(value, what: str) -> list:
+    labels = _json_list(value, what)
+    if not all(isinstance(label, str) for label in labels):
+        raise ValueError(f"{what} must hold string labels, got {labels!r}")
+    return labels
+
+
 def entry_from_json(data: dict) -> CatalogEntry:
     """Parse a group description; malformed data raises ValueError or KeyError."""
     if not isinstance(data, dict):
         raise ValueError(f"group description must be a JSON object, got {type(data).__name__}")
+    name = data["name"]
+    if not isinstance(name, str):
+        raise ValueError(f"'name' must be a JSON string, got {name!r}")
     degree = _json_count(data, "degree")
     gens = tuple(parse_permutation(g, degree) for g in _json_list(data["generators"], "'generators'"))
     aut = data.get("aut_generators")
@@ -271,11 +327,12 @@ def entry_from_json(data: dict) -> CatalogEntry:
         ))
         for label, gen_list in subgroups.items()
     }
-    pairs = _json_list(data.get("supplement_pairs", []), "'supplement_pairs'")
-    if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+    pairs = [_json_labels(pair, "a 'supplement_pairs' entry")
+             for pair in _json_list(data.get("supplement_pairs", []), "'supplement_pairs'")]
+    if any(len(pair) != 2 for pair in pairs):
         raise ValueError(f"each 'supplement_pairs' entry must be a list of two labels, got {pairs!r}")
     entry = CatalogEntry(
-        name=str(data["name"]),
+        name=name,
         degree=degree,
         generators=gens,
         known_order=_json_count(data, "known_order"),
@@ -286,7 +343,7 @@ def entry_from_json(data: dict) -> CatalogEntry:
         ),
         subgroups=subgroups,
         supplement_pairs=tuple((a, b) for a, b in pairs),
-        two_point_labels=tuple(_json_list(data.get("two_point_labels", []), "'two_point_labels'")),
+        two_point_labels=tuple(_json_labels(data.get("two_point_labels", []), "'two_point_labels'")),
     )
     validate_entry(entry)
     return entry
@@ -298,7 +355,7 @@ def load_entry_file(path: str | Path) -> CatalogEntry:
 
 
 def validate_entry(entry: CatalogEntry) -> None:
-    group = entry.permutation_group()
+    group = entry.group
     if group.order() != entry.known_order:
         raise VerificationInconsistency(
             f"catalog entry {entry.name}: generated order {group.order()} "
@@ -306,7 +363,7 @@ def validate_entry(entry: CatalogEntry) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def load_entry(name: str) -> CatalogEntry:
     if name in _BUILTIN or name.endswith("_3sets"):
         try:
@@ -323,58 +380,20 @@ def load_entry(name: str) -> CatalogEntry:
     return entry
 
 
-@lru_cache(maxsize=None)
-def load_permutation_group(name: str) -> PermutationGroup:
-    return load_entry(name).permutation_group()
-
-
-@lru_cache(maxsize=None)
 def load_group_table(name: str) -> GroupTable:
-    return table_for_entry(load_entry(name))
+    return load_entry(name).table
 
 
-def table_for_entry(entry: CatalogEntry) -> GroupTable:
-    return build_group_table(
-        list(entry.generators), name=entry.name, known_order=entry.known_order
-    )
-
-
-@lru_cache(maxsize=None)
 def load_automorphisms(name: str) -> AutomorphismGroup:
-    return automorphisms_for_entry(load_entry(name), load_group_table(name))
+    return load_entry(name).automorphisms
 
 
-def automorphisms_for_entry(entry: CatalogEntry, table: GroupTable) -> AutomorphismGroup:
-    if entry.aut_images is None:
-        return search_automorphism_group(table)
-    supplied = []
-    for images in entry.aut_images:
-        try:
-            supplied.append([table.index[p.images] for p in images])
-        except KeyError:
-            raise InvalidSubgroup(
-                f"supplied automorphism image does not lie in {entry.name}"
-            ) from None
-    return automorphism_group_from_supplied(table, supplied)
-
-
-@lru_cache(maxsize=None)
 def resolve_subgroup(name: str, label: str) -> frozenset[int]:
-    return subgroup_for_entry(load_entry(name), load_group_table(name), label)
+    return load_entry(name).subgroup(label)
 
 
-def subgroup_for_entry(entry: CatalogEntry, table: GroupTable, label: str) -> frozenset[int]:
-    if label == "1":
-        return frozenset({0})
-    if label not in entry.subgroups:
-        raise ValueError(
-            f"group {entry.name} has no subgroup labelled {label!r}; "
-            f"available: {sorted(entry.subgroups)} and '1'"
-        )
-    return _resolve_recipe(entry, table, entry.subgroups[label])
-
-
-def _resolve_recipe(entry: CatalogEntry, table: GroupTable, recipe: tuple) -> frozenset[int]:
+def _resolve_recipe(entry: CatalogEntry, recipe: tuple) -> frozenset[int]:
+    table = entry.table
     kind = recipe[0]
     if kind == "sylow":
         return frozenset(sylow_subgroup(table, recipe[1]))
@@ -385,15 +404,13 @@ def _resolve_recipe(entry: CatalogEntry, table: GroupTable, recipe: tuple) -> fr
     if kind == "setwise_stabilizer":
         return frozenset(setwise_stabilizer(table, list(recipe[1])))
     if kind == "derived_of":
-        return frozenset(
-            derived_subgroup(table, subgroup_for_entry(entry, table, recipe[1]))
-        )
+        return frozenset(derived_subgroup(table, entry.subgroup(recipe[1])))
     if kind == "class_centralizer":
         cid = table.class_by_name(recipe[1])
         rep = table.conjugacy_classes()[cid].representative
         return frozenset(centralizer(table, rep))
     if kind == "index2_centerfree":
-        return _index2_centerfree(table, subgroup_for_entry(entry, table, recipe[1]))
+        return _index2_centerfree(table, entry.subgroup(recipe[1]))
     if kind == "generated":
         try:
             indices = {table.index[p.images] for p in recipe[1]}
@@ -428,8 +445,6 @@ def _index2_centerfree(table: GroupTable, parent: frozenset[int]) -> frozenset[i
 
 
 def clear_caches() -> None:
+    """Forget every loaded entry, and with it every table, automorphism group
+    and subgroup derived from one."""
     load_entry.cache_clear()
-    load_permutation_group.cache_clear()
-    load_group_table.cache_clear()
-    load_automorphisms.cache_clear()
-    resolve_subgroup.cache_clear()

@@ -83,29 +83,10 @@ def _emit(args, report: dict, lines: list[str]) -> None:
 
 # --- group resolution helpers ----------------------------------------------
 
-def _entry(args) -> tuple[catalog.CatalogEntry, bool]:
-    if getattr(args, "file", None):
-        return catalog.load_entry_file(args.file), True
-    return catalog.load_entry(args.group), False
-
-
-def _table(args):
-    entry, from_file = _entry(args)
-    if from_file:
-        return entry, from_file, catalog.table_for_entry(entry)
-    return entry, from_file, catalog.load_group_table(entry.name)
-
-
-def _auts(entry, from_file, table):
-    if from_file:
-        return catalog.automorphisms_for_entry(entry, table)
-    return catalog.load_automorphisms(entry.name)
-
-
-def _sub(entry, from_file, table, label):
-    if from_file:
-        return catalog.subgroup_for_entry(entry, table, label)
-    return catalog.resolve_subgroup(entry.name, label)
+def _entry(args) -> catalog.CatalogEntry:
+    if args.file:
+        return catalog.load_entry_file(args.file)
+    return catalog.load_entry(args.group)
 
 
 def _cap_kw(args) -> dict:
@@ -121,8 +102,8 @@ def _outcome(result) -> tuple[str, dict, int]:
 # --- handlers ---------------------------------------------------------------
 
 def _cmd_group_info(args):
-    entry, _ = _entry(args)
-    group = entry.permutation_group()
+    entry = _entry(args)
+    group = entry.group
     cert = {
         "name": entry.name,
         "degree": entry.degree,
@@ -138,7 +119,8 @@ def _cmd_group_info(args):
 
 
 def _cmd_group_classes(args):
-    entry, _, table = _table(args)
+    entry = _entry(args)
+    table = entry.table
     rows = [
         {
             "name": name,
@@ -156,32 +138,31 @@ def _cmd_group_classes(args):
 
 
 def _cmd_group_aut(args):
-    entry, from_file, table = _table(args)
-    auts = _auts(entry, from_file, table)
+    entry = _entry(args)
+    auts = entry.automorphisms
     cert = {
         "group": entry.name,
         "order": auts.order,
-        "inner_order": len(table.elements),
+        "inner_order": len(entry.table),
         "outer_order": auts.outer_order,
     }
     return "verified", cert, 0, [
-        f"|Aut| = {auts.order}, inner {len(table.elements)}, outer {auts.outer_order}"
+        f"|Aut| = {auts.order}, inner {len(entry.table)}, outer {auts.outer_order}"
     ]
 
 
 def _cmd_chartab_compute(args):
-    entry, _, table = _table(args)
-    ct = dixon_character_table(table)
+    ct = dixon_character_table(_entry(args).table)
     return "verified", ct.to_json(), 0, ct.to_text().splitlines()
 
 
 def _cmd_verify_witness(args):
-    entry, from_file, table = _table(args)
+    entry = _entry(args)
     if args.diagonal:
-        diag = build_diagonal_group(table, _auts(entry, from_file, table))
+        diag = build_diagonal_group(entry.table, entry.automorphisms)
         group, label = diag.group, diag.label
     else:
-        group, label = entry.permutation_group(), entry.name
+        group, label = entry.group, entry.name
     with open(args.witness, encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -197,37 +178,33 @@ def _cmd_verify_witness(args):
 
 
 def _cmd_ab_check(args):
-    entry, from_file, table = _table(args)
-    group = entry.permutation_group()
-    a_pg = subgroup_permutation_group(table, _sub(entry, from_file, table, args.A))
-    b_pg = subgroup_permutation_group(table, _sub(entry, from_file, table, args.B))
+    entry = _entry(args)
+    a_pg = subgroup_permutation_group(entry.table, entry.subgroup(args.A))
+    b_pg = subgroup_permutation_group(entry.table, entry.subgroup(args.B))
     if args.set:
         points = frozenset(int(s) for s in args.set.split(","))
     else:
         points = frozenset(a_pg.orbit(args.base))
     result = witness_from_subgroup_pair(
-        group, a_pg, b_pg, args.base, points, group_label=entry.name, **_cap_kw(args)
+        entry.group, a_pg, b_pg, args.base, points, group_label=entry.name, **_cap_kw(args)
     )
     verdict, cert, code = _outcome(result)
     return verdict, cert, code, [_witness_line(result)]
 
 
 def _cmd_diagonal_witness(args):
-    entry, from_file, table = _table(args)
-    auts = _auts(entry, from_file, table)
-    a_set = _sub(entry, from_file, table, args.A)
-    b_set = _sub(entry, from_file, table, args.B)
-    result = diagonal_witness(table, auts, a_set, b_set, **_cap_kw(args))
+    entry = _entry(args)
+    result = diagonal_witness(entry.table, entry.automorphisms, entry.subgroup(args.A),
+                              entry.subgroup(args.B), **_cap_kw(args))
     verdict, cert, code = _outcome(result)
     return verdict, cert, code, [_witness_line(result)]
 
 
 def _cmd_supplement(args):
-    entry, from_file, table = _table(args)
-    a_set = _sub(entry, from_file, table, args.A)
-    b_set = _sub(entry, from_file, table, args.B)
-    auts = _auts(entry, from_file, table) if args.scope == "Aut" else None
-    report = supplement_property(table, a_set, b_set, scope=args.scope, auts=auts)
+    entry = _entry(args)
+    a_set, b_set = entry.subgroup(args.A), entry.subgroup(args.B)
+    auts = entry.automorphisms if args.scope == "Aut" else None
+    report = supplement_property(entry.table, a_set, b_set, scope=args.scope, auts=auts)
     cert = {"group": entry.name, "A": args.A, "B": args.B, **report.to_json()}
     if report.holds:
         return "verified", cert, 0, [
@@ -239,9 +216,10 @@ def _cmd_supplement(args):
 
 
 def _cmd_char_witness(args):
-    entry, from_file, table = _table(args)
+    entry = _entry(args)
+    table = entry.table
     ct = dixon_character_table(table)
-    auts = _auts(entry, from_file, table)
+    auts = entry.automorphisms
     partition = class_orbit_partition(table, auts)
     ids = tuple(table.class_by_name(n) for n in (args.r, args.s1, args.s2))
     result = character_triple_check(table, ct, partition, *ids)
@@ -257,10 +235,10 @@ def _cmd_char_witness(args):
 
 
 def _cmd_char_search(args):
-    entry, from_file, table = _table(args)
+    entry = _entry(args)
+    table = entry.table
     ct = dixon_character_table(table)
-    auts = _auts(entry, from_file, table)
-    partition = class_orbit_partition(table, auts)
+    partition = class_orbit_partition(table, entry.automorphisms)
     found = character_triple_search(table, ct, partition)
     names = table.class_names()
     triples = [
@@ -273,10 +251,8 @@ def _cmd_char_search(args):
 
 
 def _cmd_orbits_count(args):
-    entry, from_file, table = _table(args)
-    a_set = _sub(entry, from_file, table, args.A)
-    b_set = _sub(entry, from_file, table, args.B)
-    c_a, c_b = orbit_count_pair(table, a_set, b_set)
+    entry = _entry(args)
+    c_a, c_b = orbit_count_pair(entry.table, entry.subgroup(args.A), entry.subgroup(args.B))
     cert = {"group": entry.name, "A": args.A, "B": args.B,
             "A_orbits": c_a, "B_orbits": c_b, "equal": c_a == c_b}
     return "verified", cert, 0, [
@@ -285,9 +261,8 @@ def _cmd_orbits_count(args):
 
 
 def _cmd_two_check(args):
-    entry, from_file, table = _table(args)
-    a_set = _sub(entry, from_file, table, args.A)
-    t = two_point_stabilizer_trivial(table, a_set)
+    entry = _entry(args)
+    t = two_point_stabilizer_trivial(entry.table, entry.subgroup(args.A))
     if t is None:
         cert = {"group": entry.name, "A": args.A, "found": False, "t": None}
         return "refuted", cert, 1, ["every conjugate meets A nontrivially"]
@@ -296,7 +271,7 @@ def _cmd_two_check(args):
         "A": args.A,
         "found": True,
         "t": t,
-        "t_cycles": table.elements[t].cycle_string(),
+        "t_cycles": entry.table.elements[t].cycle_string(),
     }
     return "verified", cert, 0, [f"A cap A^t is trivial for t = {t}"]
 

@@ -77,20 +77,9 @@ def build_diagonal_group(table: GroupTable, auts: AutomorphismGroup) -> Diagonal
     return DiagonalGroup(table, auts, group)
 
 
-def subgroup_image_in_diagonal(
-    diag: DiagonalGroup, side: str, subgroup: Iterable[int]
-) -> PermutationGroup:
-    """The translations coming from one side of a subgroup of T.
-
-    side "right" gives {x -> xa : a in A}, side "left" gives {x -> a^-1 x}.
-    """
+def subgroup_image_in_diagonal(diag: DiagonalGroup, subgroup: Iterable[int]) -> PermutationGroup:
+    """The right translations {x -> xa : a in A} of a subgroup A of T."""
     table = diag.base
     sub = validate_subgroup(table, frozenset(subgroup))
-    gens = generating_set(table, sub)
-    if side == "right":
-        perms = [right_translation(table, g) for g in gens]
-    elif side == "left":
-        perms = [left_translation(table, g) for g in gens]
-    else:
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    perms = [right_translation(table, g) for g in generating_set(table, sub)]
     return PermutationGroup(perms, len(table))

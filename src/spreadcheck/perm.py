@@ -18,7 +18,6 @@ element only as its inverse u^-1, the form that sifting divides by.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Collection, Iterable, Sequence
 
@@ -167,13 +166,21 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
 
 
 def parse_permutation(data, degree: int) -> Permutation:
-    """Parse JSON permutation data: either an image list or a list of cycles."""
+    """Parse JSON permutation data: either an image list or a list of cycles.
+
+    Every point must be a JSON integer (a bool or a float is not), and the
+    list must be all cycles or all images; anything else raises ValueError.
+    """
     if not isinstance(data, list):
         raise ValueError(f"permutation must be a list, got {type(data).__name__}")
-    if data and all(isinstance(x, list) for x in data):
-        return Permutation.from_cycles(degree, data)
     if not data:
         return Permutation.identity(degree)
+    cycles = all(isinstance(x, list) for x in data)
+    points = [pt for cycle in data for pt in cycle] if cycles else data
+    if any(type(pt) is not int for pt in points):
+        raise ValueError(f"permutation points must be JSON integers, got {data!r}")
+    if cycles:
+        return Permutation.from_cycles(degree, data)
     if len(data) != degree:
         raise ValueError(f"image list has length {len(data)}, expected {degree}")
     return Permutation(data)
@@ -297,19 +304,6 @@ class _StabilizerChain:
 # --- permutation groups ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConjClass:
-    """One conjugacy class: representative plus sorted member indices into a
-    fixed element enumeration (PermutationGroup.elements or a GroupTable)."""
-
-    representative: object
-    members: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
 class PermutationGroup:
     """A finite permutation group given by generators."""
 
@@ -428,34 +422,6 @@ class PermutationGroup:
                     out.append(y)
         self._elements = out
         return out
-
-    def conjugacy_classes(self, cap: int = DEFAULT_ELEMENT_CAP) -> list[ConjClass]:
-        """All conjugacy classes, sorted by (class size, smallest member index).
-
-        Member indices refer to the canonical elements() enumeration.
-        """
-        elems = self.elements(cap)
-        index = {p.images: i for i, p in enumerate(elems)}
-        gen_invs = [g.inverse() for g in self.generators]
-        assigned = [False] * len(elems)
-        raw: list[list[int]] = []
-        for start in range(len(elems)):
-            if assigned[start]:
-                continue
-            members = [start]
-            assigned[start] = True
-            i = 0
-            while i < len(members):
-                px = elems[members[i]]
-                i += 1
-                for g, ginv in zip(self.generators, gen_invs):
-                    y = index[(ginv * px * g).images]
-                    if not assigned[y]:
-                        assigned[y] = True
-                        members.append(y)
-            raw.append(sorted(members))
-        raw.sort(key=lambda ms: (len(ms), ms[0]))
-        return [ConjClass(elems[ms[0]], tuple(ms)) for ms in raw]
 
     def set_orbit(self, points: Iterable[int], cap: int = DEFAULT_SET_ORBIT_CAP) -> list[frozenset[int]]:
         """Orbit of a point set under the setwise action, in BFS discovery order."""

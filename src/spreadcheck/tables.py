@@ -25,9 +25,22 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import CapExceeded, InvalidSubgroup, VerificationInconsistency
-from .perm import ConjClass, Permutation, PermutationGroup, compose_images
+from .perm import Permutation, PermutationGroup, compose_images
 
 DEFAULT_TABLE_CAP = 10**4
+
+
+@dataclass(frozen=True)
+class ConjClass:
+    """One conjugacy class of a GroupTable: its smallest member index as the
+    representative, and all member indices in increasing order."""
+
+    representative: int
+    members: tuple[int, ...]
+
+    @property
+    def size(self) -> int:
+        return len(self.members)
 
 
 class GroupTable:
@@ -40,7 +53,7 @@ class GroupTable:
         self.index: dict[tuple[int, ...], int] = {p.images: i for i, p in enumerate(self.elements)}
         self.inverse: list[int] = [self.index[p.inverse().images] for p in self.elements]
         self.generator_indices: list[int] = [self.index[g.images] for g in group.generators]
-        self._orders: list[int] | None = None
+        self._class_orders: list[int] | None = None
         self._classes: list[ConjClass] | None = None
         self._class_of: list[int] | None = None
         self._class_names: list[str] | None = None
@@ -65,9 +78,13 @@ class GroupTable:
         return self.multiply(self.multiply(self.inverse[a], self.inverse[b]), self.multiply(a, b))
 
     def element_order(self, i: int) -> int:
-        if self._orders is None:
-            self._orders = [p.order() for p in self.elements]
-        return self._orders[i]
+        """Order of element i.  Conjugates share an order, so it is computed
+        once per conjugacy class and read through class_of."""
+        if self._class_orders is None:
+            self._class_orders = [
+                self.elements[c.representative].order() for c in self.conjugacy_classes()
+            ]
+        return self._class_orders[self.class_of(i)]
 
     def exponent(self) -> int:
         import math
@@ -424,26 +441,8 @@ def coset_space(table: GroupTable, subgroup: frozenset[int]) -> CosetSpace:
 
 def orbits_on_cosets(space: CosetSpace, subgroup: frozenset[int]) -> list[set[int]]:
     """Orbit partition of a subgroup acting on a coset space, by smallest point."""
-    gens = generating_set(space.table, subgroup)
-    gen_perms = [space.action_of(g) for g in gens]
-    remaining = set(range(len(space)))
-    out = []
-    while remaining:
-        start = min(remaining)
-        orbit = {start}
-        queue = [start]
-        i = 0
-        while i < len(queue):
-            x = queue[i]
-            i += 1
-            for g in gen_perms:
-                y = g(x)
-                if y not in orbit:
-                    orbit.add(y)
-                    queue.append(y)
-        out.append(orbit)
-        remaining -= orbit
-    return out
+    gens = [space.action_of(g) for g in generating_set(space.table, subgroup)]
+    return PermutationGroup(gens, len(space)).orbits()
 
 
 def cauchy_frobenius_count(space: CosetSpace, subgroup: frozenset[int]) -> int:

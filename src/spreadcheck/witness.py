@@ -99,13 +99,16 @@ class Multiset:
 
     @classmethod
     def from_json(cls, data: dict, n: int) -> "Multiset":
-        """Read {point: multiplicity}; points must lie in 0..n-1 and
-        multiplicities be JSON integers, else ValueError."""
+        """Read {point: multiplicity}; points must be written as to_json writes
+        them (canonical decimal, so "01", "+1" and "1_0" are refused) and lie
+        in 0..n-1, and multiplicities must be JSON integers, else ValueError."""
         if not isinstance(data, dict):
             raise ValueError(f"multiset must be a JSON object, got {type(data).__name__}")
         counts = [0] * n
         for key, mult in data.items():
             point = int(key)
+            if str(point) != key:
+                raise ValueError(f"multiset point {key!r} is not a canonical integer")
             if not 0 <= point < n:
                 raise ValueError(f"multiset point {key!r} outside 0..{n - 1}")
             if type(mult) is not int:
@@ -326,8 +329,8 @@ def diagonal_witness(
     if len(a_set) >= len(table):
         raise InvalidSubgroup("A must be a proper subgroup of T")
     diag = build_diagonal_group(table, auts)
-    a_img = subgroup_image_in_diagonal(diag, "right", a_set)
-    b_img = subgroup_image_in_diagonal(diag, "right", b_set)
+    a_img = subgroup_image_in_diagonal(diag, a_set)
+    b_img = subgroup_image_in_diagonal(diag, b_set)
     return witness_from_subgroup_pair(diag.group, a_img, b_img, 0, a_set, diag.label, cap)
 
 

@@ -98,7 +98,7 @@ def test_criterion_3_a7_on_three_subsets():
     assert cauchy_frobenius_count(space, b) == 4
     assert orbit_count_pair(table, a, b) == (4, 4)
     assert supplement_property(table, a, b).holds
-    threes = catalog.load_permutation_group("A7_3sets")
+    threes = catalog.load_entry("A7_3sets").group
     assert threes.degree == 35
     assert threes.is_transitive()
     assert threes.stabilizer(0).order() == len(a)
@@ -266,7 +266,7 @@ def test_criterion_9_cross_validation_property_suite():
     # refutations carry counterexamples that re-check
     for name in ("A5", "A7"):
         table = catalog.load_group_table(name)
-        group = catalog.load_permutation_group(name)
+        group = catalog.load_entry(name).group
         entry = catalog.load_entry(name)
         a_label, b_label = entry.supplement_pairs[0]
         a_pg = subgroup_permutation_group(table, catalog.resolve_subgroup(name, a_label))
@@ -280,7 +280,7 @@ def test_criterion_9_cross_validation_property_suite():
         runs += 1
 
     for name in ("A5_3sets", "A6_3sets", "A7_3sets", "A8_3sets", "A9_3sets"):
-        group = catalog.load_permutation_group(name)
+        group = catalog.load_entry(name).group
         ref = verify_witness(group, {0, 1}, Multiset.indicator([0, 1], group.degree), group_label=name)
         assert isinstance(ref, Refutation)
         recheck_refutation(ref, group)

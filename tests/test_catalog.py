@@ -82,7 +82,7 @@ def test_every_entry_validates():
 def test_group_orders(name):
     entry = catalog.load_entry(name)
     assert entry.known_order == GROUP_ORDERS[name]
-    group = catalog.load_permutation_group(name)
+    group = entry.group
     assert group.order() == GROUP_ORDERS[name]
     assert group.degree == entry.degree
     assert group.is_transitive()
@@ -118,7 +118,7 @@ def test_two_point_labels():
 def test_three_subset_actions(name):
     entry = catalog.load_entry(name)
     assert entry.degree == THREE_SET_DEGREES[name]
-    group = catalog.load_permutation_group(name)
+    group = entry.group
     assert group.degree == THREE_SET_DEGREES[name]
     base = name[: -len("_3sets")]
     assert group.order() == GROUP_ORDERS[base]
@@ -127,7 +127,7 @@ def test_three_subset_actions(name):
 
 
 def test_three_subset_stabilizer_order():
-    group = catalog.load_permutation_group("A7_3sets")
+    group = catalog.load_entry("A7_3sets").group
     assert group.stabilizer(0).order() == 2520 // 35
 
 
@@ -142,15 +142,26 @@ def test_trivial_subgroup_label():
     assert catalog.resolve_subgroup("A5", "1") == frozenset({0})
 
 
+def test_entry_owns_its_derived_objects_until_caches_are_cleared():
+    entry = catalog.load_entry("A5")
+    table = catalog.load_group_table("A5")
+    assert table is entry.table
+    assert catalog.load_automorphisms("A5") is entry.automorphisms
+    assert catalog.resolve_subgroup("A5", "A4") is entry.subgroup("A4")
+    # the benchmark clears the caches before each timed set-up: a cold load
+    catalog.clear_caches()
+    assert catalog.load_group_table("A5") is not table
+    assert catalog.load_entry("A5") is not entry
+
+
 def test_supplied_aut_images_must_lie_in_group():
     entry = catalog.load_entry("A7")
-    table = catalog.load_group_table("A7")
     assert entry.aut_images is not None
     bad = dataclasses.replace(
         entry, aut_images=((Permutation.from_cycles(7, [[0, 1]]),),)
     )
     with pytest.raises(InvalidSubgroup):
-        catalog.automorphisms_for_entry(bad, table)
+        bad.automorphisms
 
 
 D10_JSON = {
@@ -172,11 +183,11 @@ class TestExternalEntries:
         assert entry.name == "D10ext"
         assert entry.known_order == 10
         assert entry.supplement_pairs == (("C5", "1"),)
-        table = catalog.table_for_entry(entry)
-        assert len(catalog.subgroup_for_entry(entry, table, "C5")) == 5
-        assert catalog.subgroup_for_entry(entry, table, "1") == frozenset({0})
+        assert len(entry.table) == 10
+        assert len(entry.subgroup("C5")) == 5
+        assert entry.subgroup("1") == frozenset({0})
         with pytest.raises(ValueError):
-            catalog.subgroup_for_entry(entry, table, "C2")
+            entry.subgroup("C2")
 
     def test_rejects_non_permutation_generator(self):
         bad = dict(D10_JSON, generators=[[0, 0, 1, 2, 3]])
@@ -191,9 +202,8 @@ class TestExternalEntries:
     def test_subgroup_generators_must_lie_in_group(self):
         data = dict(D10_JSON, subgroups={"bad": [[[0, 1]]]})
         entry = catalog.entry_from_json(data)
-        table = catalog.table_for_entry(entry)
         with pytest.raises(InvalidSubgroup):
-            catalog.subgroup_for_entry(entry, table, "bad")
+            entry.subgroup("bad")
 
     def test_environment_directory_and_cache_clearing(self, tmp_path, monkeypatch):
         path = tmp_path / "D10ext.json"

@@ -1,6 +1,8 @@
 """End-to-end command line checks, run in process."""
 
+import copy
 import json
+import random
 
 import pytest
 
@@ -12,6 +14,17 @@ D10_JSON = {
     "generators": [[[0, 1, 2, 3, 4]], [[1, 4], [2, 3]]],
     "known_order": 10,
     "subgroups": {"C5": [[[0, 1, 2, 3, 4]]]},
+}
+
+# A5 written out as a group file, with A4 and V4 given by generators instead of
+# recipes; the same copy the benchmark's witnesses workload reads through --file
+A5_COPY = {
+    "name": "A5copy",
+    "degree": 5,
+    "generators": [[[0, 1, 2, 3, 4]], [[2, 3, 4]]],
+    "known_order": 60,
+    "subgroups": {"A4": [[[0, 1, 3]], [[0, 1, 4]]], "V4": [[[0, 3], [1, 4]], [[0, 4], [1, 3]]]},
+    "supplement_pairs": [["A4", "V4"]],
 }
 
 
@@ -233,6 +246,37 @@ class TestFileRoute:
         cert = report["certificate"]
         assert cert["A_orbits"] == cert["B_orbits"] == 2
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["spreading", "diagonal-witness", "--A", "A4", "--B", "V4"],
+            ["spreading", "supplement", "--A", "A4", "--B", "V4", "--scope", "T"],
+            ["spreading", "supplement", "--A", "A4", "--B", "V4", "--scope", "Aut"],
+            ["orbits", "count", "--A", "A4", "--B", "V4"],
+            ["basesize", "two-check", "--A", "A4"],
+            ["group", "aut"],
+            ["spreading", "char-search"],
+            ["spreading", "verify-witness", "--diagonal"],
+        ],
+        ids=" ".join,
+    )
+    def test_file_copy_gives_the_catalog_certificate(self, capsys, tmp_path, command):
+        copy_path = tmp_path / "A5copy.json"
+        copy_path.write_text(json.dumps(A5_COPY))
+        if "verify-witness" in command:
+            _, report = run_json(
+                capsys, "spreading", "diagonal-witness", "--group", "A5", "--A", "A4", "--B", "V4"
+            )
+            witness_path = tmp_path / "w.json"
+            witness_path.write_text(json.dumps(report["certificate"]))
+            command = command + ["--witness", str(witness_path)]
+        code, by_group = run_json(capsys, *command, "--group", "A5")
+        file_code, by_file = run_json(capsys, *command, "--file", str(copy_path))
+        assert code in (0, 1)
+        assert (file_code, by_file["verdict"]) == (code, by_group["verdict"])
+        renamed = json.dumps(by_file["certificate"], sort_keys=True).replace("A5copy", "A5")
+        assert renamed == json.dumps(by_group["certificate"], sort_keys=True)
+
 
 class TestErrorPaths:
     def test_unknown_group(self, capsys):
@@ -269,10 +313,26 @@ class TestErrorPaths:
             ("group-file", dict(D10_JSON, generators=5)),
             ("group-file", dict(D10_JSON, subgroups=[1])),
             ("group-file", dict(D10_JSON, supplement_pairs=5)),
+            ("group-file", dict(D10_JSON, generators=[[[0, 1, 2, 3, 4]], [[2, 3, 4.5]]])),
+            ("group-file", dict(D10_JSON, generators=[[[0, 1, 2, 3, 4]], [0, 1.0, 3, 4, 2]])),
+            ("group-file", dict(D10_JSON, subgroups={"C5": [[0, 1.0, 2, 3, 4]]})),
+            ("group-file", dict(D10_JSON, generators=[[[0, 1, 2, 3, 4]], [[2, 3, True]]])),
+            ("group-file", dict(D10_JSON, generators=[[[0, 1, 2, 3, 4]], [[0, 1], 2, 3, 4, 0]])),
+            ("group-file", dict(D10_JSON, name=None)),
+            ("group-file", dict(D10_JSON, supplement_pairs=[["C5", None]])),
+            ("group-file", dict(D10_JSON, two_point_labels=[5])),
+            ("verify-witness", {"set": [0, 1], "multiset": {"01": 1, "1": 1, "0": 3}}),
+            ("verify-witness", {"set": [0, 1], "multiset": {"+1": 1, "0": 3}}),
+            ("verify-witness", {"set": [0, 1], "multiset": {" 1": 1, "0": 3}}),
+            ("verify-witness", {"set": [0, 1], "multiset": {"0_1": 1, "0": 3}}),
         ],
         ids=["key-999", "key-minus-1", "fractional-multiplicity", "degree-null",
              "degree-string", "top-level-list", "set-entry-null", "set-entry-fractional",
-             "set-entry-bool", "generators-int", "subgroups-list", "supplement-pairs-int"],
+             "set-entry-bool", "generators-int", "subgroups-list", "supplement-pairs-int",
+             "cycle-point-fractional", "image-fractional", "subgroup-image-fractional",
+             "cycle-point-bool", "cycles-mixed-with-images", "name-null", "pair-label-null",
+             "two-point-label-int", "key-leading-zero",
+             "key-plus-sign", "key-space", "key-underscore"],
     )
     def test_malformed_input_is_an_error_report(self, capsys, tmp_path, command, data):
         path = tmp_path / "input.json"
@@ -301,3 +361,58 @@ class TestErrorPaths:
         assert main(["group", "info"]) == 2  # needs --group or --file
         assert main(["group", "info", "--group", "A5", "--file", "x.json"]) == 2
         assert main(["group", "info", "--group", "A5", "--bogus"]) == 2
+
+
+def _positions(node, path=()):
+    """Key paths of every value below the root of a JSON document."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield path + (key,)
+        yield from _positions(child, path + (key,))
+
+
+def _mutants(data, degree, rng, count):
+    """Copies of data with one value each replaced by a fixed list of bad or
+    borderline values.  None of them can raise the degree or the group order
+    above the original's, so every command stays small."""
+    values = [None, True, 1.5, "x", [], {}, -1, degree, [[0]]]
+    positions = list(_positions(data))
+    for _ in range(count):
+        mutant = copy.deepcopy(data)
+        *parents, last = rng.choice(positions)
+        node = mutant
+        for key in parents:
+            node = node[key]
+        node[last] = copy.deepcopy(rng.choice(values))
+        yield mutant
+
+
+@pytest.mark.parametrize("source", ["group-file", "witness-file"])
+def test_mutated_input_files_keep_the_exit_contract(capsys, tmp_path, source):
+    """Seeded fuzzing of the input boundary: every mutant ends in exit 0, 1 or
+    2 with a report, and none escapes main as an exception."""
+    rng = random.Random(f"spreadcheck-fuzz:{source}")
+    path = tmp_path / "input.json"
+    if source == "group-file":
+        data, degree = dict(D10_JSON, supplement_pairs=[["C5", "1"]]), 5
+        argv = ["spreading", "supplement", "--file", str(path), "--A", "C5", "--B", "1",
+                "--scope", "Aut"]
+    else:
+        _, report = run_json(
+            capsys, "spreading", "diagonal-witness", "--group", "A5", "--A", "A4", "--B", "V4"
+        )
+        data, degree = report["certificate"], 60
+        argv = ["spreading", "verify-witness", "--group", "A5", "--diagonal", "--witness", str(path)]
+    codes = []
+    for mutant in _mutants(data, degree, rng, 200):
+        path.write_text(json.dumps(mutant))
+        code, report = run_json(capsys, *argv)
+        assert code in (0, 1, 2), (mutant, report)
+        assert (code == 2) == (report["verdict"] == "error"), (mutant, report)
+        codes.append(code)
+    assert 2 in codes and 0 in codes

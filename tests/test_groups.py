@@ -84,10 +84,12 @@ class TestGroupTable:
             assert t.multiply(t.multiply(i, j), k) == t.multiply(i, t.multiply(j, k))
 
     def test_element_orders_and_exponent(self):
-        t = catalog.load_group_table("A5")
-        for i, p in enumerate(t.elements):
-            assert t.element_order(i) == p.order()
-        assert t.exponent() == 30
+        # orders are computed once per class; every element must still match
+        for name, exponent in (("A5", 30), ("PSL(2,7)", 84), ("M11", 1320)):
+            t = catalog.load_group_table(name)
+            for i, p in enumerate(t.elements):
+                assert t.element_order(i) == p.order()
+            assert t.exponent() == exponent
 
     def test_conjugate_and_commutator(self):
         t = _s3_table()
@@ -100,6 +102,10 @@ class TestGroupTable:
             for b in range(6):
                 commute = t.multiply(a, b) == t.multiply(b, a)
                 assert (t.commutator(a, b) == 0) == commute
+
+    def test_conjugacy_class_sizes_sorted(self):
+        assert [c.size for c in _s3_table().conjugacy_classes()] == [1, 2, 3]
+        assert [c.size for c in _a4_table().conjugacy_classes()] == [1, 3, 4, 4]
 
     def test_class_data_a5(self):
         t = catalog.load_group_table("A5")
@@ -408,10 +414,6 @@ class TestDiagonalAction:
         auts = catalog.load_automorphisms("A5")
         diag = build_diagonal_group(t, auts)
         a4 = catalog.resolve_subgroup("A5", "A4")
-        right = subgroup_image_in_diagonal(diag, "right", a4)
+        right = subgroup_image_in_diagonal(diag, a4)
         assert right.order() == 12
         assert right.orbit(0) == set(a4)
-        left = subgroup_image_in_diagonal(diag, "left", a4)
-        assert left.order() == 12
-        with pytest.raises(ValueError):
-            subgroup_image_in_diagonal(diag, "up", a4)

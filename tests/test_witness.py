@@ -130,7 +130,7 @@ class TestSubgroupPairBuilder:
         recheck_refutation(ref)
 
     def test_orbit_split_too_small(self):
-        group = catalog.load_permutation_group("A5")
+        group = catalog.load_entry("A5").group
         t = catalog.load_group_table("A5")
         # natural 5-point action: the V4 orbit of 0 already fills the A4 orbit
         a4 = catalog.resolve_subgroup("A5", "A4")
