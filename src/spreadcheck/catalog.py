@@ -31,6 +31,7 @@ from .errors import InvalidSubgroup, VerificationInconsistency
 from .perm import Permutation, PermutationGroup, parse_permutation
 from .tables import (
     GroupTable,
+    Subgroup,
     build_group_table,
     centralizer,
     close_subgroup,
@@ -39,6 +40,7 @@ from .tables import (
     setwise_stabilizer,
     sylow_normalizer,
     sylow_subgroup,
+    validate_subgroup,
 )
 
 ENV_CATALOG_DIR = "SPREADCHECK_CATALOG"
@@ -87,19 +89,20 @@ class CatalogEntry:
                 ) from None
         return automorphism_group_from_supplied(table, supplied)
 
-    def subgroup(self, label: str) -> frozenset[int]:
-        """The subgroup with this label as element indices of the table; the
+    def subgroup(self, label: str) -> Subgroup:
+        """The subgroup with this label, checked once against the table; the
         label "1" is the trivial subgroup."""
         if label not in self._resolved:
             if label == "1":
-                self._resolved[label] = frozenset({0})
+                members = {0}
             elif label in self.subgroups:
-                self._resolved[label] = _resolve_recipe(self, self.subgroups[label])
+                members = _resolve_recipe(self, self.subgroups[label])
             else:
                 raise ValueError(
                     f"group {self.name} has no subgroup labelled {label!r}; "
                     f"available: {sorted(self.subgroups)} and '1'"
                 )
+            self._resolved[label] = validate_subgroup(self.table, members)
         return self._resolved[label]
 
 
@@ -388,7 +391,7 @@ def load_automorphisms(name: str) -> AutomorphismGroup:
     return load_entry(name).automorphisms
 
 
-def resolve_subgroup(name: str, label: str) -> frozenset[int]:
+def resolve_subgroup(name: str, label: str) -> Subgroup:
     return load_entry(name).subgroup(label)
 
 
@@ -396,19 +399,19 @@ def _resolve_recipe(entry: CatalogEntry, recipe: tuple) -> frozenset[int]:
     table = entry.table
     kind = recipe[0]
     if kind == "sylow":
-        return frozenset(sylow_subgroup(table, recipe[1]))
+        return sylow_subgroup(table, recipe[1])
     if kind == "sylow_normalizer":
-        return frozenset(sylow_normalizer(table, recipe[1]))
+        return sylow_normalizer(table, recipe[1])
     if kind == "point_stabilizer":
-        return frozenset(point_stabilizer(table, recipe[1]))
+        return point_stabilizer(table, recipe[1])
     if kind == "setwise_stabilizer":
-        return frozenset(setwise_stabilizer(table, list(recipe[1])))
+        return setwise_stabilizer(table, recipe[1])
     if kind == "derived_of":
-        return frozenset(derived_subgroup(table, entry.subgroup(recipe[1])))
+        return derived_subgroup(table, entry.subgroup(recipe[1]))
     if kind == "class_centralizer":
         cid = table.class_by_name(recipe[1])
         rep = table.conjugacy_classes()[cid].representative
-        return frozenset(centralizer(table, rep))
+        return centralizer(table, rep)
     if kind == "index2_centerfree":
         return _index2_centerfree(table, entry.subgroup(recipe[1]))
     if kind == "generated":
@@ -418,11 +421,11 @@ def _resolve_recipe(entry: CatalogEntry, recipe: tuple) -> frozenset[int]:
             raise InvalidSubgroup(
                 f"subgroup generator does not lie in {entry.name}"
             ) from None
-        return frozenset(close_subgroup(table, indices | {0}))
+        return close_subgroup(table, indices)
     raise ValueError(f"unknown subgroup recipe {recipe!r}")
 
 
-def _index2_centerfree(table: GroupTable, parent: frozenset[int]) -> frozenset[int]:
+def _index2_centerfree(table: GroupTable, parent: Subgroup) -> Subgroup:
     """First subgroup of index 2 in parent (by element order) whose centre,
     within itself, is trivial."""
     der = derived_subgroup(table, parent)
@@ -430,7 +433,7 @@ def _index2_centerfree(table: GroupTable, parent: frozenset[int]) -> frozenset[i
     for x in sorted(parent):
         if x in der:
             continue
-        h = close_subgroup(table, set(der) | {x})
+        h = close_subgroup(table, der | {x})
         if len(h) != half:
             continue
         members = sorted(h)
@@ -440,7 +443,7 @@ def _index2_centerfree(table: GroupTable, parent: frozenset[int]) -> frozenset[i
             if all(table.multiply(z, g) == table.multiply(g, z) for g in members)
         )
         if central == 1:
-            return frozenset(h)
+            return h
     raise InvalidSubgroup("no centre-free index-2 subgroup found")
 
 

@@ -23,6 +23,7 @@ from .chartab import (
 )
 from .diagonal import build_diagonal_group
 from .errors import CapExceeded, InvalidSubgroup, VerificationInconsistency
+from .perm import parse_point
 from .tables import subgroup_permutation_group
 from .witness import (
     Multiset,
@@ -90,7 +91,7 @@ def _entry(args) -> catalog.CatalogEntry:
 
 
 def _cap_kw(args) -> dict:
-    return {"cap": args.cap} if args.cap else {}
+    return {} if args.cap is None else {"cap": args.cap}
 
 
 def _outcome(result) -> tuple[str, dict, int]:
@@ -182,7 +183,8 @@ def _cmd_ab_check(args):
     a_pg = subgroup_permutation_group(entry.table, entry.subgroup(args.A))
     b_pg = subgroup_permutation_group(entry.table, entry.subgroup(args.B))
     if args.set:
-        points = frozenset(int(s) for s in args.set.split(","))
+        points = frozenset(parse_point(s, entry.degree, "--set point")
+                           for s in args.set.split(","))
     else:
         points = frozenset(a_pg.orbit(args.base))
     result = witness_from_subgroup_pair(

@@ -10,12 +10,11 @@ verifies against the actual permutation group order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .autos import AutomorphismGroup
 from .errors import VerificationInconsistency
 from .perm import Permutation, PermutationGroup
-from .tables import GroupTable, generating_set, validate_subgroup
+from .tables import GroupTable, Subgroup
 
 
 def right_translation(table: GroupTable, t: int) -> Permutation:
@@ -77,9 +76,8 @@ def build_diagonal_group(table: GroupTable, auts: AutomorphismGroup) -> Diagonal
     return DiagonalGroup(table, auts, group)
 
 
-def subgroup_image_in_diagonal(diag: DiagonalGroup, subgroup: Iterable[int]) -> PermutationGroup:
-    """The right translations {x -> xa : a in A} of a subgroup A of T."""
-    table = diag.base
-    sub = validate_subgroup(table, frozenset(subgroup))
-    perms = [right_translation(table, g) for g in generating_set(table, sub)]
-    return PermutationGroup(perms, len(table))
+def subgroup_image_in_diagonal(diag: DiagonalGroup, subgroup: Subgroup) -> PermutationGroup:
+    """The right translations {x -> xa : a in A} of a subgroup A of T, which
+    must be a Subgroup of diag.base."""
+    perms = [right_translation(diag.base, g) for g in subgroup.gens]
+    return PermutationGroup(perms, len(diag.base))

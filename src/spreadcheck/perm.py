@@ -186,6 +186,17 @@ def parse_permutation(data, degree: int) -> Permutation:
     return Permutation(data)
 
 
+def parse_point(text: str, degree: int, what: str = "point") -> int:
+    """A point in canonical decimal ("01", "+1", " 1", "1_0" are refused) and
+    in 0..degree-1; anything else raises ValueError."""
+    point = int(text)
+    if str(point) != text:
+        raise ValueError(f"{what} {text!r} is not a canonical integer")
+    if not 0 <= point < degree:
+        raise ValueError(f"{what} {text!r} outside 0..{degree - 1}")
+    return point
+
+
 # --- stabilizer chain ------------------------------------------------------
 
 

@@ -6,17 +6,17 @@ and exposes multiplication by composing the underlying permutations and looking
 the product up again.  No |T| x |T| multiplication table is ever stored, which
 keeps groups up to a few hundred thousand elements workable.
 
-Subgroups are plain frozensets of element indices.  The helpers below cover the
-constructions the catalog needs: closures, derived subgroups, centralizers,
-normalizers, Sylow subgroups and their normalizers, point and setwise
-stabilizers, and coset spaces with their induced actions.
-
-One closure routine, _closure, serves close_subgroup, generating_set and
-validate_subgroup.  It keeps an index as a generator only when the index lies
-outside the span of the smaller indices kept before it (the greedy rule), and
-multiplies each member by each kept generator once, so a subgroup H with k
-kept generators costs O(|H| k) products.  Validating H this way checks it
-through a generating set rather than through all |H|^2 products of members.
+Subgroups are Subgroup values: frozensets of element indices that also hold
+their table and the generators kept for them.  Only _closure builds one, for
+close_subgroup and validate_subgroup.  It keeps an index as a generator only
+when the index lies outside the span of the smaller indices kept before it
+(the greedy rule), and multiplies each member by each kept generator once, so
+a subgroup H with k kept generators costs O(|H| k) products, not the |H|^2 of
+checking every product.  Functions that need a subgroup's generators accept
+any index set and pass it through validate_subgroup, which returns a Subgroup
+of the same table as it is and closes anything else once.  The helpers cover
+derived subgroups, centralizers, normalizers, Sylow subgroups and their
+normalizers, point and setwise stabilizers, and coset spaces.
 """
 
 from __future__ import annotations
@@ -214,9 +214,14 @@ def build_group_table(
 # --- subgroup utilities ----------------------------------------------------
 
 
-def _closure(
-    table: GroupTable, indices: Iterable[int], cap: int
-) -> tuple[frozenset[int], list[int]]:
+class Subgroup(frozenset):
+    """Member indices of a subgroup of table and the generators gens kept for
+    it; only _closure makes one.  Set operations on it give plain frozensets."""
+
+    __slots__ = ("table", "gens")
+
+
+def _closure(table: GroupTable, indices: Iterable[int], cap: int) -> Subgroup:
     """The subgroup generated by the indices, with the generators kept for it.
 
     The indices are walked in increasing order and one is kept only when it
@@ -252,67 +257,55 @@ def _closure(
             i += 1
             for g in gens:
                 add(multiply(y, g))
-    return frozenset(seen), gens
+    sub = Subgroup(seen)
+    sub.table, sub.gens = table, tuple(gens)
+    return sub
 
 
-def close_subgroup(table: GroupTable, gen_indices: Iterable[int], cap: int | None = None) -> frozenset[int]:
-    """Subgroup generated by the given element indices.
+def close_subgroup(table: GroupTable, gen_indices: Iterable[int], cap: int | None = None) -> Subgroup:
+    """Subgroup generated by the given element indices, in O(|H| k) products
+    (see _closure); raises CapExceeded above cap elements, by default |T|."""
+    return _closure(table, gen_indices, len(table) if cap is None else cap)
 
-    Costs O(|H| k) products for the k indices that are not already in the span
-    of the smaller ones (see _closure); raises CapExceeded above cap elements,
-    by default |T|.
+
+def validate_subgroup(table: GroupTable, subset: Iterable[int]) -> Subgroup:
+    """Check a set of element indices is a subgroup of table; returns it as a
+    Subgroup.  A Subgroup of this very table comes back as it is.  Any other
+    set is closed from its own members with cap |set| (O(|H| k) products, see
+    _closure), and is a subgroup exactly when the closure stays within the
+    cap and equals it.
     """
-    return _closure(table, gen_indices, len(table) if cap is None else cap)[0]
-
-
-def validate_subgroup(table: GroupTable, subset: Iterable[int]) -> frozenset[int]:
-    """Check a set of element indices is a subgroup; returns it as a frozenset.
-
-    The set is closed from its own members with cap |set|, so only the members
-    outside the span of the smaller ones act as generators: O(|H| k) products
-    for k such members, where checking every product of two members would
-    cost O(|H|^2).  The set is a subgroup exactly when the closure stays
-    within the cap and equals it.
-    """
+    if isinstance(subset, Subgroup) and subset.table is table:
+        return subset
     sub = frozenset(subset)
     if 0 not in sub:
         raise InvalidSubgroup("subgroup must contain the identity (index 0)")
     try:
-        closed = close_subgroup(table, sub, cap=len(sub))
+        closed = _closure(table, sub, len(sub))
     except CapExceeded:
         raise InvalidSubgroup(
             "set of element indices is not closed under multiplication"
         ) from None
     if closed != sub:
         raise InvalidSubgroup("set of element indices is not closed under multiplication")
-    return sub
+    return closed
 
 
-def generating_set(table: GroupTable, subgroup: frozenset[int]) -> list[int]:
-    """A small deterministic generating set for a subgroup given as an index set:
-    greedily, each member in increasing order that lies outside the span of
-    the members kept before it."""
-    return _closure(table, subgroup, len(subgroup))[1]
-
-
-def subgroup_permutation_group(table: GroupTable, subgroup: frozenset[int]) -> PermutationGroup:
+def subgroup_permutation_group(table: GroupTable, subgroup: Iterable[int]) -> PermutationGroup:
     """The subgroup as a permutation group in the underlying representation."""
-    gens = generating_set(table, subgroup)
+    gens = validate_subgroup(table, subgroup).gens
     return PermutationGroup([table.elements[i] for i in gens], table.group.degree)
 
 
-def conjugate_subgroup(table: GroupTable, subgroup: frozenset[int], t: int) -> frozenset[int]:
-    return frozenset(table.conjugate(x, t) for x in subgroup)
-
-
-def derived_subgroup(table: GroupTable, subgroup: frozenset[int]) -> frozenset[int]:
+def derived_subgroup(table: GroupTable, subgroup: Iterable[int]) -> Subgroup:
     """Commutator subgroup: normal closure in the subgroup of its generator
     commutators."""
-    gens = generating_set(table, subgroup)
+    subgroup = validate_subgroup(table, subgroup)
+    gens = subgroup.gens
     comms = {table.commutator(a, b) for a in gens for b in gens}
     current = close_subgroup(table, comms, cap=len(subgroup))
     while True:
-        extra = {table.conjugate(x, g) for x in generating_set(table, current) for g in gens}
+        extra = {table.conjugate(x, g) for x in current.gens for g in gens}
         if extra <= current:
             return current
         current = close_subgroup(table, current | extra, cap=len(subgroup))
@@ -322,10 +315,10 @@ def centralizer(table: GroupTable, x: int) -> frozenset[int]:
     return frozenset(t for t in range(len(table)) if table.multiply(t, x) == table.multiply(x, t))
 
 
-def normalizer(table: GroupTable, subgroup: frozenset[int]) -> frozenset[int]:
-    gens = generating_set(table, subgroup)
+def normalizer(table: GroupTable, subgroup: Iterable[int]) -> frozenset[int]:
+    subgroup = validate_subgroup(table, subgroup)
     return frozenset(
-        t for t in range(len(table)) if all(table.conjugate(g, t) in subgroup for g in gens)
+        t for t in range(len(table)) if all(table.conjugate(g, t) in subgroup for g in subgroup.gens)
     )
 
 
@@ -340,7 +333,7 @@ def setwise_stabilizer(table: GroupTable, points: Iterable[int]) -> frozenset[in
     )
 
 
-def sylow_subgroup(table: GroupTable, p: int) -> frozenset[int]:
+def sylow_subgroup(table: GroupTable, p: int) -> Subgroup:
     """A Sylow p-subgroup: start from an element of maximal p-power order and
     grow by p-elements of the normalizer until the full p-part is reached."""
     n = len(table)
@@ -394,7 +387,6 @@ class CosetSpace:
     """Right cosets Ht of a subgroup, enumerated BFS from the identity coset."""
 
     table: GroupTable
-    subgroup: frozenset[int]
     representatives: tuple[int, ...]
     point_of: tuple[int, ...]  # element index -> coset id
 
@@ -418,7 +410,7 @@ class CosetSpace:
         return frozenset(a for a in subset if point_of[multiply(t, a)] == cid)
 
 
-def coset_space(table: GroupTable, subgroup: frozenset[int]) -> CosetSpace:
+def coset_space(table: GroupTable, subgroup: Iterable[int]) -> CosetSpace:
     subgroup = validate_subgroup(table, subgroup)
     n = len(table)
     point_of = [-1] * n
@@ -436,12 +428,12 @@ def coset_space(table: GroupTable, subgroup: frozenset[int]) -> CosetSpace:
                 reps.append(s)
                 for a in subgroup:
                     point_of[table.multiply(a, s)] = cid
-    return CosetSpace(table, subgroup, tuple(reps), tuple(point_of))
+    return CosetSpace(table, tuple(reps), tuple(point_of))
 
 
-def orbits_on_cosets(space: CosetSpace, subgroup: frozenset[int]) -> list[set[int]]:
+def orbits_on_cosets(space: CosetSpace, subgroup: Iterable[int]) -> list[set[int]]:
     """Orbit partition of a subgroup acting on a coset space, by smallest point."""
-    gens = [space.action_of(g) for g in generating_set(space.table, subgroup)]
+    gens = [space.action_of(g) for g in validate_subgroup(space.table, subgroup).gens]
     return PermutationGroup(gens, len(space)).orbits()
 
 

@@ -27,12 +27,12 @@ from typing import Collection, Iterable
 from .autos import AutomorphismGroup
 from .diagonal import build_diagonal_group, subgroup_image_in_diagonal
 from .errors import InvalidSubgroup, VerificationInconsistency
-from .perm import DEFAULT_SET_ORBIT_CAP, PermutationGroup, compose, compose_images
+from .perm import DEFAULT_SET_ORBIT_CAP, PermutationGroup, compose, compose_images, parse_point
 from .tables import (
     GroupTable,
+    Subgroup,
     cauchy_frobenius_count,
     coset_space,
-    generating_set,
     orbits_on_cosets,
     product_size,
     validate_subgroup,
@@ -106,11 +106,7 @@ class Multiset:
             raise ValueError(f"multiset must be a JSON object, got {type(data).__name__}")
         counts = [0] * n
         for key, mult in data.items():
-            point = int(key)
-            if str(point) != key:
-                raise ValueError(f"multiset point {key!r} is not a canonical integer")
-            if not 0 <= point < n:
-                raise ValueError(f"multiset point {key!r} outside 0..{n - 1}")
+            point = parse_point(key, n, "multiset point")
             if type(mult) is not int:
                 raise ValueError(f"multiplicity of point {key!r} is not an integer: {mult!r}")
             counts[point] = mult
@@ -323,27 +319,29 @@ def diagonal_witness(
     delegated to the subgroup-pair builder with the right-translation images
     of A and B and the identity of T as base point.
     """
-    a_set = validate_subgroup(table, frozenset(a_sub))
-    b_set = validate_subgroup(table, frozenset(b_sub))
-    _require_normal_pair(table, a_set, b_set)
-    if len(a_set) >= len(table):
-        raise InvalidSubgroup("A must be a proper subgroup of T")
+    a_set, b_set = _normal_pair(table, a_sub, b_sub)
     diag = build_diagonal_group(table, auts)
     a_img = subgroup_image_in_diagonal(diag, a_set)
     b_img = subgroup_image_in_diagonal(diag, b_set)
     return witness_from_subgroup_pair(diag.group, a_img, b_img, 0, a_set, diag.label, cap)
 
 
-def _require_normal_pair(table: GroupTable, a_set: frozenset[int], b_set: frozenset[int]) -> None:
+def _normal_pair(table: GroupTable, a_sub, b_sub) -> tuple[Subgroup, Subgroup]:
+    """A and B as subgroups of T, after checking that B is normal and proper
+    in A and that A is proper in T."""
+    a_set = validate_subgroup(table, a_sub)
+    b_set = validate_subgroup(table, b_sub)
     if not b_set <= a_set:
         raise InvalidSubgroup("B must be contained in A")
     if len(b_set) >= len(a_set):
         raise InvalidSubgroup("B must be a proper subgroup of A")
-    b_gens = generating_set(table, b_set)
-    for a in generating_set(table, a_set):
-        for b in b_gens:
+    for a in a_set.gens:
+        for b in b_set.gens:
             if table.conjugate(b, a) not in b_set:
                 raise InvalidSubgroup("B is not normalized by A")
+    if len(a_set) >= len(table):
+        raise InvalidSubgroup("A must be a proper subgroup of T")
+    return a_set, b_set
 
 
 # --- supplement property ----------------------------------------------------
@@ -369,8 +367,8 @@ class SupplementReport:
 
 def supplement_property(
     table: GroupTable,
-    a_set: frozenset[int],
-    b_set: frozenset[int],
+    a_set: Iterable[int],
+    b_set: Iterable[int],
     scope: str = "T",
     auts: AutomorphismGroup | None = None,
 ) -> SupplementReport:
@@ -382,11 +380,7 @@ def supplement_property(
     from that coset space at one product per member of A.  For scope "Aut"
     the images run over (A^phi)^t with phi one representative per outer coset.
     """
-    a_set = validate_subgroup(table, a_set)
-    b_set = validate_subgroup(table, b_set)
-    _require_normal_pair(table, a_set, b_set)
-    if len(a_set) >= len(table):
-        raise InvalidSubgroup("A must be a proper subgroup of T")
+    a_set, b_set = _normal_pair(table, a_set, b_set)
     if scope == "T":
         outer_images: list[tuple[int | None, frozenset[int]]] = [(None, a_set)]
     elif scope == "Aut":
@@ -409,7 +403,7 @@ def supplement_property(
 
 
 def orbit_count_pair(
-    table: GroupTable, a_set: frozenset[int], b_set: frozenset[int]
+    table: GroupTable, a_set: Iterable[int], b_set: Iterable[int]
 ) -> tuple[int, int]:
     """Orbit counts of A and of B on the right cosets of A.
 
@@ -430,7 +424,7 @@ def orbit_count_pair(
     return c_a, c_b
 
 
-def two_point_stabilizer_trivial(table: GroupTable, a_set: frozenset[int]) -> int | None:
+def two_point_stabilizer_trivial(table: GroupTable, a_set: Iterable[int]) -> int | None:
     """The first t in index order with A cap A^t trivial, or None.
 
     A cap A^t depends only on the coset At, so each coset is tested once, at
@@ -451,7 +445,7 @@ def two_point_stabilizer_trivial(table: GroupTable, a_set: frozenset[int]) -> in
     return None
 
 
-def orbit_bound_holds(table: GroupTable, a_set: frozenset[int]) -> bool:
+def orbit_bound_holds(table: GroupTable, a_set: Iterable[int]) -> bool:
     """Whether c|A|/2 >= |T:A| for c = number of A-orbits on cosets of A.
 
     The bound is necessary for all two-point stabilizers to be nontrivial, so

@@ -112,6 +112,11 @@ def product_set(table, left, right):
     return frozenset(table.multiply(b, s) for b in left for s in right)
 
 
+def conjugate_subgroup(table, subgroup, t):
+    """The conjugate t^-1 H t, built member by member."""
+    return frozenset(table.conjugate(x, t) for x in subgroup)
+
+
 def coset_action(table, subgroup):
     """The induced action of the whole group on the cosets of the subgroup."""
     space = coset_space(table, subgroup)

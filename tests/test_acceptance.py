@@ -3,7 +3,12 @@
 import json
 import time
 
-from helpers import recheck_refutation, recheck_witness, sorted_tuple_set_orbit
+from helpers import (
+    conjugate_subgroup,
+    recheck_refutation,
+    recheck_witness,
+    sorted_tuple_set_orbit,
+)
 from spreadcheck import catalog
 from spreadcheck.chartab import (
     character_triple_search,
@@ -18,7 +23,6 @@ from spreadcheck.cli import main
 from spreadcheck.diagonal import build_diagonal_group
 from spreadcheck.tables import (
     cauchy_frobenius_count,
-    conjugate_subgroup,
     coset_space,
     orbits_on_cosets,
     subgroup_permutation_group,

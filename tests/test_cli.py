@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from spreadcheck import catalog, tables
 from spreadcheck.cli import main
 
 D10_JSON = {
@@ -291,12 +292,15 @@ class TestErrorPaths:
         assert report["certificate"]["error"] in {"OSError", "FileNotFoundError"}
 
     def test_cap_exceeded(self, capsys):
-        code, report = run_json(
-            capsys, "spreading", "diagonal-witness", "--group", "A5",
-            "--A", "A4", "--B", "V4", "--cap", "3",
-        )
-        assert code == 2
-        assert report["certificate"]["error"] == "CapExceeded"
+        # a cap of 0 is a cap, not "no cap"
+        for cap in ("3", "0"):
+            code, report = run_json(
+                capsys, "spreading", "diagonal-witness", "--group", "A5",
+                "--A", "A4", "--B", "V4", "--cap", cap,
+            )
+            assert code == 2
+            assert report["certificate"]["error"] == "CapExceeded"
+            assert report["inputs"]["cap"] == int(cap)
 
     @pytest.mark.parametrize(
         "command,data",
@@ -325,6 +329,9 @@ class TestErrorPaths:
             ("verify-witness", {"set": [0, 1], "multiset": {"+1": 1, "0": 3}}),
             ("verify-witness", {"set": [0, 1], "multiset": {" 1": 1, "0": 3}}),
             ("verify-witness", {"set": [0, 1], "multiset": {"0_1": 1, "0": 3}}),
+            ("ab-check", "0,99"),
+            ("ab-check", "0,-1"),
+            ("ab-check", "01,1"),
         ],
         ids=["key-999", "key-minus-1", "fractional-multiplicity", "degree-null",
              "degree-string", "top-level-list", "set-entry-null", "set-entry-fractional",
@@ -332,13 +339,16 @@ class TestErrorPaths:
              "cycle-point-fractional", "image-fractional", "subgroup-image-fractional",
              "cycle-point-bool", "cycles-mixed-with-images", "name-null", "pair-label-null",
              "two-point-label-int", "key-leading-zero",
-             "key-plus-sign", "key-space", "key-underscore"],
+             "key-plus-sign", "key-space", "key-underscore", "set-point-99",
+             "set-point-minus-1", "set-point-leading-zero"],
     )
     def test_malformed_input_is_an_error_report(self, capsys, tmp_path, command, data):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(data))
         if command == "verify-witness":
             argv = ["spreading", "verify-witness", "--group", "A5", "--witness", str(path)]
+        elif command == "ab-check":
+            argv = ["spreading", "ab-check", "--group", "A5", "--A", "A4", "--B", "V4", "--set", data]
         else:
             argv = ["group", "info", "--file", str(path)]
         code, report = run_json(capsys, *argv)
@@ -361,6 +371,42 @@ class TestErrorPaths:
         assert main(["group", "info"]) == 2  # needs --group or --file
         assert main(["group", "info", "--group", "A5", "--file", "x.json"]) == 2
         assert main(["group", "info", "--group", "A5", "--bogus"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spreading", "supplement", "--group", "A7", "--A", "stab3", "--B", "stab3_even"],
+        ["spreading", "supplement", "--group", "A7", "--A", "stab3", "--B", "stab3_even",
+         "--scope", "Aut"],
+        ["orbits", "count", "--group", "M11", "--A", "M10", "--B", "A6"],
+        ["basesize", "two-check", "--group", "A5", "--A", "C5"],
+        ["spreading", "diagonal-witness", "--group", "A5", "--A", "A4", "--B", "V4"],
+        ["spreading", "ab-check", "--group", "A7", "--A", "stab3", "--B", "stab3_even"],
+    ],
+    ids=["supplement-T", "supplement-Aut", "orbits-count", "two-check", "diagonal-witness",
+         "ab-check"],
+)
+def test_resolved_subgroups_are_not_closed_again(capsys, monkeypatch, argv):
+    """Once an entry has resolved its labels, a command closes no subgroup,
+    except one image of A per automorphism coset representative over Aut."""
+    entry = catalog.load_entry(argv[3])
+    for flag in ("--A", "--B"):
+        if flag in argv:
+            entry.subgroup(argv[argv.index(flag) + 1])
+    allowed = len(entry.automorphisms.coset_representatives) if "Aut" in argv else 0
+    closures = 0
+    closure = tables._closure
+
+    def counting(*args):
+        nonlocal closures
+        closures += 1
+        return closure(*args)
+
+    monkeypatch.setattr(tables, "_closure", counting)
+    assert main(argv) in (0, 1)
+    capsys.readouterr()
+    assert closures <= allowed
 
 
 def _positions(node, path=()):

@@ -1,0 +1,72 @@
+"""Stored `--json` reports: every command below must print exactly the report
+kept in tests/data/reports.json, apart from timing_ms.
+
+The reports pin the certificates of diagonal witnesses, supplement checks over
+T and Aut(T), orbit counts, two-point scans, subgroup-pair checks and class
+lists on A5, PSL(2,7) and A7.  After a change that is meant to alter a
+certificate, regenerate the file with
+
+    PYTHONPATH=src python tests/test_golden_reports.py
+
+and review the diff.
+"""
+
+import io
+import json
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from spreadcheck.cli import main
+
+DATA = Path(__file__).resolve().parent / "data" / "reports.json"
+
+COMMANDS = [
+    "spreading diagonal-witness --group A5 --A A4 --B V4",
+    "spreading diagonal-witness --group PSL(2,7) --A F21 --B C7",
+    "spreading supplement --group A5 --A A4 --B V4",
+    "spreading supplement --group A5 --A C5 --B 1 --scope Aut",
+    "spreading supplement --group PSL(2,7) --A F21 --B C7 --scope Aut",
+    "spreading supplement --group A7 --A stab3 --B stab3_even",
+    "spreading supplement --group A7 --A stab3 --B stab3_even --scope Aut",
+    "orbits count --group A5 --A D10 --B C5",
+    "orbits count --group A7 --A stab3 --B stab3_even",
+    "basesize two-check --group A5 --A C5",
+    "basesize two-check --group PSL(2,7) --A C7",
+    "basesize two-check --group A7 --A stab3",
+    "spreading ab-check --group A5 --A A4 --B V4",
+    "spreading ab-check --group A7 --A stab3 --B stab3_even",
+    "group classes --group A5",
+    "group classes --group PSL(2,7)",
+]
+
+
+def _run(command: str) -> dict:
+    """Exit code and --json report of one command, without timing_ms."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(command.split() + ["--json"])
+    report = json.loads(out.getvalue())
+    report.pop("timing_ms")
+    return {"command": command, "code": code, "report": report}
+
+
+def _stored() -> dict:
+    return {case["command"]: case for case in json.loads(DATA.read_text(encoding="utf-8"))}
+
+
+def test_every_command_has_a_stored_report():
+    assert sorted(_stored()) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_report_matches_stored(command):
+    assert _run(command) == _stored()[command]
+
+
+if __name__ == "__main__":
+    DATA.parent.mkdir(exist_ok=True)
+    DATA.write_text(json.dumps([_run(c) for c in COMMANDS], indent=1, sort_keys=True) + "\n",
+                    encoding="utf-8")
+    print(f"wrote {len(COMMANDS)} reports to {DATA}")

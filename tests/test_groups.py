@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from helpers import coset_action, inner_witness, is_automorphism, product_set
+from helpers import coset_action, conjugate_subgroup, inner_witness, is_automorphism, product_set
 from spreadcheck import catalog
 from spreadcheck.autos import (
     automorphism_from_generator_images,
@@ -27,10 +27,8 @@ from spreadcheck.tables import (
     cauchy_frobenius_count,
     centralizer,
     close_subgroup,
-    conjugate_subgroup,
     coset_space,
     derived_subgroup,
-    generating_set,
     normalizer,
     orbits_on_cosets,
     point_stabilizer,
@@ -169,7 +167,7 @@ class TestSubgroupHelpers:
         five = next(i for i in range(60) if t.element_order(i) == 5)
         sub = close_subgroup(t, [five])
         assert len(sub) == 5
-        assert validate_subgroup(t, sub) == sub
+        assert validate_subgroup(t, frozenset(sub)) == sub
         three = next(i for i in range(60) if t.element_order(i) == 3)
         with pytest.raises(InvalidSubgroup):
             validate_subgroup(t, {0, three})
@@ -188,6 +186,24 @@ class TestSubgroupHelpers:
         with pytest.raises(InvalidSubgroup):
             validate_subgroup(t, (c5 - {max(c5)}) | {three})
 
+    def test_a_subgroup_passes_its_own_table_unchecked(self, monkeypatch):
+        entry = catalog.load_entry("A7")
+        stab3 = entry.subgroup("stab3")
+        twin = build_group_table(list(entry.generators), known_order=entry.known_order)
+        calls = {entry.table: 0, twin: 0}
+        for t in calls:
+            def counting(i, j, t=t, multiply=t.multiply):
+                calls[t] += 1
+                return multiply(i, j)
+
+            monkeypatch.setattr(t, "multiply", counting)
+        assert validate_subgroup(entry.table, stab3) is stab3
+        assert calls[entry.table] == 0
+        # the same indices in a separately built table are closed again
+        again = validate_subgroup(twin, stab3)
+        assert again == stab3 and again.table is twin and again.gens == stab3.gens
+        assert calls[twin] > 0
+
     def test_closure_cap(self):
         t = catalog.load_group_table("A5")
         c5 = catalog.resolve_subgroup("A5", "C5")
@@ -197,12 +213,13 @@ class TestSubgroupHelpers:
 
     @pytest.mark.parametrize(
         "group,label,gens",
-        [("A5", "A4", [8, 10]), ("A7", "stab3", [1, 293, 299, 433]), ("M11", "M10", [2, 36])],
+        [("A5", "A4", (8, 10)), ("A7", "stab3", (1, 293, 299, 433)), ("M11", "M10", (2, 36))],
     )
     def test_generating_set_is_greedy_and_pinned(self, group, label, gens):
         t = catalog.load_group_table(group)
         sub = catalog.resolve_subgroup(group, label)
-        assert generating_set(t, sub) == gens
+        assert sub.gens == gens
+        assert validate_subgroup(t, frozenset(sub)).gens == gens
         # each kept member lies outside the span of the members kept before it
         for k, g in enumerate(gens):
             assert g not in close_subgroup(t, gens[:k])
@@ -211,7 +228,7 @@ class TestSubgroupHelpers:
     def test_validation_cost_is_linear_in_the_subgroup(self, monkeypatch):
         t = catalog.load_group_table("A7")
         stab3 = catalog.resolve_subgroup("A7", "stab3")
-        k = len(generating_set(t, stab3))
+        k = len(stab3.gens)
         calls = 0
         multiply = t.multiply
 
@@ -221,13 +238,13 @@ class TestSubgroupHelpers:
             return multiply(i, j)
 
         monkeypatch.setattr(t, "multiply", counting)
-        assert validate_subgroup(t, stab3) == stab3
+        assert validate_subgroup(t, frozenset(stab3)) == stab3
         assert 0 < calls <= len(stab3) * (k + 1)
 
     def test_generating_set_regenerates(self):
         t = catalog.load_group_table("A5")
         a4 = catalog.resolve_subgroup("A5", "A4")
-        assert close_subgroup(t, generating_set(t, a4)) == a4
+        assert close_subgroup(t, a4.gens) == a4
 
     def test_conjugate_subgroup(self):
         t = catalog.load_group_table("A5")
@@ -313,7 +330,7 @@ class TestAutomorphisms:
 
     def test_generator_images(self):
         t = catalog.load_group_table("A5")
-        gens = generating_set(t, frozenset(range(60)))[:2]
+        gens = close_subgroup(t, range(60)).gens[:2]
         aut = automorphism_from_generator_images(t, [t.conjugate(g, 11) for g in gens])
         assert aut.mapping == inner_automorphism(t, 11).mapping
         with pytest.raises(ValueError):

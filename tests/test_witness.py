@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import product_set, recheck_refutation, recheck_witness
+from helpers import conjugate_subgroup, product_set, recheck_refutation, recheck_witness
 from spreadcheck import catalog
 from spreadcheck.diagonal import build_diagonal_group
 from spreadcheck.errors import InvalidSubgroup
@@ -211,8 +211,6 @@ class TestSupplementProperty:
         assert not report.holds
         assert report.failing_element == 2
         # recheck: A and B(A cap A^t) really differ at the failing conjugator
-        from spreadcheck.tables import conjugate_subgroup
-
         meet = c5 & conjugate_subgroup(t, c5, report.failing_element)
         assert product_set(t, frozenset({0}), meet) != c5
 
@@ -257,8 +255,6 @@ class TestTwoPointStabilizers:
         c5 = catalog.resolve_subgroup("A5", "C5")
         found = two_point_stabilizer_trivial(t, c5)
         assert found is not None
-        from spreadcheck.tables import conjugate_subgroup
-
         assert c5 & conjugate_subgroup(t, c5, found) == frozenset({0})
         assert not orbit_bound_holds(t, c5)
 
