@@ -11,7 +11,6 @@ from .autos import (
     Automorphism,
     AutomorphismGroup,
     automorphism_group_from_supplied,
-    inner_automorphism,
     search_automorphism_group,
 )
 from .catalog import CatalogEntry, catalog_names, load_entry
@@ -79,7 +78,6 @@ __all__ = [
     "cyclotomic_polynomial",
     "diagonal_witness",
     "dixon_character_table",
-    "inner_automorphism",
     "load_entry",
     "orbit_bound_holds",
     "orbit_count_pair",

@@ -7,12 +7,15 @@ with trivial center that list determines the automorphism group completely
 (the full group is the union of rep-then-conjugation maps), and its length
 times the group order is the automorphism group order.
 
-The search fixes a generating pair (a, b) and looks for images (x, y).  An
-automorphism is pinned down by where it sends a and b, and composing with
-conjugations moves (x, y) around jointly, so the search only tries x among
-conjugacy class representatives and marks off whole centralizer orbits of y
-after each hit.  Candidate images are pre-filtered by element order, class
-size, and the orders of a handful of fixed words in the pair.
+An automorphism is pinned down by the images (x, y) of a generating pair
+(a, b), and conjugation by t moves them jointly to (x^t, y^t).  _InnerCosets,
+the one bookkeeping of both routes, moves x to its class representative r by
+the conjugator the class walk recorded, and marks a coset's |C(r)| pairs
+(r, y^c), c in the centralizer of r, when it keeps the coset's first
+automorphism; nothing of size |T| is stored.  The closure offers it each
+product of a representative with a supplied automorphism.  The search tries x
+among class representatives only, skips marked pairs, and pre-filters by
+element order, class size and the orders of a few fixed words in the pair.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Sequence
 
 from .errors import CapExceeded
 from .perm import compose_images, inverse_images
-from .tables import GroupTable
+from .tables import GroupTable, centralizer
 
 DEFAULT_AUT_CAP = 10**4
 
@@ -33,9 +36,6 @@ class Automorphism:
 
     table: GroupTable
     mapping: tuple[int, ...]
-
-    def __call__(self, i: int) -> int:
-        return self.mapping[i]
 
     def __mul__(self, other: "Automorphism") -> "Automorphism":
         # self acts first, matching the permutation convention in this package
@@ -48,7 +48,8 @@ class Automorphism:
 
     @property
     def is_identity(self) -> bool:
-        return self.mapping == tuple(range(len(self.mapping)))
+        """Whether it fixes every table generator, which pins an automorphism down."""
+        return all(self.mapping[g] == g for g in self.table.generator_indices)
 
     def apply_to_set(self, subset) -> frozenset[int]:
         return frozenset(compose_images(subset, self.mapping))
@@ -58,16 +59,9 @@ def identity_automorphism(table: GroupTable) -> Automorphism:
     return Automorphism(table, tuple(range(len(table))))
 
 
-def inner_automorphism(table: GroupTable, t: int) -> Automorphism:
-    """Conjugation x -> t^-1 x t as an automorphism."""
-    return Automorphism(table, tuple(table.conjugate(x, t) for x in range(len(table))))
-
-
 def center(table: GroupTable) -> frozenset[int]:
-    gens = table.generator_indices
-    return frozenset(
-        t for t in range(len(table)) if all(table.multiply(t, g) == table.multiply(g, t) for g in gens)
-    )
+    """The members of the conjugacy classes of size 1."""
+    return frozenset(c.representative for c in table.conjugacy_classes() if c.size == 1)
 
 
 def _extend_images(table: GroupTable, gens: Sequence[int], images: Sequence[int]) -> Automorphism | None:
@@ -130,59 +124,61 @@ class AutomorphismGroup:
         return len(self.coset_representatives)
 
     def class_orbit(self, cid: int) -> frozenset[int]:
-        """Conjugacy class ids reachable from cid under the whole automorphism group."""
+        """Conjugacy class ids reachable from cid under the whole automorphism
+        group.  Inner automorphisms fix every class, so the coset
+        representatives alone reach them all."""
         table = self.table
-        classes = table.conjugacy_classes()
-        orbit = {cid}
-        queue = [cid]
-        i = 0
-        while i < len(queue):
-            c = queue[i]
-            i += 1
-            rep = classes[c].representative
-            for aut in self.coset_representatives:
-                c2 = table.class_of(aut.mapping[rep])
-                if c2 not in orbit:
-                    orbit.add(c2)
-                    queue.append(c2)
-        return frozenset(orbit)
+        rep = table.conjugacy_classes()[cid].representative
+        return frozenset(table.class_of(aut.mapping[rep]) for aut in self.coset_representatives)
 
 
-def _require_trivial_center(table: GroupTable) -> None:
-    if center(table) != frozenset({0}):
-        raise ValueError("automorphism bookkeeping here requires a trivial center")
+class _InnerCosets:
+    """Coset representatives of Aut(T) modulo Inn(T), the identity first."""
+
+    def __init__(self, table: GroupTable):
+        if center(table) != frozenset({0}):
+            raise ValueError("automorphism bookkeeping here requires a trivial center")
+        self.table = table
+        self.a, self.b = table.generating_pair()
+        self.reps: list[Automorphism] = []
+        self.marked: set[tuple[int, int]] = set()
+        self.add(identity_automorphism(table))
+
+    def add(self, aut: Automorphism) -> None:
+        """Keep aut unless its coset is marked already.
+
+        The trivial center makes the conjugates of (a, b) distinct, so the
+        pairs (r, y^c) marked here are exactly the coset's pairs whose first
+        entry is r.
+        """
+        table = self.table
+        x = aut.mapping[self.a]
+        r = table.conjugacy_classes()[table.class_of(x)].representative
+        y = table.conjugate(aut.mapping[self.b], table.to_representative(x))
+        if (r, y) in self.marked:
+            return
+        if len(self.reps) >= DEFAULT_AUT_CAP:
+            raise CapExceeded("automorphism cosets", DEFAULT_AUT_CAP)
+        self.reps.append(aut)
+        self.marked.update((r, table.conjugate(y, c)) for c in centralizer(table, r))
 
 
 def automorphism_group_from_supplied(
-    table: GroupTable, outer_generator_images: Sequence[Sequence[int]], cap: int = DEFAULT_AUT_CAP
+    table: GroupTable, outer_generator_images: Sequence[Sequence[int]]
 ) -> AutomorphismGroup:
     """Close supplied outer automorphisms (as table-generator images) modulo inner ones."""
-    _require_trivial_center(table)
+    cosets = _InnerCosets(table)
     supplied = [automorphism_from_generator_images(table, imgs) for imgs in outer_generator_images]
-    a, b = table.generating_pair()
-    reps = [identity_automorphism(table)]
-    covered = {(table.conjugate(a, t), table.conjugate(b, t)) for t in range(len(table))}
-    i = 0
-    while i < len(reps):
-        psi = reps[i]
-        i += 1
+    for psi in cosets.reps:  # grows while it is walked
         for phi in supplied:
-            chi = psi * phi
-            pair = (chi.mapping[a], chi.mapping[b])
-            if pair not in covered:
-                if len(reps) >= cap:
-                    raise CapExceeded("automorphism coset closure", cap)
-                reps.append(chi)
-                for t in range(len(table)):
-                    covered.add((table.conjugate(pair[0], t), table.conjugate(pair[1], t)))
-    return AutomorphismGroup(table, tuple(reps))
+            cosets.add(psi * phi)
+    return AutomorphismGroup(table, tuple(cosets.reps))
 
 
-def search_automorphism_group(table: GroupTable, cap: int = DEFAULT_AUT_CAP) -> AutomorphismGroup:
+def search_automorphism_group(table: GroupTable) -> AutomorphismGroup:
     """Find all of Aut(T) by searching images of a generating pair."""
-    _require_trivial_center(table)
-    n = len(table)
-    a, b = table.generating_pair()
+    cosets = _InnerCosets(table)
+    a, b = cosets.a, cosets.b
     classes = table.conjugacy_classes()
 
     def profile(x: int) -> tuple[int, int]:
@@ -203,30 +199,11 @@ def search_automorphism_group(table: GroupTable, cap: int = DEFAULT_AUT_CAP) -> 
     target = fingerprint(a, b)
     x_candidates = [c.representative for c in classes if profile(c.representative) == prof_a]
     y_candidates = [m for c in classes if profile(c.representative) == prof_b for m in c.members]
-
-    reps = [identity_automorphism(table)]
-    covered: set[tuple[int, int]] = set()
-    x_a = classes[table.class_of(a)].representative
-    # pre-cover the inner coset so the scan below only reports outer ones:
-    # its pairs with first coordinate x_a are (x_a, b^(t0 c)) for c centralizing x_a
-    t0 = next(t for t in range(n) if table.conjugate(a, t) == x_a)
-    centr_xa = [c for c in range(n) if table.multiply(c, x_a) == table.multiply(x_a, c)]
-    for c in centr_xa:
-        covered.add((x_a, table.conjugate(b, table.multiply(t0, c))))
-
     for x in x_candidates:
-        centr_x = centr_xa if x == x_a else [
-            c for c in range(n) if table.multiply(c, x) == table.multiply(x, c)
-        ]
         for y in y_candidates:
-            if (x, y) in covered or fingerprint(x, y) != target:
+            if (x, y) in cosets.marked or fingerprint(x, y) != target:
                 continue
             aut = _extend_images(table, (a, b), (x, y))
-            if aut is None:
-                continue
-            if len(reps) >= cap:
-                raise CapExceeded("automorphism search", cap)
-            reps.append(aut)
-            for c in centr_x:
-                covered.add((x, table.conjugate(y, c)))
-    return AutomorphismGroup(table, tuple(reps))
+            if aut is not None:
+                cosets.add(aut)
+    return AutomorphismGroup(table, tuple(cosets.reps))

@@ -90,6 +90,13 @@ def _entry(args) -> catalog.CatalogEntry:
     return catalog.load_entry(args.group)
 
 
+def decimal(text: str) -> int:
+    """An integer in canonical decimal; argparse exits 2 on "01", "+1", " 1", "1_0"."""
+    if str(int(text)) != text:
+        raise ValueError(text)
+    return int(text)
+
+
 def _cap_kw(args) -> dict:
     return {} if args.cap is None else {"cap": args.cap}
 
@@ -329,7 +336,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = _leaf(spreading, "ab-check", "spreading ab-check", _cmd_ab_check, cap=True)
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True)
-    p.add_argument("--base", type=int, default=0)
+    p.add_argument("--base", type=decimal, default=0, help="base point, in canonical decimal")
     p.add_argument("--set", default=None, help="comma-separated point set X")
     p = _leaf(spreading, "diagonal-witness", "spreading diagonal-witness", _cmd_diagonal_witness,
               cap=True)

@@ -4,7 +4,9 @@ A GroupTable enumerates all elements of a small group T (BFS from the identity
 in generator order, so index 0 is the identity and indices are reproducible)
 and exposes multiplication by composing the underlying permutations and looking
 the product up again.  No |T| x |T| multiplication table is ever stored, which
-keeps groups up to a few hundred thousand elements workable.
+keeps groups up to a few hundred thousand elements workable.  The class walk
+records one conjugator per element, taking it to its class representative, and
+centralizers are closed from the walk's Schreier generators, not a scan of T.
 
 Subgroups are Subgroup values: frozensets of element indices that also hold
 their table and the generators kept for them.  Only _closure builds one, for
@@ -56,14 +58,10 @@ class GroupTable:
         self._class_orders: list[int] | None = None
         self._classes: list[ConjClass] | None = None
         self._class_of: list[int] | None = None
+        self._to_rep: list[int] | None = None
         self._class_names: list[str] | None = None
-        self._gen_pair: tuple[int, int] | None = None
 
     def __len__(self) -> int:
-        return len(self.elements)
-
-    @property
-    def order(self) -> int:
         return len(self.elements)
 
     def multiply(self, i: int, j: int) -> int:
@@ -105,25 +103,35 @@ class GroupTable:
             self._compute_classes()
         return self._class_of[i]
 
+    def to_representative(self, y: int) -> int:
+        """An element t with y^t = t^-1 y t the representative of y's class
+        (0 when y is the representative), recorded by the class walk."""
+        if self._to_rep is None:
+            self._compute_classes()
+        return self._to_rep[y]
+
     def _compute_classes(self) -> None:
+        """Walk each class from its smallest member by generator conjugation;
+        y = x^g with x^u = start has y^(g^-1 u) = start, one product per y."""
         n = len(self.elements)
-        assigned = [False] * n
+        to_rep = [-1] * n
         raw: list[list[int]] = []
         for start in range(n):
-            if assigned[start]:
+            if to_rep[start] >= 0:
                 continue
             members = [start]
-            assigned[start] = True
+            to_rep[start] = 0
             i = 0
             while i < len(members):
                 x = members[i]
                 i += 1
                 for g in self.generator_indices:
                     y = self.conjugate(x, g)
-                    if not assigned[y]:
-                        assigned[y] = True
+                    if to_rep[y] < 0:
+                        to_rep[y] = self.multiply(self.inverse[g], to_rep[x])
                         members.append(y)
             raw.append(sorted(members))
+        self._to_rep = to_rep
         raw.sort(key=lambda ms: (len(ms), ms[0]))
         self._classes = [ConjClass(ms[0], tuple(ms)) for ms in raw]
         self._class_of = [0] * n
@@ -171,18 +179,14 @@ class GroupTable:
         Uses the first two generators when they suffice; otherwise scans for the
         first partner (by index) of the first generator.
         """
-        if self._gen_pair is not None:
-            return self._gen_pair
         if len(self.generator_indices) >= 2:
             g1, g2 = self.generator_indices[0], self.generator_indices[1]
             if self._pair_generates(g1, g2):
-                self._gen_pair = (g1, g2)
-                return self._gen_pair
+                return g1, g2
         g1 = self.generator_indices[0]
         for g2 in range(1, len(self.elements)):
             if g2 != g1 and self._pair_generates(g1, g2):
-                self._gen_pair = (g1, g2)
-                return self._gen_pair
+                return g1, g2
         raise ValueError("group is not generated by any pair containing its first generator")
 
     def _pair_generates(self, i: int, j: int) -> bool:
@@ -312,7 +316,20 @@ def derived_subgroup(table: GroupTable, subgroup: Iterable[int]) -> Subgroup:
 
 
 def centralizer(table: GroupTable, x: int) -> frozenset[int]:
-    return frozenset(t for t in range(len(table)) if table.multiply(t, x) == table.multiply(x, t))
+    """C_T(x).  With u_y taking y to its class representative r, the steps
+    y -> y^g of the class walk give u_y^-1 g u_(y^g), which generate C_T(r)
+    (orbit-stabiliser); C_T(x) is C_T(r) conjugated by u_x^-1."""
+    cls = table.conjugacy_classes()[table.class_of(x)]
+    to_rep, inverse, multiply = table.to_representative, table.inverse, table.multiply
+    schreier = {
+        multiply(multiply(inverse[to_rep(y)], g), to_rep(table.conjugate(y, g)))
+        for y in cls.members
+        for g in table.generator_indices
+    }
+    back = inverse[to_rep(x)]
+    if back:
+        schreier = {table.conjugate(s, back) for s in schreier}
+    return frozenset(_closure(table, schreier, len(table) // cls.size))
 
 
 def normalizer(table: GroupTable, subgroup: Iterable[int]) -> frozenset[int]:

@@ -378,7 +378,8 @@ def supplement_property(
     the products.  Conjugates are constant on right cosets of the conjugated
     subgroup, so only coset representatives are tested, and A cap A^t is read
     from that coset space at one product per member of A.  For scope "Aut"
-    the images run over (A^phi)^t with phi one representative per outer coset.
+    the images run over (A^phi)^t with phi one representative per outer coset;
+    the identity's image is A itself, already checked, so it is not closed again.
     """
     a_set, b_set = _normal_pair(table, a_set, b_set)
     if scope == "T":
@@ -386,9 +387,8 @@ def supplement_property(
     elif scope == "Aut":
         if auts is None:
             raise ValueError("scope 'Aut' requires the automorphism group")
-        outer_images = [
-            (idx, aut.apply_to_set(a_set)) for idx, aut in enumerate(auts.coset_representatives)
-        ]
+        outer_images = [(idx, a_set if aut.is_identity else aut.apply_to_set(a_set))
+                        for idx, aut in enumerate(auts.coset_representatives)]
     else:
         raise ValueError(f"scope must be 'T' or 'Aut', got {scope!r}")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from spreadcheck.autos import Automorphism
 from spreadcheck.perm import Permutation, PermutationGroup
 from spreadcheck.tables import coset_space
 from spreadcheck.witness import Refutation, Witness, image_weight
@@ -141,6 +142,11 @@ def is_automorphism(table, mapping):
             if mapping[table.multiply(x, g)] != table.multiply(mapping[x], mg):
                 return False
     return True
+
+
+def inner_automorphism(table, t):
+    """Conjugation x -> t^-1 x t as an automorphism."""
+    return Automorphism(table, tuple(table.conjugate(x, t) for x in range(len(table))))
 
 
 def inner_witness(table, aut):

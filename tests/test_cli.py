@@ -356,6 +356,17 @@ class TestErrorPaths:
         assert report["verdict"] == "error"
         assert report["certificate"]["error"] == "ValueError"
 
+    @pytest.mark.parametrize("base", ["01", "+1", " 1", "1_0"], ids=["leading-zero", "plus-sign",
+                                                                    "space", "underscore"])
+    def test_base_must_be_canonical_decimal(self, capsys, base):
+        argv = ["spreading", "ab-check", "--group", "A5", "--A", "A4", "--B", "V4", "--base"]
+        assert main(argv + [base, "--json"]) == 2
+        capsys.readouterr()
+        # the canonical spelling runs, and is reported as a JSON integer
+        code, report = run_json(capsys, *argv, "1")
+        assert code == 1
+        assert report["inputs"]["base"] == 1
+
     def test_cap_rejected_where_not_honoured(self, capsys):
         assert main(["orbits", "count", "--group", "A5", "--A", "A4", "--B", "V4", "--cap", "5"]) == 2
         assert main(["spreading", "supplement", "--group", "A5", "--A", "C5", "--B", "1",
@@ -389,12 +400,13 @@ class TestErrorPaths:
 )
 def test_resolved_subgroups_are_not_closed_again(capsys, monkeypatch, argv):
     """Once an entry has resolved its labels, a command closes no subgroup,
-    except one image of A per automorphism coset representative over Aut."""
+    except one image of A per non-identity automorphism coset representative
+    over Aut."""
     entry = catalog.load_entry(argv[3])
     for flag in ("--A", "--B"):
         if flag in argv:
             entry.subgroup(argv[argv.index(flag) + 1])
-    allowed = len(entry.automorphisms.coset_representatives) if "Aut" in argv else 0
+    allowed = len(entry.automorphisms.coset_representatives) - 1 if "Aut" in argv else 0
     closures = 0
     closure = tables._closure
 

@@ -3,14 +3,18 @@ kept in tests/data/reports.json, apart from timing_ms.
 
 The reports pin the certificates of diagonal witnesses, supplement checks over
 T and Aut(T), orbit counts, two-point scans, subgroup-pair checks and class
-lists on A5, PSL(2,7) and A7.  After a change that is meant to alter a
-certificate, regenerate the file with
+lists on A5, PSL(2,7) and A7.  tests/data/coset_representatives.json pins, for
+each base catalog group, a sha256 over the mappings of its automorphism coset
+representatives in order, so every route to Aut(T) must keep picking the same
+representatives.  After a change that is meant to alter a certificate or a
+representative, regenerate both files with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
 and review the diff.
 """
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout
@@ -18,9 +22,12 @@ from pathlib import Path
 
 import pytest
 
+from spreadcheck import catalog
 from spreadcheck.cli import main
 
 DATA = Path(__file__).resolve().parent / "data" / "reports.json"
+REPS = DATA.with_name("coset_representatives.json")
+BASE_GROUPS = [name for name in catalog.catalog_names() if not name.endswith("_3sets")]
 
 COMMANDS = [
     "spreading diagonal-witness --group A5 --A A4 --B V4",
@@ -52,6 +59,14 @@ def _run(command: str) -> dict:
     return {"command": command, "code": code, "report": report}
 
 
+def _rep_hash(name: str) -> str:
+    """sha256 over the coset representatives' mappings, one line each, in order."""
+    digest = hashlib.sha256()
+    for rep in catalog.load_automorphisms(name).coset_representatives:
+        digest.update((",".join(map(str, rep.mapping)) + "\n").encode())
+    return digest.hexdigest()
+
+
 def _stored() -> dict:
     return {case["command"]: case for case in json.loads(DATA.read_text(encoding="utf-8"))}
 
@@ -65,8 +80,16 @@ def test_report_matches_stored(command):
     assert _run(command) == _stored()[command]
 
 
+@pytest.mark.parametrize("name", BASE_GROUPS)
+def test_coset_representatives_match_stored(name):
+    assert _rep_hash(name) == json.loads(REPS.read_text(encoding="utf-8"))[name]
+
+
 if __name__ == "__main__":
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps([_run(c) for c in COMMANDS], indent=1, sort_keys=True) + "\n",
                     encoding="utf-8")
     print(f"wrote {len(COMMANDS)} reports to {DATA}")
+    REPS.write_text(json.dumps({name: _rep_hash(name) for name in BASE_GROUPS}, indent=1)
+                    + "\n", encoding="utf-8")
+    print(f"wrote {len(BASE_GROUPS)} representative hashes to {REPS}")

@@ -4,13 +4,20 @@ import random
 
 import pytest
 
-from helpers import coset_action, conjugate_subgroup, inner_witness, is_automorphism, product_set
-from spreadcheck import catalog
+from helpers import (
+    coset_action,
+    conjugate_subgroup,
+    inner_automorphism,
+    inner_witness,
+    is_automorphism,
+    product_set,
+)
+from spreadcheck import autos, catalog
 from spreadcheck.autos import (
     automorphism_from_generator_images,
+    automorphism_group_from_supplied,
     center,
     identity_automorphism,
-    inner_automorphism,
     search_automorphism_group,
 )
 from spreadcheck.diagonal import (
@@ -318,7 +325,7 @@ class TestAutomorphisms:
         aut = inner_automorphism(t, 7)
         assert is_automorphism(t, aut.mapping)
         for x in (0, 3, 31):
-            assert aut(x) == t.conjugate(x, 7)
+            assert aut.mapping[x] == t.conjugate(x, 7)
         # trivial center makes the conjugating element unique
         assert inner_witness(t, aut) == 7
 
@@ -340,6 +347,52 @@ class TestAutomorphisms:
         c3 = build_group_table([cyc(3, [0, 1, 2])], name="C3")
         with pytest.raises(ValueError):
             search_automorphism_group(c3)
+
+    def test_supplied_route_requires_trivial_center(self):
+        c3 = build_group_table([cyc(3, [0, 1, 2])], name="C3")
+        with pytest.raises(ValueError):
+            automorphism_group_from_supplied(c3, [])
+
+    def test_both_routes_honour_the_cap(self, monkeypatch):
+        supplied_entry = catalog.load_entry.__wrapped__("A7")
+        searched_entry = catalog.load_entry.__wrapped__("PSL(2,13)")
+        assert supplied_entry.aut_images is not None and searched_entry.aut_images is None
+        monkeypatch.setattr(autos, "DEFAULT_AUT_CAP", 1)
+        for entry in (supplied_entry, searched_entry):
+            with pytest.raises(CapExceeded):
+                entry.automorphisms
+
+    @pytest.mark.parametrize("name,bound", [("A8", 8), ("PSL(2,13)", 11)])
+    def test_loading_automorphisms_scans_t_only_to_extend_images(self, monkeypatch, name, bound):
+        """Once the classes are built, the supplied route (A8) and the search
+        (PSL(2,13)) stay within bound*|T| products: the coset bookkeeping
+        stores nothing of size |T| and finds centralizers from the class walk."""
+        entry = catalog.load_entry.__wrapped__(name)
+        t = entry.table
+        t.conjugacy_classes()
+        calls = 0
+        multiply = t.multiply
+
+        def counting(i, j):
+            nonlocal calls
+            calls += 1
+            return multiply(i, j)
+
+        monkeypatch.setattr(t, "multiply", counting)
+        assert entry.automorphisms.order == AUT_ORDERS[name][0]
+        assert calls <= bound * len(t)
+
+    def test_class_walk_conjugators_and_centralizers(self):
+        for name in ("A5", "PSL(2,7)", "A7"):
+            t = catalog.load_group_table(name)
+            for cls in t.conjugacy_classes():
+                assert t.to_representative(cls.representative) == 0
+                for x in (cls.members[-1], cls.members[len(cls.members) // 2]):
+                    assert t.conjugate(x, t.to_representative(x)) == cls.representative
+                    expected = frozenset(
+                        c for c in range(len(t)) if t.multiply(c, x) == t.multiply(x, c)
+                    )
+                    assert centralizer(t, x) == expected
 
     def test_search_a5(self):
         auts = catalog.load_automorphisms("A5")
@@ -369,9 +422,14 @@ class TestAutomorphisms:
     def test_supplied_route_matches_search(self):
         supplied = catalog.load_automorphisms("A7")
         assert supplied.order == 5040
-        searched = search_automorphism_group(supplied.table)
+        t = supplied.table
+        searched = search_automorphism_group(t)
         assert searched.order == 5040
         assert searched.outer_order == supplied.outer_order == 2
+        for s in searched.coset_representatives:
+            assert sum(
+                inner_witness(t, s * r.inverse()) is not None for r in supplied.coset_representatives
+            ) == 1
 
 
 AUT_ORDERS = {
