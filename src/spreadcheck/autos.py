@@ -65,35 +65,30 @@ def center(table: GroupTable) -> frozenset[int]:
 
 
 def _extend_images(table: GroupTable, gens: Sequence[int], images: Sequence[int]) -> Automorphism | None:
-    """Build the map sending each BFS word in gens to the same word in images.
+    """The automorphism sending gens[k] to images[k], or None if there is none.
 
-    Returns None unless the result is a genuine automorphism.  When gens do not
-    generate the whole group the map cannot be bijective, so that case is
-    caught by the same check.
+    One walk of the Cayley graph of gens from the identity: a new vertex x g
+    takes the image phi(x) phi(g), and every other edge must satisfy
+    phi(x g) = phi(x) phi(g), so the walk stops at the first edge that fails.
+    A map that passes every edge and reaches every element is a homomorphism
+    of T, and an automorphism exactly when it is bijective.
     """
     n = len(table)
-    mapping = [0] * n
+    multiply = table.multiply
+    mapping = [-1] * n
+    mapping[0] = 0
     order = [0]
-    seen = [False] * n
-    seen[0] = True
-    i = 0
-    while i < len(order):
-        x = order[i]
-        i += 1
-        for k, g in enumerate(gens):
-            y = table.multiply(x, g)
-            if not seen[y]:
-                seen[y] = True
-                mapping[y] = table.multiply(mapping[x], images[k])
+    for x in order:  # grows while it is walked
+        mx = mapping[x]
+        for g, mg in zip(gens, images):
+            y, my = multiply(x, g), multiply(mx, mg)
+            if mapping[y] < 0:
+                mapping[y] = my
                 order.append(y)
-    if len(set(mapping)) != n:
-        return None
-    img = tuple(images)
-    for k, g in enumerate(gens):
-        mg = img[k]
-        for x in range(n):
-            if mapping[table.multiply(x, g)] != table.multiply(mapping[x], mg):
+            elif mapping[y] != my:
                 return None
+    if len(order) < n or len(set(mapping)) < n:
+        return None
     return Automorphism(table, tuple(mapping))
 
 

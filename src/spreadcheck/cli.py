@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 import time
 
 from . import catalog
@@ -24,7 +25,6 @@ from .chartab import (
 from .diagonal import build_diagonal_group
 from .errors import CapExceeded, InvalidSubgroup, VerificationInconsistency
 from .perm import parse_point
-from .tables import subgroup_permutation_group
 from .witness import (
     Multiset,
     Witness,
@@ -38,12 +38,18 @@ from .witness import (
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    start = time.perf_counter()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+    except UsageError as exc:
+        if "--json" in argv:
+            known = argparse.Namespace(command_path=exc.command, json=True, argv=argv)
+            certificate = {"error": type(exc).__name__, "message": str(exc)}
+            _emit(known, _report(known, "error", certificate, start), [])
+        return 2
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    start = time.perf_counter()
     try:
         verdict, certificate, code, lines = args.handler(args)
     except (
@@ -80,6 +86,26 @@ def _emit(args, report: dict, lines: list[str]) -> None:
         print(f"[{report['verdict']}] {report['command']}")
         for line in lines:
             print(line)
+
+
+class UsageError(Exception):
+    """An argparse usage error: its message, and the command path that failed
+    to parse ("" for the top level)."""
+
+    def __init__(self, command: str, message: str):
+        super().__init__(message)
+        self.command = command
+
+
+class _Parser(argparse.ArgumentParser):
+    """Prints a usage error to stderr as argparse does, then raises UsageError
+    in place of exiting, so main can also report it under --json."""
+
+    def error(self, message):
+        try:
+            super().error(message)
+        except SystemExit:
+            raise UsageError(self.prog.partition(" ")[2], message) from None
 
 
 # --- group resolution helpers ----------------------------------------------
@@ -187,16 +213,11 @@ def _cmd_verify_witness(args):
 
 def _cmd_ab_check(args):
     entry = _entry(args)
-    a_pg = subgroup_permutation_group(entry.table, entry.subgroup(args.A))
-    b_pg = subgroup_permutation_group(entry.table, entry.subgroup(args.B))
-    if args.set:
-        points = frozenset(parse_point(s, entry.degree, "--set point")
-                           for s in args.set.split(","))
-    else:
-        points = frozenset(a_pg.orbit(args.base))
-    result = witness_from_subgroup_pair(
-        entry.group, a_pg, b_pg, args.base, points, group_label=entry.name, **_cap_kw(args)
-    )
+    a_sub, b_sub = entry.subgroup(args.A), entry.subgroup(args.B)
+    points = (frozenset(parse_point(s, entry.degree, "--set point") for s in args.set.split(","))
+              if args.set else None)
+    result = witness_from_subgroup_pair(entry.group, a_sub, b_sub, entry.table.elements.__getitem__,
+                                        args.base, points, group_label=entry.name, **_cap_kw(args))
     verdict, cert, code = _outcome(result)
     return verdict, cert, code, [_witness_line(result)]
 
@@ -317,7 +338,7 @@ def _leaf(sub, name: str, path: str, handler, cap=False):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="spreadcheck")
+    parser = _Parser(prog="spreadcheck")
     sections = parser.add_subparsers(dest="section", required=True)
 
     group = sections.add_parser("group").add_subparsers(dest="action", required=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .autos import AutomorphismGroup
 from .errors import VerificationInconsistency
 from .perm import Permutation, PermutationGroup
-from .tables import GroupTable, Subgroup
+from .tables import GroupTable
 
 
 def right_translation(table: GroupTable, t: int) -> Permutation:
@@ -74,10 +74,3 @@ def build_diagonal_group(table: GroupTable, auts: AutomorphismGroup) -> Diagonal
             f"diagonal group order {actual} != |T|^2 * outer * 2 = {expected}"
         )
     return DiagonalGroup(table, auts, group)
-
-
-def subgroup_image_in_diagonal(diag: DiagonalGroup, subgroup: Subgroup) -> PermutationGroup:
-    """The right translations {x -> xa : a in A} of a subgroup A of T, which
-    must be a Subgroup of diag.base."""
-    perms = [right_translation(diag.base, g) for g in subgroup.gens]
-    return PermutationGroup(perms, len(diag.base))

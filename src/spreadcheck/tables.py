@@ -295,12 +295,6 @@ def validate_subgroup(table: GroupTable, subset: Iterable[int]) -> Subgroup:
     return closed
 
 
-def subgroup_permutation_group(table: GroupTable, subgroup: Iterable[int]) -> PermutationGroup:
-    """The subgroup as a permutation group in the underlying representation."""
-    gens = validate_subgroup(table, subgroup).gens
-    return PermutationGroup([table.elements[i] for i in gens], table.group.degree)
-
-
 def derived_subgroup(table: GroupTable, subgroup: Iterable[int]) -> Subgroup:
     """Commutator subgroup: normal closure in the subgroup of its generator
     commutators."""

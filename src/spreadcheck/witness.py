@@ -21,13 +21,13 @@ scans, and the orbit-count lower bound for base size at least three.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Collection, Iterable
+from functools import cached_property, partial
+from typing import Callable, Collection, Iterable
 
 from .autos import AutomorphismGroup
-from .diagonal import build_diagonal_group, subgroup_image_in_diagonal
+from .diagonal import build_diagonal_group, right_translation
 from .errors import InvalidSubgroup, VerificationInconsistency
-from .perm import DEFAULT_SET_ORBIT_CAP, PermutationGroup, compose, compose_images, parse_point
+from .perm import DEFAULT_SET_ORBIT_CAP, Permutation, PermutationGroup, compose_images, parse_point
 from .tables import (
     GroupTable,
     Subgroup,
@@ -213,47 +213,41 @@ def verify_witness(
 # --- subgroup-pair builder --------------------------------------------------
 
 
-def _check_contains_generators(big: PermutationGroup, small: PermutationGroup, what: str) -> None:
-    for g in small.generators:
-        if not big.contains(g):
-            raise InvalidSubgroup(f"{what}: a generator lies outside the claimed overgroup")
-
-
 def witness_from_subgroup_pair(
     group: PermutationGroup,
-    a_group: PermutationGroup,
-    b_group: PermutationGroup,
+    a_sub: Subgroup,
+    b_sub: Iterable[int],
+    image: Callable[[int], Permutation],
     base_point: int,
-    points: Iterable[int],
+    points: Iterable[int] | None = None,
     group_label: str = "G",
     cap: int = DEFAULT_SET_ORBIT_CAP,
 ) -> Witness | Refutation:
     """Build the witness (X, Omega + k*base^B - base^A) from a subgroup pair.
 
-    Requires B normal and proper in A with A inside the transitive group.  The
-    base point's A-orbit must split into k >= 2 orbits of B, and B must act
-    transitively on each A-orbit of the images of X that meet the A-orbit of
-    the base point; failures of those two conditions come back as refutations.
-    The constructed witness is re-verified from scratch before it is returned.
+    A is a Subgroup of a table T and B a set of indices of the same table;
+    image(i) is the permutation of Omega by which element i of T acts inside
+    the transitive group.  X defaults to base^A.  The checks run in order:
+    the group is transitive, X is nonempty and proper, then _normal_pair
+    checks on the table that B is normal and proper in A and A proper in T.
+    The images of A's and B's generators only walk orbits and set orbits.
+    The base point's A-orbit must split into k >= 2 orbits of B, and B must
+    act transitively on each A-orbit of the images of X that meet the A-orbit
+    of the base point; failures of those two conditions come back as
+    refutations.  The constructed witness is re-verified from scratch before
+    it is returned.
     """
-    x = frozenset(points)
     n = group.degree
     if not group.is_transitive():
         raise ValueError("the ambient group must be transitive")
+    a_group = PermutationGroup([image(g) for g in a_sub.gens], n)
+    orbit_a = frozenset(a_group.orbit(base_point))
+    x = orbit_a if points is None else frozenset(points)
     if not 0 < len(x) < n:
         raise ValueError("the point set must be nonempty and proper")
-    _check_contains_generators(group, a_group, "A")
-    _check_contains_generators(a_group, b_group, "B")
-    if b_group.order() >= a_group.order():
-        raise InvalidSubgroup("B must be a proper subgroup of A")
-    for a in a_group.generators:
-        a_inv = a.inverse()
-        for b in b_group.generators:
-            if not b_group.contains(compose(compose(a_inv, b), a)):
-                raise InvalidSubgroup("B is not normalized by A")
-
+    a_sub, b_sub = _normal_pair(a_sub.table, a_sub, b_sub)
+    b_group = PermutationGroup([image(g) for g in b_sub.gens], n)
     orbit_b = frozenset(b_group.orbit(base_point))
-    orbit_a = frozenset(a_group.orbit(base_point))
     # B <= A and B normal, so orbit_a splits into B-orbits of equal size
     k, rem = divmod(len(orbit_a), len(orbit_b))
     if rem:
@@ -315,15 +309,16 @@ def diagonal_witness(
 ) -> Witness | Refutation:
     """The witness (A, Omega + |A:B|*B - A) over the diagonal action on T.
 
-    A must be proper in T and B normal and proper in A.  The heavy lifting is
-    delegated to the subgroup-pair builder with the right-translation images
-    of A and B and the identity of T as base point.
+    A must be proper in T and B normal and proper in A.  The pair is checked
+    before diag(T) is built, so a bad pair costs no Schreier-Sims run.  The
+    heavy lifting is delegated to the subgroup-pair builder with right
+    translations as the images and the identity of T as base point, whose
+    A-orbit is A itself.
     """
     a_set, b_set = _normal_pair(table, a_sub, b_sub)
     diag = build_diagonal_group(table, auts)
-    a_img = subgroup_image_in_diagonal(diag, a_set)
-    b_img = subgroup_image_in_diagonal(diag, b_set)
-    return witness_from_subgroup_pair(diag.group, a_img, b_img, 0, a_set, diag.label, cap)
+    return witness_from_subgroup_pair(diag.group, a_set, b_set, partial(right_translation, table),
+                                      0, group_label=diag.label, cap=cap)
 
 
 def _normal_pair(table: GroupTable, a_sub, b_sub) -> tuple[Subgroup, Subgroup]:

@@ -5,6 +5,7 @@ import time
 
 from helpers import (
     conjugate_subgroup,
+    naive_orbit,
     recheck_refutation,
     recheck_witness,
     sorted_tuple_set_orbit,
@@ -25,7 +26,6 @@ from spreadcheck.tables import (
     cauchy_frobenius_count,
     coset_space,
     orbits_on_cosets,
-    subgroup_permutation_group,
 )
 from spreadcheck.witness import (
     Multiset,
@@ -273,14 +273,18 @@ def test_criterion_9_cross_validation_property_suite():
         group = catalog.load_entry(name).group
         entry = catalog.load_entry(name)
         a_label, b_label = entry.supplement_pairs[0]
-        a_pg = subgroup_permutation_group(table, catalog.resolve_subgroup(name, a_label))
-        b_pg = subgroup_permutation_group(table, catalog.resolve_subgroup(name, b_label))
-        ref = witness_from_subgroup_pair(group, a_pg, b_pg, 0, a_pg.orbit(0), group_label=name)
+        a_set = catalog.resolve_subgroup(name, a_label)
+        b_set = catalog.resolve_subgroup(name, b_label)
+        ref = witness_from_subgroup_pair(group, a_set, b_set, table.elements.__getitem__, 0,
+                                         group_label=name)
         assert isinstance(ref, Refutation)
         assert ref.violation == "k-too-small"
         recheck_refutation(ref)
         # the recorded k really is the orbit ratio in the natural action
-        assert ref.counterexample["k"] == len(a_pg.orbit(0)) // len(b_pg.orbit(0))
+        a_orbit = naive_orbit([table.elements[g] for g in a_set], 0)
+        b_orbit = naive_orbit([table.elements[g] for g in b_set], 0)
+        assert ref.points == frozenset(a_orbit)
+        assert ref.counterexample["k"] == len(a_orbit) // len(b_orbit)
         runs += 1
 
     for name in ("A5_3sets", "A6_3sets", "A7_3sets", "A8_3sets", "A9_3sets"):

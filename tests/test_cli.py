@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from spreadcheck import catalog, tables
+from spreadcheck import catalog, perm, tables
 from spreadcheck.cli import main
 
 D10_JSON = {
@@ -383,6 +383,34 @@ class TestErrorPaths:
         assert main(["group", "info", "--group", "A5", "--file", "x.json"]) == 2
         assert main(["group", "info", "--group", "A5", "--bogus"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--A", "A4", "--B", "V4", "--base", "x"], "argument --base: invalid decimal value: 'x'"),
+            (["--A", "A4", "--B", "V4", "--base", "01"],
+             "argument --base: invalid decimal value: '01'"),
+            (["--A", "A4", "--B", "V4", "--cap", "x"], "argument --cap: invalid int value: 'x'"),
+            (["--B", "V4"], "the following arguments are required: --A"),
+        ],
+        ids=["base-x", "base-leading-zero", "cap-x", "missing-A"],
+    )
+    def test_usage_error_under_json_is_a_report(self, capsys, argv, message):
+        argv = ["spreading", "ab-check", "--group", "A5", *argv]
+        assert main(argv) == 2
+        plain = capsys.readouterr()
+        assert plain.out == ""
+        assert plain.err.startswith("usage: spreadcheck spreading ab-check")
+        assert plain.err.endswith(f"spreadcheck spreading ab-check: error: {message}\n")
+        code, report = run_json(capsys, *argv)
+        assert code == 2
+        assert report["command"] == "spreading ab-check"
+        assert report["verdict"] == "error"
+        assert report["certificate"] == {"error": "UsageError", "message": message}
+        assert report["inputs"] == {"argv": argv + ["--json"]}
+        # the usage line on stderr is the same with --json
+        assert main(argv + ["--json"]) == 2
+        assert capsys.readouterr().err == plain.err
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -419,6 +447,68 @@ def test_resolved_subgroups_are_not_closed_again(capsys, monkeypatch, argv):
     assert main(argv) in (0, 1)
     capsys.readouterr()
     assert closures <= allowed
+
+
+@pytest.mark.parametrize(
+    "argv,chains",
+    [
+        (["spreading", "diagonal-witness", "--group", "A5", "--A", "A4", "--B", "V4"], 1),
+        (["spreading", "ab-check", "--group", "A7", "--A", "stab3", "--B", "stab3_even"], 0),
+    ],
+    ids=["diagonal-witness", "ab-check"],
+)
+def test_pair_builder_runs_no_schreier_sims(capsys, monkeypatch, argv, chains):
+    """Once the entry is loaded, the pair facts come from the table: the only
+    stabilizer chain left is the one that checks the order of diag(T)."""
+    entry = catalog.load_entry(argv[3])
+    entry.automorphisms
+    entry.subgroup(argv[5])
+    entry.subgroup(argv[7])
+    built = 0
+    init = perm._StabilizerChain.__init__
+
+    def counting(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    monkeypatch.setattr(perm._StabilizerChain, "__init__", counting)
+    assert main(argv) in (0, 1)
+    capsys.readouterr()
+    assert built == chains
+
+
+# A5 as a group file labelling a non-normal C3 inside A4 and the whole group
+A5_PAIRS = {**A5_COPY, "subgroups": {**A5_COPY["subgroups"], "C3": [[[0, 1, 3]]],
+                                     "T": A5_COPY["generators"]}}
+
+
+@pytest.mark.parametrize(
+    "source,a_label,b_label,message",
+    [
+        ("A5", "A4", "C5", "B must be contained in A"),
+        ("A5", "A4", "A4", "B must be a proper subgroup of A"),
+        ("file", "A4", "C3", "B is not normalized by A"),
+        ("file", "T", "1", "A must be a proper subgroup of T"),
+    ],
+    ids=["B-outside-A", "B-equals-A", "B-not-normal", "A-is-T"],
+)
+def test_bad_pairs_get_one_message_on_both_paths(capsys, tmp_path, source, a_label, b_label,
+                                                 message):
+    if source == "file":
+        path = tmp_path / "A5pairs.json"
+        path.write_text(json.dumps(A5_PAIRS))
+        source_args = ["--file", str(path)]
+    else:
+        source_args = ["--group", source]
+    pair = [*source_args, "--A", a_label, "--B", b_label]
+    # with A = T the default point set base^A is all of Omega, so give one
+    ab_set = ["--set", "0,1"] if a_label == "T" else []
+    for argv in (["spreading", "ab-check", *pair, *ab_set],
+                 ["spreading", "diagonal-witness", *pair]):
+        code, report = run_json(capsys, *argv)
+        assert code == 2
+        assert report["certificate"] == {"error": "InvalidSubgroup", "message": message}
 
 
 def _positions(node, path=()):

@@ -3,7 +3,8 @@ kept in tests/data/reports.json, apart from timing_ms.
 
 The reports pin the certificates of diagonal witnesses, supplement checks over
 T and Aut(T), orbit counts, two-point scans, subgroup-pair checks and class
-lists on A5, PSL(2,7) and A7.  tests/data/coset_representatives.json pins, for
+lists on A5, PSL(2,7) and A7, the error reports of bad pairs on both pair
+paths, and the report of a usage error under --json.  tests/data/coset_representatives.json pins, for
 each base catalog group, a sha256 over the mappings of its automorphism coset
 representatives in order, so every route to Aut(T) must keep picking the same
 representatives.  After a change that is meant to alter a certificate or a
@@ -44,6 +45,11 @@ COMMANDS = [
     "basesize two-check --group A7 --A stab3",
     "spreading ab-check --group A5 --A A4 --B V4",
     "spreading ab-check --group A7 --A stab3 --B stab3_even",
+    "spreading ab-check --group A5 --A A4 --B C5",
+    "spreading ab-check --group A5 --A A4 --B A4",
+    "spreading diagonal-witness --group A5 --A A4 --B C5",
+    "spreading diagonal-witness --group A5 --A A4 --B A4",
+    "spreading ab-check --group A5 --A A4 --B V4 --base 01",
     "group classes --group A5",
     "group classes --group PSL(2,7)",
 ]

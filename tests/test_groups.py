@@ -25,7 +25,6 @@ from spreadcheck.diagonal import (
     inversion_map,
     left_translation,
     right_translation,
-    subgroup_image_in_diagonal,
 )
 from spreadcheck.errors import CapExceeded, InvalidSubgroup, VerificationInconsistency
 from spreadcheck.perm import Permutation, PermutationGroup
@@ -41,7 +40,6 @@ from spreadcheck.tables import (
     point_stabilizer,
     product_size,
     setwise_stabilizer,
-    subgroup_permutation_group,
     sylow_normalizer,
     sylow_subgroup,
     validate_subgroup,
@@ -341,7 +339,11 @@ class TestAutomorphisms:
         aut = automorphism_from_generator_images(t, [t.conjugate(g, 11) for g in gens])
         assert aut.mapping == inner_automorphism(t, 11).mapping
         with pytest.raises(ValueError):
-            automorphism_from_generator_images(t, [0, 0])
+            automorphism_from_generator_images(t, [0, 0])  # a homomorphism, not bijective
+        # no homomorphism sends both generators to one element of order > 1, so
+        # an edge fails; one generator's walk misses most of T
+        assert autos._extend_images(t, gens, [gens[0], gens[0]]) is None
+        assert autos._extend_images(t, gens[:1], gens[:1]) is None
 
     def test_search_requires_trivial_center(self):
         c3 = build_group_table([cyc(3, [0, 1, 2])], name="C3")
@@ -362,11 +364,13 @@ class TestAutomorphisms:
             with pytest.raises(CapExceeded):
                 entry.automorphisms
 
-    @pytest.mark.parametrize("name,bound", [("A8", 8), ("PSL(2,13)", 11)])
+    @pytest.mark.parametrize("name,bound", [("A8", 8), ("PSL(2,13)", 11), ("M11", 5)])
     def test_loading_automorphisms_scans_t_only_to_extend_images(self, monkeypatch, name, bound):
         """Once the classes are built, the supplied route (A8) and the search
-        (PSL(2,13)) stay within bound*|T| products: the coset bookkeeping
-        stores nothing of size |T| and finds centralizers from the class walk."""
+        (PSL(2,13), M11) stay within bound*|T| products: the coset bookkeeping
+        stores nothing of size |T| and finds centralizers from the class walk,
+        and a search candidate that is no automorphism (10 of M11's 11) stops
+        at the first edge of the Cayley graph that it fails."""
         entry = catalog.load_entry.__wrapped__(name)
         t = entry.table
         t.conjugacy_classes()
@@ -489,6 +493,8 @@ class TestDiagonalAction:
         auts = catalog.load_automorphisms("A5")
         diag = build_diagonal_group(t, auts)
         a4 = catalog.resolve_subgroup("A5", "A4")
-        right = subgroup_image_in_diagonal(diag, a4)
+        # the images the diagonal pair builder walks: right translations by A's generators
+        right = PermutationGroup([right_translation(t, g) for g in a4.gens], diag.degree())
         assert right.order() == 12
         assert right.orbit(0) == set(a4)
+        assert all(right.contains(right_translation(t, a)) for a in a4)

@@ -7,7 +7,7 @@ from spreadcheck import catalog
 from spreadcheck.diagonal import build_diagonal_group
 from spreadcheck.errors import InvalidSubgroup
 from spreadcheck.perm import Permutation, PermutationGroup
-from spreadcheck.tables import build_group_table, subgroup_permutation_group
+from spreadcheck.tables import build_group_table, validate_subgroup
 from spreadcheck.witness import (
     Multiset,
     Refutation,
@@ -107,24 +107,27 @@ class TestVerifyWitness:
             verify_witness(intransitive, {0, 1}, Multiset.uniform(4, 1))
 
 
+def _c6_pair():
+    """C6 on 6 points with A = {0, 2, 4} (the subgroup of order 3) and B = 1."""
+    t = build_group_table([Permutation((1, 2, 3, 4, 5, 0))], name="C6")
+    group = PermutationGroup([Permutation((1, 2, 3, 4, 5, 0))], 6)
+    return group, validate_subgroup(t, {0, 2, 4}), frozenset({0}), t.elements.__getitem__
+
+
 class TestSubgroupPairBuilder:
     def test_pair_witness_on_rotation_group(self):
-        t = build_group_table([Permutation((1, 2, 3, 4, 5, 0))], name="C6")
-        group = PermutationGroup([Permutation((1, 2, 3, 4, 5, 0))], 6)
-        a_pg = subgroup_permutation_group(t, frozenset({0, 2, 4}))
-        b_pg = PermutationGroup.trivial(6)
-        w = witness_from_subgroup_pair(group, a_pg, b_pg, 0, {0, 2, 4}, group_label="C6")
+        group, a, b, image = _c6_pair()
+        w = witness_from_subgroup_pair(group, a, b, image, 0, {0, 2, 4}, group_label="C6")
         assert isinstance(w, Witness)
         assert w.constant == 3
         assert w.multiset.counts == (3, 1, 0, 1, 0, 1)
         recheck_witness(w, sweep_cap=10)
+        # the point set defaults to the A-orbit of the base point
+        assert witness_from_subgroup_pair(group, a, b, image, 0, group_label="C6") == w
 
     def test_block_not_covered_by_b(self):
-        t = build_group_table([Permutation((1, 2, 3, 4, 5, 0))], name="C6")
-        group = PermutationGroup([Permutation((1, 2, 3, 4, 5, 0))], 6)
-        a_pg = subgroup_permutation_group(t, frozenset({0, 2, 4}))
-        b_pg = PermutationGroup.trivial(6)
-        ref = witness_from_subgroup_pair(group, a_pg, b_pg, 0, {0, 1}, group_label="C6")
+        group, a, b, image = _c6_pair()
+        ref = witness_from_subgroup_pair(group, a, b, image, 0, {0, 1}, group_label="C6")
         assert isinstance(ref, Refutation)
         assert ref.violation == "B-not-transitive-on-orbit"
         recheck_refutation(ref)
@@ -135,9 +138,7 @@ class TestSubgroupPairBuilder:
         # natural 5-point action: the V4 orbit of 0 already fills the A4 orbit
         a4 = catalog.resolve_subgroup("A5", "A4")
         v4 = catalog.resolve_subgroup("A5", "V4")
-        a_nat = PermutationGroup([t.elements[g] for g in a4], 5)
-        b_nat = PermutationGroup([t.elements[g] for g in v4], 5)
-        ref = witness_from_subgroup_pair(group, a_nat, b_nat, 0, {0, 1, 3, 4})
+        ref = witness_from_subgroup_pair(group, a4, v4, t.elements.__getitem__, 0, {0, 1, 3, 4})
         assert ref.violation == "k-too-small"
         assert ref.counterexample["k"] == 1
         recheck_refutation(ref)
@@ -145,14 +146,20 @@ class TestSubgroupPairBuilder:
     def test_structural_violations_raise(self):
         s4 = PermutationGroup([Permutation.from_cycles(4, [[0, 1, 2, 3]]), Permutation.from_cycles(4, [[0, 1]])], 4)
         t4 = build_group_table(list(s4.generators), name="S4")
-        s3 = frozenset(i for i in range(24) if t4.elements[i](3) == 3)
+        image = t4.elements.__getitem__
+        s3 = validate_subgroup(t4, {i for i in range(24) if t4.elements[i](3) == 3})
         c2 = frozenset({0, t4.index[Permutation.from_cycles(4, [[0, 1]]).images]})
-        s3_pg = subgroup_permutation_group(t4, s3)
-        c2_pg = subgroup_permutation_group(t4, c2)
-        with pytest.raises(InvalidSubgroup):
-            witness_from_subgroup_pair(s4, s3_pg, c2_pg, 0, {0, 1})
-        with pytest.raises(InvalidSubgroup):
-            witness_from_subgroup_pair(s4, s3_pg, s3_pg, 0, {0, 1})
+        c2_other = frozenset({0, t4.index[Permutation.from_cycles(4, [[0, 3]]).images]})
+        a4 = frozenset(i for i, p in enumerate(t4.elements)
+                       if sum(len(c) - 1 for c in p.cycles()) % 2 == 0)  # even permutations
+        for a, b, message in [
+            (s3, c2, "B is not normalized by A"),
+            (s3, s3, "B must be a proper subgroup of A"),
+            (s3, c2_other, "B must be contained in A"),
+            (validate_subgroup(t4, range(24)), a4, "A must be a proper subgroup of T"),
+        ]:
+            with pytest.raises(InvalidSubgroup, match=message):
+                witness_from_subgroup_pair(s4, a, b, image, 0, {0, 1})
 
 
 DIAGONAL_CASES = {
