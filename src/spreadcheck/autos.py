@@ -12,8 +12,10 @@ An automorphism is pinned down by the images (x, y) of a generating pair
 the one bookkeeping of both routes, moves x to its class representative r by
 the conjugator the class walk recorded, and marks a coset's |C(r)| pairs
 (r, y^c), c in the centralizer of r, when it keeps the coset's first
-automorphism; nothing of size |T| is stored.  The closure offers it each
-product of a representative with a supplied automorphism.  The search tries x
+automorphism; nothing of size |T| is stored.  The closure,
+close_modulo_inner, offers it each product of a representative with a
+supplied automorphism; diag(T) uses the same closure, with a flag for
+inversion, to count its point stabiliser modulo Inn.  The search tries x
 among class representatives only, skips marked pairs, and pre-filters by
 element order, class size and the orders of a few fixed words in the pair.
 """
@@ -103,6 +105,15 @@ def automorphism_from_generator_images(table: GroupTable, images: Sequence[int])
     return aut
 
 
+def as_automorphism(table: GroupTable, mapping: tuple[int, ...]) -> Automorphism | None:
+    """The map of element indices as an Automorphism, or None if it is none:
+    the automorphism that agrees with it on the table generators, if there is
+    one, must be the map itself."""
+    gens = table.generator_indices
+    aut = _extend_images(table, gens, [mapping[g] for g in gens])
+    return aut if aut is not None and aut.mapping == mapping else None
+
+
 @dataclass(frozen=True)
 class AutomorphismGroup:
     """Aut(T) for a centerless T, as coset representatives modulo conjugations."""
@@ -128,7 +139,7 @@ class AutomorphismGroup:
 
 
 class _InnerCosets:
-    """Coset representatives of Aut(T) modulo Inn(T), the identity first."""
+    """Coset representatives of Aut(T) modulo Inn(T), in the order kept."""
 
     def __init__(self, table: GroupTable):
         if center(table) != frozenset({0}):
@@ -137,10 +148,9 @@ class _InnerCosets:
         self.a, self.b = table.generating_pair()
         self.reps: list[Automorphism] = []
         self.marked: set[tuple[int, int]] = set()
-        self.add(identity_automorphism(table))
 
-    def add(self, aut: Automorphism) -> None:
-        """Keep aut unless its coset is marked already.
+    def add(self, aut: Automorphism) -> bool:
+        """Keep aut unless its coset is marked already; whether it was kept.
 
         The trivial center makes the conjugates of (a, b) distinct, so the
         pairs (r, y^c) marked here are exactly the coset's pairs whose first
@@ -151,28 +161,50 @@ class _InnerCosets:
         r = table.conjugacy_classes()[table.class_of(x)].representative
         y = table.conjugate(aut.mapping[self.b], table.to_representative(x))
         if (r, y) in self.marked:
-            return
+            return False
         if len(self.reps) >= DEFAULT_AUT_CAP:
             raise CapExceeded("automorphism cosets", DEFAULT_AUT_CAP)
         self.reps.append(aut)
         self.marked.update((r, table.conjugate(y, c)) for c in centralizer(table, r))
+        return True
+
+
+def close_modulo_inner(
+    table: GroupTable, parts: Sequence[tuple[Automorphism, int]]
+) -> list[tuple[Automorphism, int]]:
+    """One pair (phi, e) per coset modulo Inn(T) of the group generated by
+    Inn(T) and the parts, the identity (identity, 0) first.
+
+    A pair (phi, e) stands for phi followed by e inversions x -> x^-1.
+    Inversion commutes with every automorphism, so pairs multiply as
+    (psi, e)(phi, f) = (psi phi, e + f mod 2), and the cosets of each e keep
+    their own _InnerCosets.  Products are walked in the order found, so the
+    identity's coset comes first and the result has at most 2 |Out(T)| pairs.
+    """
+    cosets = (_InnerCosets(table), _InnerCosets(table))
+    identity = identity_automorphism(table)
+    cosets[0].add(identity)
+    walked = [(identity, 0)]
+    for psi, e in walked:  # grows while it is walked
+        for phi, f in parts:
+            product, g = psi * phi, e ^ f
+            if cosets[g].add(product):
+                walked.append((product, g))
+    return walked
 
 
 def automorphism_group_from_supplied(
     table: GroupTable, outer_generator_images: Sequence[Sequence[int]]
 ) -> AutomorphismGroup:
     """Close supplied outer automorphisms (as table-generator images) modulo inner ones."""
-    cosets = _InnerCosets(table)
-    supplied = [automorphism_from_generator_images(table, imgs) for imgs in outer_generator_images]
-    for psi in cosets.reps:  # grows while it is walked
-        for phi in supplied:
-            cosets.add(psi * phi)
-    return AutomorphismGroup(table, tuple(cosets.reps))
+    supplied = [(automorphism_from_generator_images(table, imgs), 0) for imgs in outer_generator_images]
+    return AutomorphismGroup(table, tuple(phi for phi, _ in close_modulo_inner(table, supplied)))
 
 
 def search_automorphism_group(table: GroupTable) -> AutomorphismGroup:
     """Find all of Aut(T) by searching images of a generating pair."""
     cosets = _InnerCosets(table)
+    cosets.add(identity_automorphism(table))
     a, b = cosets.a, cosets.b
     classes = table.conjugacy_classes()
 

@@ -107,6 +107,18 @@ class _Parser(argparse.ArgumentParser):
         except SystemExit:
             raise UsageError(self.prog.partition(" ")[2], message) from None
 
+    def parse_args(self, args=None, namespace=None):
+        """argparse reports unrecognized arguments from the top-level parser;
+        the report names the command that parsed all the others."""
+        known, extras = self.parse_known_args(args, namespace)
+        if extras:
+            try:
+                self.error(f"unrecognized arguments: {' '.join(extras)}")
+            except UsageError as exc:
+                exc.command = known.command_path
+                raise
+        return known
+
 
 # --- group resolution helpers ----------------------------------------------
 

@@ -3,17 +3,19 @@
 For a tabled group T the domain is T's own element indices, with index 0 the
 identity.  The full diagonal group is generated by right translations x -> xt,
 left translations x -> t^-1 x, automorphisms of T acting on indices, and the
-inversion map x -> x^-1.  Its order is |T|^2 * |Out(T)| * 2, which the builder
-verifies against the actual permutation group order.
+inversion map x -> x^-1.  Its order is |T|^2 * |Out(T)| * 2.  The builder
+counts the order of the group its generators generate, by orbit-stabiliser
+on the table (diagonal_order), and checks it against that formula; no
+stabilizer chain of degree |T| is built unless a caller asks the group for one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .autos import AutomorphismGroup
+from .autos import AutomorphismGroup, as_automorphism, close_modulo_inner
 from .errors import VerificationInconsistency
-from .perm import Permutation, PermutationGroup
+from .perm import Permutation, PermutationGroup, compose_images
 from .tables import GroupTable
 
 
@@ -68,9 +70,70 @@ def build_diagonal_group(table: GroupTable, auts: AutomorphismGroup) -> Diagonal
     gens.append(inversion_map(table))
     group = PermutationGroup(gens, len(table))
     expected = len(table) ** 2 * auts.outer_order * 2
-    actual = group.order()
+    actual = diagonal_order(table, group)
     if actual != expected:
         raise VerificationInconsistency(
             f"diagonal group order {actual} != |T|^2 * outer * 2 = {expected}"
         )
     return DiagonalGroup(table, auts, group)
+
+
+def diagonal_order(table: GroupTable, group: PermutationGroup) -> int:
+    """The order of a group G of permutations of T's indices, counted from its
+    generators by orbit-stabiliser, for a T with trivial center.
+
+    Each generator s is reduced to sigma_s = s rho_{s(0)}^-1, that is
+    x -> s(x) s(0)^-1, with rho_t the right translation x -> x t; sigma_s
+    fixes the identity.  Every sigma_s must be 1 (s is a right translation),
+    an automorphism of T, or an automorphism followed by inversion iota; a
+    map that is none of these raises.  Those with sigma_s = 1 are the right
+    translations, and their s(0) must generate T, so T_R <= G.  Those whose
+    sigma_s is conjugation by s(0)^-1 are the left translations
+    x -> s(0) x, and their s(0) must generate T too, so T_L <= G and the
+    inner automorphisms among the sigma_s generate Inn(T).  Either set of
+    s(0) generates T exactly when the orbit of the identity under its
+    translations is all of T, so two orbit walks check both, and the first
+    shows G transitive.  Then:
+
+    - N = T_R T_L has order |T|^2 (T_R meets T_L in the center), and it is
+      normal in the group of all maps rho, automorphisms and iota, since an
+      automorphism maps T_R and T_L to themselves and iota swaps them.
+    - H = <sigma_s> lies in G, because T_R does, and contains Inn(T).  The
+      stabiliser of the identity in N is Inn(T), so N cap H = Inn(T).
+    - Each s = sigma_s rho_{s(0)} lies in the group N H, and N and H lie in
+      G, so G = N H and |G| = |N| |H| / |N cap H| = |T|^2 [H : Inn(T)].
+
+    [H : Inn(T)] is the number of cosets that close_modulo_inner finds from
+    the sigma_s, at most 2 |Out(T)|.  Nothing of size |T|^2 is stored.
+    """
+    n = len(table)
+    identity = tuple(range(n))
+    right: list[Permutation] = []
+    left: list[Permutation] = []
+    parts = []
+    for k, s in enumerate(group.generators):
+        w = s(0)
+        w_inv = table.inverse[w]
+        sigma = compose_images(s.images, right_translation(table, w_inv).images)
+        if sigma == identity:
+            right.append(s)
+            continue
+        phi = as_automorphism(table, sigma)
+        if phi is not None:
+            if all(sigma[g] == table.conjugate(g, w_inv) for g in table.generator_indices):
+                left.append(s)
+            else:
+                parts.append((phi, 0))
+            continue
+        phi = as_automorphism(table, compose_images(sigma, table.inverse))
+        if phi is None:
+            raise VerificationInconsistency(
+                f"diagonal generator {k} is no translation times an automorphism or its inversion"
+            )
+        parts.append((phi, 1))
+    for side, translations in (("right", right), ("left", left)):
+        if not PermutationGroup(translations, n).is_transitive():
+            raise VerificationInconsistency(
+                f"the {side} translations among the generators do not generate T"
+            )
+    return n * n * len(close_modulo_inner(table, parts))

@@ -60,6 +60,8 @@ class GroupTable:
         self._class_of: list[int] | None = None
         self._to_rep: list[int] | None = None
         self._class_names: list[str] | None = None
+        self._pair: tuple[int, int] | None = None
+        self._centralizers: dict[int, frozenset[int]] = {}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -174,11 +176,17 @@ class GroupTable:
     # --- generating pair ---------------------------------------------------
 
     def generating_pair(self) -> tuple[int, int]:
-        """A deterministic pair of element indices generating the whole group.
+        """A deterministic pair of element indices generating the whole group,
+        found once.
 
         Uses the first two generators when they suffice; otherwise scans for the
         first partner (by index) of the first generator.
         """
+        if self._pair is None:
+            self._pair = self._find_generating_pair()
+        return self._pair
+
+    def _find_generating_pair(self) -> tuple[int, int]:
         if len(self.generator_indices) >= 2:
             g1, g2 = self.generator_indices[0], self.generator_indices[1]
             if self._pair_generates(g1, g2):
@@ -312,18 +320,21 @@ def derived_subgroup(table: GroupTable, subgroup: Iterable[int]) -> Subgroup:
 def centralizer(table: GroupTable, x: int) -> frozenset[int]:
     """C_T(x).  With u_y taking y to its class representative r, the steps
     y -> y^g of the class walk give u_y^-1 g u_(y^g), which generate C_T(r)
-    (orbit-stabiliser); C_T(x) is C_T(r) conjugated by u_x^-1."""
-    cls = table.conjugacy_classes()[table.class_of(x)]
+    (orbit-stabiliser); C_T(r) is closed once per class and kept on the
+    table, and C_T(x) is C_T(r) conjugated by u_x^-1."""
+    cid = table.class_of(x)
     to_rep, inverse, multiply = table.to_representative, table.inverse, table.multiply
-    schreier = {
-        multiply(multiply(inverse[to_rep(y)], g), to_rep(table.conjugate(y, g)))
-        for y in cls.members
-        for g in table.generator_indices
-    }
+    c_r = table._centralizers.get(cid)
+    if c_r is None:
+        cls = table.conjugacy_classes()[cid]
+        schreier = {
+            multiply(multiply(inverse[to_rep(y)], g), to_rep(table.conjugate(y, g)))
+            for y in cls.members
+            for g in table.generator_indices
+        }
+        c_r = table._centralizers[cid] = frozenset(_closure(table, schreier, len(table) // cls.size))
     back = inverse[to_rep(x)]
-    if back:
-        schreier = {table.conjugate(s, back) for s in schreier}
-    return frozenset(_closure(table, schreier, len(table) // cls.size))
+    return frozenset(table.conjugate(c, back) for c in c_r) if back else c_r
 
 
 def normalizer(table: GroupTable, subgroup: Iterable[int]) -> frozenset[int]:

@@ -228,8 +228,10 @@ def witness_from_subgroup_pair(
     A is a Subgroup of a table T and B a set of indices of the same table;
     image(i) is the permutation of Omega by which element i of T acts inside
     the transitive group.  X defaults to base^A.  The checks run in order:
-    the group is transitive, X is nonempty and proper, then _normal_pair
-    checks on the table that B is normal and proper in A and A proper in T.
+    the group is transitive, a given X is nonempty and proper, then
+    _normal_pair checks on the table that B is normal and proper in A and A
+    proper in T.  When A is transitive, the default X is all of Omega, which
+    comes back as a "set-trivial" refutation, as verify_witness reports it.
     The images of A's and B's generators only walk orbits and set orbits.
     The base point's A-orbit must split into k >= 2 orbits of B, and B must
     act transitively on each A-orbit of the images of X that meet the A-orbit
@@ -243,9 +245,11 @@ def witness_from_subgroup_pair(
     a_group = PermutationGroup([image(g) for g in a_sub.gens], n)
     orbit_a = frozenset(a_group.orbit(base_point))
     x = orbit_a if points is None else frozenset(points)
-    if not 0 < len(x) < n:
+    if points is not None and not 0 < len(x) < n:
         raise ValueError("the point set must be nonempty and proper")
     a_sub, b_sub = _normal_pair(a_sub.table, a_sub, b_sub)
+    if len(x) == n:
+        return Refutation(group_label, x, None, "set-trivial", {"set_size": n, "domain_size": n})
     b_group = PermutationGroup([image(g) for g in b_sub.gens], n)
     orbit_b = frozenset(b_group.orbit(base_point))
     # B <= A and B normal, so orbit_a splits into B-orbits of equal size
@@ -310,10 +314,11 @@ def diagonal_witness(
     """The witness (A, Omega + |A:B|*B - A) over the diagonal action on T.
 
     A must be proper in T and B normal and proper in A.  The pair is checked
-    before diag(T) is built, so a bad pair costs no Schreier-Sims run.  The
-    heavy lifting is delegated to the subgroup-pair builder with right
-    translations as the images and the identity of T as base point, whose
-    A-orbit is A itself.
+    before diag(T) is built, so a bad pair costs no diag(T) at all; its order
+    is counted on the table by orbit-stabiliser (diagonal.diagonal_order),
+    and no stabilizer chain is built.  The heavy lifting is delegated to the
+    subgroup-pair builder with right translations as the images and the
+    identity of T as base point, whose A-orbit is A itself.
     """
     a_set, b_set = _normal_pair(table, a_sub, b_sub)
     diag = build_diagonal_group(table, auts)

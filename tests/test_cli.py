@@ -148,6 +148,27 @@ class TestSpreadingCommands:
         assert cert["violation"] == "k-too-small"
         assert cert["counterexample"]["k"] == 1
 
+    @pytest.mark.parametrize(
+        "group,a_label,b_label,degree",
+        [("A5", "D10", "C5", 5), ("A6", "F36", "E9", 6), ("PSL(3,2)", "F21", "C7", 7)],
+    )
+    def test_ab_check_transitive_a_is_set_trivial(self, capsys, group, a_label, b_label, degree):
+        """With A transitive on Omega the default X = base^A is all of Omega:
+        a refutation with verify_witness's keys, not an error."""
+        argv = ["spreading", "ab-check", "--group", group, "--A", a_label, "--B", b_label]
+        code, report = run_json(capsys, *argv)
+        assert code == 1
+        cert = report["certificate"]
+        assert cert["violation"] == "set-trivial"
+        assert cert["set"] == list(range(degree))
+        assert cert["counterexample"] == {"set_size": degree, "domain_size": degree}
+        # an explicit --set keeps its own check
+        full = ",".join(str(p) for p in range(degree))
+        code, report = run_json(capsys, *argv, "--set", full)
+        assert code == 2
+        assert report["certificate"] == {"error": "ValueError",
+                                         "message": "the point set must be nonempty and proper"}
+
     def test_char_witness_verified(self, capsys):
         code, report = run_json(
             capsys, "spreading", "char-witness", "--group", "A5",
@@ -383,6 +404,21 @@ class TestErrorPaths:
         assert main(["group", "info", "--group", "A5", "--file", "x.json"]) == 2
         assert main(["group", "info", "--group", "A5", "--bogus"]) == 2
 
+    def test_unrecognized_argument_report_names_the_command(self, capsys):
+        argv = ["group", "info", "--group", "A5", "--bogus"]
+        assert main(argv) == 2
+        plain = capsys.readouterr()
+        assert plain.err.startswith("usage: spreadcheck [-h]")
+        assert plain.err.endswith("spreadcheck: error: unrecognized arguments: --bogus\n")
+        code, report = run_json(capsys, *argv)
+        assert code == 2
+        assert report["command"] == "group info"
+        assert report["verdict"] == "error"
+        assert report["certificate"] == {"error": "UsageError",
+                                         "message": "unrecognized arguments: --bogus"}
+        assert main(argv + ["--json"]) == 2
+        assert capsys.readouterr().err == plain.err
+
     @pytest.mark.parametrize(
         "argv,message",
         [
@@ -427,14 +463,16 @@ class TestErrorPaths:
          "ab-check"],
 )
 def test_resolved_subgroups_are_not_closed_again(capsys, monkeypatch, argv):
-    """Once an entry has resolved its labels, a command closes no subgroup,
-    except one image of A per non-identity automorphism coset representative
-    over Aut."""
+    """Once an entry has loaded its automorphisms and resolved its labels, a
+    command closes no subgroup, except one image of A per non-identity
+    automorphism coset representative over Aut.  The order count of diag(T)
+    reuses the centralizers that loading the automorphisms closed."""
     entry = catalog.load_entry(argv[3])
     for flag in ("--A", "--B"):
         if flag in argv:
             entry.subgroup(argv[argv.index(flag) + 1])
-    allowed = len(entry.automorphisms.coset_representatives) - 1 if "Aut" in argv else 0
+    reps = entry.automorphisms.coset_representatives
+    allowed = len(reps) - 1 if "Aut" in argv else 0
     closures = 0
     closure = tables._closure
 
@@ -450,20 +488,31 @@ def test_resolved_subgroups_are_not_closed_again(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize(
-    "argv,chains",
+    "argv",
     [
-        (["spreading", "diagonal-witness", "--group", "A5", "--A", "A4", "--B", "V4"], 1),
-        (["spreading", "ab-check", "--group", "A7", "--A", "stab3", "--B", "stab3_even"], 0),
+        ["spreading", "diagonal-witness", "--group", "A5", "--A", "A4", "--B", "V4"],
+        ["spreading", "ab-check", "--group", "A7", "--A", "stab3", "--B", "stab3_even"],
+        ["spreading", "verify-witness", "--group", "A5", "--diagonal", "--witness"],
+        ["spreading", "char-witness", "--group", "A5", "--r", "3A", "--s1", "5A", "--s2", "5B"],
     ],
-    ids=["diagonal-witness", "ab-check"],
+    ids=["diagonal-witness", "ab-check", "verify-witness-diagonal", "char-witness"],
 )
-def test_pair_builder_runs_no_schreier_sims(capsys, monkeypatch, argv, chains):
-    """Once the entry is loaded, the pair facts come from the table: the only
-    stabilizer chain left is the one that checks the order of diag(T)."""
+def test_pair_builder_runs_no_schreier_sims(capsys, monkeypatch, tmp_path, argv):
+    """Once the entry is loaded, the pair facts come from the table and the
+    order of diag(T) from orbit-stabiliser on it: no command builds a
+    stabilizer chain."""
     entry = catalog.load_entry(argv[3])
     entry.automorphisms
-    entry.subgroup(argv[5])
-    entry.subgroup(argv[7])
+    for flag in ("--A", "--B"):
+        if flag in argv:
+            entry.subgroup(argv[argv.index(flag) + 1])
+    if argv[-1] == "--witness":
+        _, report = run_json(
+            capsys, "spreading", "diagonal-witness", "--group", "A5", "--A", "A4", "--B", "V4"
+        )
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(report["certificate"]))
+        argv = [*argv, str(path)]
     built = 0
     init = perm._StabilizerChain.__init__
 
@@ -475,7 +524,7 @@ def test_pair_builder_runs_no_schreier_sims(capsys, monkeypatch, argv, chains):
     monkeypatch.setattr(perm._StabilizerChain, "__init__", counting)
     assert main(argv) in (0, 1)
     capsys.readouterr()
-    assert built == chains
+    assert built == 0
 
 
 # A5 as a group file labelling a non-normal C3 inside A4 and the whole group

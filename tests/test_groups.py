@@ -20,8 +20,10 @@ from spreadcheck.autos import (
     identity_automorphism,
     search_automorphism_group,
 )
+from spreadcheck import diagonal
 from spreadcheck.diagonal import (
     build_diagonal_group,
+    diagonal_order,
     inversion_map,
     left_translation,
     right_translation,
@@ -487,6 +489,44 @@ class TestDiagonalAction:
         assert diag.group.contains(inversion_map(t))
         for rep in auts.coset_representatives:
             assert diag.group.contains(Permutation(rep.mapping))
+
+    @pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "PSL(3,2)", "A6"])
+    def test_order_count_matches_schreier_sims(self, name):
+        t, auts = catalog.load_group_table(name), catalog.load_automorphisms(name)
+        diag = build_diagonal_group(t, auts)
+        count = diagonal_order(t, diag.group)
+        assert count == len(t) ** 2 * auts.outer_order * 2
+        assert count == diag.group.order()  # the stabilizer chain as the oracle
+        # without inversion the count halves, still equal to the chain's order
+        half = PermutationGroup(diag.group.generators[:-1], len(t))
+        assert diagonal_order(t, half) == half.order() == count // 2
+
+    def test_order_count_rejects_an_injected_transposition(self):
+        t, auts = catalog.load_group_table("A5"), catalog.load_automorphisms("A5")
+        gens = list(build_diagonal_group(t, auts).group.generators)
+        swap = Permutation.from_cycles(60, [[1, 2]])
+        for k in range(len(gens)):
+            wrong = gens[:k] + [gens[k] * swap] + gens[k + 1:]
+            with pytest.raises(VerificationInconsistency, match=f"generator {k} is no"):
+                diagonal_order(t, PermutationGroup(wrong, 60))
+
+    def test_builder_rejects_wrong_generators(self, monkeypatch):
+        t, auts = catalog.load_group_table("A5"), catalog.load_automorphisms("A5")
+        swap = Permutation.from_cycles(60, [[1, 2]])
+        with monkeypatch.context() as m:
+            m.setattr(diagonal, "left_translation", lambda table, g: left_translation(table, g) * swap)
+            with pytest.raises(VerificationInconsistency, match="is no translation"):
+                build_diagonal_group(t, auts)
+        with monkeypatch.context() as m:
+            # inversion dropped: the identity in its place
+            m.setattr(diagonal, "inversion_map", lambda table: Permutation.identity(len(table)))
+            with pytest.raises(VerificationInconsistency, match="order 7200 != "):
+                build_diagonal_group(t, auts)
+        with monkeypatch.context() as m:
+            # the left translations replaced by right ones: T_L is missing
+            m.setattr(diagonal, "left_translation", right_translation)
+            with pytest.raises(VerificationInconsistency, match="left translations"):
+                build_diagonal_group(t, auts)
 
     def test_subgroup_images(self):
         t = catalog.load_group_table("A5")
