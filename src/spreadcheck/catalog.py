@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
@@ -72,7 +73,7 @@ class CatalogEntry:
 
     @functools.cached_property
     def table(self) -> GroupTable:
-        return build_group_table(list(self.generators), name=self.name, known_order=self.known_order)
+        return build_group_table(self.group, name=self.name, known_order=self.known_order)
 
     @functools.cached_property
     def automorphisms(self) -> AutomorphismGroup:
@@ -352,9 +353,26 @@ def entry_from_json(data: dict) -> CatalogEntry:
     return entry
 
 
-def load_entry_file(path: str | Path) -> CatalogEntry:
+def distinct(items: list, what: str) -> frozenset:
+    """The items as a set; a repeated item raises ValueError naming it."""
+    repeated = [item for item, count in Counter(items).items() if count > 1]
+    if repeated:
+        raise ValueError(f"repeated {what} {repeated[0]!r}")
+    return frozenset(items)
+
+
+def read_json(path: str | Path):
+    """The JSON document in a group or witness file; a repeated key raises
+    ValueError, where json.load would keep only its last value."""
+    def unique_keys(pairs: list) -> dict:
+        distinct([key for key, _ in pairs], "JSON key")
+        return dict(pairs)
     with open(path, encoding="utf-8") as fh:
-        return entry_from_json(json.load(fh))
+        return json.load(fh, object_pairs_hook=unique_keys)
+
+
+def load_entry_file(path: str | Path) -> CatalogEntry:
+    return entry_from_json(read_json(path))
 
 
 def validate_entry(entry: CatalogEntry) -> None:

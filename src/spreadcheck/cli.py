@@ -209,14 +209,13 @@ def _cmd_verify_witness(args):
         group, label = diag.group, diag.label
     else:
         group, label = entry.group, entry.name
-    with open(args.witness, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = catalog.read_json(args.witness)
     if not isinstance(data, dict):
         raise ValueError(f"witness file must hold a JSON object, got {type(data).__name__}")
     points = data["set"]
     if not isinstance(points, list) or any(type(x) is not int for x in points):
         raise ValueError(f"witness 'set' must be a list of JSON integers, got {points!r}")
-    points = frozenset(points)
+    points = catalog.distinct(points, "witness 'set' point")
     multiset = Multiset.from_json(data["multiset"], group.degree)
     result = verify_witness(group, points, multiset, group_label=label, **_cap_kw(args))
     verdict, cert, code = _outcome(result)
@@ -226,8 +225,8 @@ def _cmd_verify_witness(args):
 def _cmd_ab_check(args):
     entry = _entry(args)
     a_sub, b_sub = entry.subgroup(args.A), entry.subgroup(args.B)
-    points = (frozenset(parse_point(s, entry.degree, "--set point") for s in args.set.split(","))
-              if args.set else None)
+    points = (catalog.distinct([parse_point(s, entry.degree, "--set point") for s in args.set.split(",")],
+                               "--set point") if args.set is not None else None)
     result = witness_from_subgroup_pair(entry.group, a_sub, b_sub, entry.table.elements.__getitem__,
                                         args.base, points, group_label=entry.name, **_cap_kw(args))
     verdict, cert, code = _outcome(result)

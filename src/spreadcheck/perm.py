@@ -4,10 +4,10 @@ Composition convention, used everywhere in this package: ``p * q`` (equivalently
 ``compose(p, q)``) is the permutation sending i to q(p(i)), i.e. the LEFT factor
 acts first.  This matches exponent notation for group actions: x^(pq) = (x^p)^q.
 
-All algorithms here are deterministic.  Base points for the stabilizer chain are
-chosen as the smallest moved point at each level and transversals are filled by
-breadth-first search in generator order, so element enumerations, orbits and
-witness certificates are reproducible run to run.
+A PermutationGroup keeps its generators and gives Schreier-Sims order and
+membership, point orbits and set orbits; it enumerates no elements (a GroupTable
+does).  Chain base points are the smallest moved points, and transversals and
+orbits are filled by BFS in generator order, so all of it is reproducible.
 
 Every composition of image tuples goes through one kernel, ``compose_images``,
 which does the per-point lookups in C through ``operator.itemgetter``.  The
@@ -23,7 +23,6 @@ from typing import Collection, Iterable, Sequence
 
 from .errors import CapExceeded
 
-DEFAULT_ELEMENT_CAP = 10**6
 DEFAULT_SET_ORBIT_CAP = 10**6
 
 
@@ -330,7 +329,6 @@ class PermutationGroup:
         self.degree = degree
         self.generators = generators
         self._chain: _StabilizerChain | None = None
-        self._elements: list[Permutation] | None = None
 
     @classmethod
     def trivial(cls, degree: int) -> "PermutationGroup":
@@ -410,29 +408,6 @@ class PermutationGroup:
                     seen.add(schreier.images)
                     gens.append(schreier)
         return PermutationGroup(gens, self.degree)
-
-    def elements(self, cap: int = DEFAULT_ELEMENT_CAP) -> list[Permutation]:
-        """All elements, enumerated BFS from the identity in generator order."""
-        if self._elements is not None:
-            if len(self._elements) > cap:
-                raise CapExceeded("element enumeration", cap)
-            return self._elements
-        ident = Permutation.identity(self.degree)
-        out = [ident]
-        index = {ident.images}
-        i = 0
-        while i < len(out):
-            x = out[i]
-            i += 1
-            for g in self.generators:
-                y = x * g
-                if y.images not in index:
-                    if len(out) >= cap:
-                        raise CapExceeded("element enumeration", cap)
-                    index.add(y.images)
-                    out.append(y)
-        self._elements = out
-        return out
 
     def set_orbit(self, points: Iterable[int], cap: int = DEFAULT_SET_ORBIT_CAP) -> list[frozenset[int]]:
         """Orbit of a point set under the setwise action, in BFS discovery order."""

@@ -1,9 +1,9 @@
 """Indexed finite groups backed by a faithful permutation representation.
 
-A GroupTable enumerates all elements of a small group T (BFS from the identity
-in generator order, so index 0 is the identity and indices are reproducible)
-and exposes multiplication by composing the underlying permutations and looking
-the product up again.  No |T| x |T| multiplication table is ever stored, which
+A GroupTable is the one enumeration of a small group T: a BFS from the identity
+in generator order fills its elements and their index together, so index 0 is
+the identity and indices are reproducible.  A product composes two elements'
+permutations and looks the result up.  No |T| x |T| table is ever stored, which
 keeps groups up to a few hundred thousand elements workable.  The class walk
 records one conjugator per element, taking it to its class representative, and
 centralizers are closed from the walk's Schreier generators, not a scan of T.
@@ -24,10 +24,10 @@ normalizers, point and setwise stabilizers, and coset spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import CapExceeded, InvalidSubgroup, VerificationInconsistency
-from .perm import Permutation, PermutationGroup, compose_images
+from .perm import Permutation, PermutationGroup, compose_images, inverse_images
 
 DEFAULT_TABLE_CAP = 10**4
 
@@ -51,10 +51,20 @@ class GroupTable:
     def __init__(self, group: PermutationGroup, cap: int = DEFAULT_TABLE_CAP, name: str | None = None):
         self.group = group
         self.name = name
-        self.elements: list[Permutation] = group.elements(cap)
-        self.index: dict[tuple[int, ...], int] = {p.images: i for i, p in enumerate(self.elements)}
-        self.inverse: list[int] = [self.index[p.inverse().images] for p in self.elements]
-        self.generator_indices: list[int] = [self.index[g.images] for g in group.generators]
+        gens = [g.images for g in group.generators]
+        identity = Permutation.identity(group.degree)
+        self.elements: list[Permutation] = [identity]
+        self.index: dict[tuple[int, ...], int] = {identity.images: 0}
+        for x in self.elements:  # reaches the elements it appends: a BFS
+            for g in gens:
+                y = compose_images(x.images, g)
+                if y not in self.index:
+                    if len(self.elements) >= cap:
+                        raise CapExceeded("element enumeration", cap)
+                    self.index[y] = len(self.elements)
+                    self.elements.append(Permutation._unchecked(y))
+        self.inverse: list[int] = [self.index[inverse_images(p.images)] for p in self.elements]
+        self.generator_indices: list[int] = [self.index[g] for g in gens]
         self._class_orders: list[int] | None = None
         self._classes: list[ConjClass] | None = None
         self._class_of: list[int] | None = None
@@ -187,11 +197,10 @@ class GroupTable:
         return self._pair
 
     def _find_generating_pair(self) -> tuple[int, int]:
-        if len(self.generator_indices) >= 2:
-            g1, g2 = self.generator_indices[0], self.generator_indices[1]
-            if self._pair_generates(g1, g2):
-                return g1, g2
-        g1 = self.generator_indices[0]
+        gens = self.generator_indices
+        if len(gens) >= 2 and self._pair_generates(gens[0], gens[1]):
+            return gens[0], gens[1]
+        g1 = gens[0] if gens else 0  # no generators: T = 1, and the scan finds no pair
         for g2 in range(1, len(self.elements)):
             if g2 != g1 and self._pair_generates(g1, g2):
                 return g1, g2
@@ -203,19 +212,17 @@ class GroupTable:
 
 
 def build_group_table(
-    generators: Sequence[Permutation],
+    group: PermutationGroup,
     cap: int = DEFAULT_TABLE_CAP,
     name: str | None = None,
     known_order: int | None = None,
 ) -> GroupTable:
-    """Enumerate the group generated by the given permutations.
-
-    known_order, when provided, is validated exactly and also admits the
-    enumeration (the cap is raised to it): catalog entries carry their orders.
-    """
+    """The table of the group.  known_order, when provided, is validated exactly
+    and admits the enumeration (the cap is raised to it): catalog entries carry
+    their orders."""
     if known_order is not None:
         cap = max(cap, known_order)
-    table = GroupTable(PermutationGroup(generators), cap=cap, name=name)
+    table = GroupTable(group, cap=cap, name=name)
     if known_order is not None and len(table) != known_order:
         raise VerificationInconsistency(
             f"group order {len(table)} != expected {known_order}"

@@ -61,7 +61,8 @@ def sorted_tuple_set_orbit(group, points, cap=1_000_000):
 def full_sweep_weights(group, points, multiset, cap=20_000):
     """Image weights over every single group element, no set-orbit shortcut."""
     pts = sorted(points)
-    return {image_weight([g(p) for p in pts], multiset) for g in group.elements(cap)}
+    return {image_weight([g(p) for p in pts], multiset)
+            for g in naive_elements(group.generators, group.degree, cap)}
 
 
 def recheck_witness(witness: Witness, sweep_cap: int | None = None) -> None:

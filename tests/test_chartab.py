@@ -25,7 +25,7 @@ from spreadcheck.chartab import (
 from spreadcheck.cyclotomic import CyclotomicValue, zeta
 from spreadcheck.diagonal import build_diagonal_group
 from spreadcheck.errors import CapExceeded
-from spreadcheck.perm import Permutation
+from spreadcheck.perm import Permutation, PermutationGroup
 from spreadcheck.tables import build_group_table
 
 
@@ -36,7 +36,7 @@ def _ct(name):
 
 @lru_cache(maxsize=None)
 def _c3_table():
-    return build_group_table([Permutation((1, 2, 0))], name="C3")
+    return build_group_table(PermutationGroup([Permutation((1, 2, 0))]), name="C3")
 
 
 def _named(table, specs):

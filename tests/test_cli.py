@@ -43,6 +43,19 @@ def run_json(capsys, *argv):
 REPORT_KEYS = {"command", "inputs", "verdict", "certificate", "timing_ms"}
 
 
+def _malformed_argv(tmp_path, command: str, data) -> list[str]:
+    """The command line that reads data: a --set value, or a witness or group
+    file.  A string is written to the file as it stands, for JSON text that a
+    dict cannot hold."""
+    if command == "ab-check":
+        return ["spreading", "ab-check", "--group", "A5", "--A", "A4", "--B", "V4", "--set", data]
+    path = tmp_path / "input.json"
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
+    if command == "verify-witness":
+        return ["spreading", "verify-witness", "--group", "A5", "--witness", str(path)]
+    return ["group", "info", "--file", str(path)]
+
+
 class TestReports:
     def test_diagonal_witness_verified(self, capsys):
         code, report = run_json(
@@ -299,6 +312,26 @@ class TestFileRoute:
         renamed = json.dumps(by_file["certificate"], sort_keys=True).replace("A5copy", "A5")
         assert renamed == json.dumps(by_group["certificate"], sort_keys=True)
 
+    def test_generator_free_file_is_the_trivial_group(self, capsys, tmp_path):
+        """"generators": [] and one identity generator give the same trivial
+        group; neither has a generating pair, so "group aut" is an error."""
+        reports = {}
+        for stem, generators in (("empty", []), ("identity", [[]])):
+            path = tmp_path / f"{stem}.json"
+            path.write_text(json.dumps({"name": "One", "degree": 3, "generators": generators,
+                                        "known_order": 1}))
+            for command in ("group classes", "chartab compute", "group aut"):
+                reports[stem, command] = run_json(capsys, *command.split(), "--file", str(path))
+        for command in ("group classes", "chartab compute"):
+            code, report = reports["empty", command]
+            assert code == 0
+            assert report["certificate"] == reports["identity", command][1]["certificate"]
+        assert reports["empty", "chartab compute"][1]["certificate"]["rows"] == [[1]]
+        for stem in ("empty", "identity"):
+            code, report = reports[stem, "group aut"]
+            assert code == 2
+            assert report["certificate"]["error"] == "ValueError"
+
 
 class TestErrorPaths:
     def test_unknown_group(self, capsys):
@@ -353,6 +386,12 @@ class TestErrorPaths:
             ("ab-check", "0,99"),
             ("ab-check", "0,-1"),
             ("ab-check", "01,1"),
+            ("ab-check", ""),
+            ("ab-check", "0,0,1"),
+            ("verify-witness", {"set": [0, 0, 1], "multiset": {"0": 1, "1": 4}}),
+            ("verify-witness", '{"set": [0, 1], "multiset": {"0": 1, "0": 4, "1": 0}}'),
+            ("group-file", '{"name": "D10ext", "degree": 5, "degree": 6, "generators": [],'
+                           ' "known_order": 1}'),
         ],
         ids=["key-999", "key-minus-1", "fractional-multiplicity", "degree-null",
              "degree-string", "top-level-list", "set-entry-null", "set-entry-fractional",
@@ -361,21 +400,32 @@ class TestErrorPaths:
              "cycle-point-bool", "cycles-mixed-with-images", "name-null", "pair-label-null",
              "two-point-label-int", "key-leading-zero",
              "key-plus-sign", "key-space", "key-underscore", "set-point-99",
-             "set-point-minus-1", "set-point-leading-zero"],
+             "set-point-minus-1", "set-point-leading-zero", "set-empty", "set-point-repeated",
+             "witness-point-repeated", "multiset-key-repeated", "group-key-repeated"],
     )
     def test_malformed_input_is_an_error_report(self, capsys, tmp_path, command, data):
-        path = tmp_path / "input.json"
-        path.write_text(json.dumps(data))
-        if command == "verify-witness":
-            argv = ["spreading", "verify-witness", "--group", "A5", "--witness", str(path)]
-        elif command == "ab-check":
-            argv = ["spreading", "ab-check", "--group", "A5", "--A", "A4", "--B", "V4", "--set", data]
-        else:
-            argv = ["group", "info", "--file", str(path)]
-        code, report = run_json(capsys, *argv)
+        code, report = run_json(capsys, *_malformed_argv(tmp_path, command, data))
         assert code == 2
         assert report["verdict"] == "error"
         assert report["certificate"]["error"] == "ValueError"
+
+    @pytest.mark.parametrize(
+        "command,data,message",
+        [
+            ("ab-check", "1,0,1", "repeated --set point 1"),
+            ("verify-witness", {"set": [0, 1, 0], "multiset": {"0": 1, "1": 4}},
+             "repeated witness 'set' point 0"),
+            ("verify-witness", '{"set": [0, 1], "multiset": {"0": 1, "0": 4, "1": 0}}',
+             "repeated JSON key '0'"),
+            ("group-file", '{"name": "D10ext", "degree": 5, "degree": 6, "generators": [],'
+                           ' "known_order": 1}', "repeated JSON key 'degree'"),
+        ],
+        ids=["set-point", "witness-point", "multiset-key", "group-key"],
+    )
+    def test_a_repeat_is_named(self, capsys, tmp_path, command, data, message):
+        code, report = run_json(capsys, *_malformed_argv(tmp_path, command, data))
+        assert code == 2
+        assert report["certificate"] == {"error": "ValueError", "message": message}
 
     @pytest.mark.parametrize("base", ["01", "+1", " 1", "1_0"], ids=["leading-zero", "plus-sign",
                                                                     "space", "underscore"])

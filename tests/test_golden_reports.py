@@ -7,8 +7,11 @@ lists on A5, PSL(2,7) and A7, the error reports of bad pairs on both pair
 paths, and the report of a usage error under --json.  tests/data/coset_representatives.json pins, for
 each base catalog group, a sha256 over the mappings of its automorphism coset
 representatives in order, so every route to Aut(T) must keep picking the same
-representatives.  After a change that is meant to alter a certificate or a
-representative, regenerate both files with
+representatives.  tests/data/enumeration.json pins, for each base catalog
+group, sha256 hashes of its table's element image tuples in index order, of its
+inverse list and of its generator indices, so no change to the table's walk
+moves an index.  After a change that is meant to alter a certificate, a
+representative or an index, regenerate the three files with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
@@ -28,6 +31,7 @@ from spreadcheck.cli import main
 
 DATA = Path(__file__).resolve().parent / "data" / "reports.json"
 REPS = DATA.with_name("coset_representatives.json")
+ENUMERATION = DATA.with_name("enumeration.json")
 BASE_GROUPS = [name for name in catalog.catalog_names() if not name.endswith("_3sets")]
 
 COMMANDS = [
@@ -65,12 +69,28 @@ def _run(command: str) -> dict:
     return {"command": command, "code": code, "report": report}
 
 
+def _sha256_lines(rows) -> str:
+    """sha256 over the rows, each written as one comma-separated line."""
+    digest = hashlib.sha256()
+    for row in rows:
+        digest.update((",".join(map(str, row)) + "\n").encode())
+    return digest.hexdigest()
+
+
 def _rep_hash(name: str) -> str:
     """sha256 over the coset representatives' mappings, one line each, in order."""
-    digest = hashlib.sha256()
-    for rep in catalog.load_automorphisms(name).coset_representatives:
-        digest.update((",".join(map(str, rep.mapping)) + "\n").encode())
-    return digest.hexdigest()
+    return _sha256_lines(rep.mapping for rep in catalog.load_automorphisms(name).coset_representatives)
+
+
+def _enumeration_hashes(name: str) -> dict:
+    """sha256 over the table's element images, its inverses and its generator
+    indices, each in index order."""
+    table = catalog.load_group_table(name)
+    return {
+        "elements": _sha256_lines(p.images for p in table.elements),
+        "inverse": _sha256_lines([table.inverse]),
+        "generator_indices": _sha256_lines([table.generator_indices]),
+    }
 
 
 def _stored() -> dict:
@@ -91,6 +111,11 @@ def test_coset_representatives_match_stored(name):
     assert _rep_hash(name) == json.loads(REPS.read_text(encoding="utf-8"))[name]
 
 
+@pytest.mark.parametrize("name", BASE_GROUPS)
+def test_enumeration_matches_stored(name):
+    assert _enumeration_hashes(name) == json.loads(ENUMERATION.read_text(encoding="utf-8"))[name]
+
+
 if __name__ == "__main__":
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps([_run(c) for c in COMMANDS], indent=1, sort_keys=True) + "\n",
@@ -99,3 +124,6 @@ if __name__ == "__main__":
     REPS.write_text(json.dumps({name: _rep_hash(name) for name in BASE_GROUPS}, indent=1)
                     + "\n", encoding="utf-8")
     print(f"wrote {len(BASE_GROUPS)} representative hashes to {REPS}")
+    ENUMERATION.write_text(json.dumps({name: _enumeration_hashes(name) for name in BASE_GROUPS},
+                                      indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(BASE_GROUPS)} enumeration hashes to {ENUMERATION}")

@@ -53,15 +53,15 @@ def cyc(degree, *cycles):
 
 
 def _a4_table():
-    return build_group_table([cyc(4, [0, 1, 2]), cyc(4, [1, 2, 3])], name="A4")
+    return build_group_table(PermutationGroup([cyc(4, [0, 1, 2]), cyc(4, [1, 2, 3])]), name="A4")
 
 
 def _c6_table():
-    return build_group_table([Permutation((1, 2, 3, 4, 5, 0))], name="C6")
+    return build_group_table(PermutationGroup([Permutation((1, 2, 3, 4, 5, 0))]), name="C6")
 
 
 def _s3_table():
-    return build_group_table([cyc(3, [0, 1, 2]), cyc(3, [0, 1])], name="S3")
+    return build_group_table(PermutationGroup([cyc(3, [0, 1, 2]), cyc(3, [0, 1])]), name="S3")
 
 
 class TestGroupTable:
@@ -160,12 +160,12 @@ class TestGroupTable:
         assert close_subgroup(t, [x, y]) == frozenset(range(60))
 
     def test_build_caps_and_order_check(self):
-        gens = [cyc(5, [0, 1, 2, 3, 4]), cyc(5, [0, 1, 2])]
+        a5 = PermutationGroup([cyc(5, [0, 1, 2, 3, 4]), cyc(5, [0, 1, 2])])
         with pytest.raises(CapExceeded):
-            build_group_table(gens, cap=30)
+            build_group_table(a5, cap=30)
         with pytest.raises(VerificationInconsistency):
-            build_group_table(gens, known_order=59)
-        assert len(build_group_table(gens, known_order=60)) == 60
+            build_group_table(a5, known_order=59)
+        assert len(build_group_table(a5, known_order=60)) == 60
 
 
 class TestSubgroupHelpers:
@@ -196,7 +196,7 @@ class TestSubgroupHelpers:
     def test_a_subgroup_passes_its_own_table_unchecked(self, monkeypatch):
         entry = catalog.load_entry("A7")
         stab3 = entry.subgroup("stab3")
-        twin = build_group_table(list(entry.generators), known_order=entry.known_order)
+        twin = build_group_table(PermutationGroup(entry.generators), known_order=entry.known_order)
         calls = {entry.table: 0, twin: 0}
         for t in calls:
             def counting(i, j, t=t, multiply=t.multiply):
@@ -316,7 +316,7 @@ class TestSubgroupHelpers:
 class TestAutomorphisms:
     def test_center(self):
         assert center(_s3_table()) == frozenset({0})
-        c3 = build_group_table([cyc(3, [0, 1, 2])], name="C3")
+        c3 = build_group_table(PermutationGroup([cyc(3, [0, 1, 2])]), name="C3")
         assert center(c3) == frozenset(range(3))
 
     def test_inner_automorphisms(self):
@@ -348,12 +348,12 @@ class TestAutomorphisms:
         assert autos._extend_images(t, gens[:1], gens[:1]) is None
 
     def test_search_requires_trivial_center(self):
-        c3 = build_group_table([cyc(3, [0, 1, 2])], name="C3")
+        c3 = build_group_table(PermutationGroup([cyc(3, [0, 1, 2])]), name="C3")
         with pytest.raises(ValueError):
             search_automorphism_group(c3)
 
     def test_supplied_route_requires_trivial_center(self):
-        c3 = build_group_table([cyc(3, [0, 1, 2])], name="C3")
+        c3 = build_group_table(PermutationGroup([cyc(3, [0, 1, 2])]), name="C3")
         with pytest.raises(ValueError):
             automorphism_group_from_supplied(c3, [])
 

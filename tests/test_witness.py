@@ -109,8 +109,8 @@ class TestVerifyWitness:
 
 def _c6_pair():
     """C6 on 6 points with A = {0, 2, 4} (the subgroup of order 3) and B = 1."""
-    t = build_group_table([Permutation((1, 2, 3, 4, 5, 0))], name="C6")
     group = PermutationGroup([Permutation((1, 2, 3, 4, 5, 0))], 6)
+    t = build_group_table(group, name="C6")
     return group, validate_subgroup(t, {0, 2, 4}), frozenset({0}), t.elements.__getitem__
 
 
@@ -145,7 +145,7 @@ class TestSubgroupPairBuilder:
 
     def test_structural_violations_raise(self):
         s4 = PermutationGroup([Permutation.from_cycles(4, [[0, 1, 2, 3]]), Permutation.from_cycles(4, [[0, 1]])], 4)
-        t4 = build_group_table(list(s4.generators), name="S4")
+        t4 = build_group_table(s4, name="S4")
         image = t4.elements.__getitem__
         s3 = validate_subgroup(t4, {i for i in range(24) if t4.elements[i](3) == 3})
         c2 = frozenset({0, t4.index[Permutation.from_cycles(4, [[0, 1]]).images]})
