@@ -20,7 +20,6 @@ from .chartab import (
     CharWitnessSpec,
     character_triple_check,
     character_triple_search,
-    class_mult_coefficient,
     class_orbit_partition,
     dixon_character_table,
     validate_character_witness,
@@ -72,7 +71,6 @@ __all__ = [
     "catalog_names",
     "character_triple_check",
     "character_triple_search",
-    "class_mult_coefficient",
     "class_orbit_partition",
     "compose",
     "cyclotomic_polynomial",

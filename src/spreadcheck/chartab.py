@@ -1,12 +1,15 @@
 """Exact character tables and the character-theoretic witness test.
 
 The table construction follows the classical modular approach: build the
-class-sum multiplication matrices, diagonalise them simultaneously over a
-prime field F_p whose multiplicative group contains all needed roots of
-unity, read off each character modulo p, then lift every entry to an exact
-cyclotomic integer through the root-of-unity correspondence.  The finished
-table is self-checked (orthogonality, degree sum) before it is returned, so
-downstream zero/equality tests never rest on an unverified computation.
+class-sum multiplication matrices with no product per element (class_of
+composed with the table's left multiplications along each class
+representative's BFS word, one C-level pass per letter), diagonalise them
+simultaneously over a prime field F_p whose multiplicative group contains
+all needed roots of unity, read off each character modulo p, then lift every
+entry to an exact cyclotomic integer through the root-of-unity
+correspondence.  The finished table is self-checked (orthogonality, degree
+sum) before it is returned, so downstream zero/equality tests never rest on
+an unverified computation.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from .autos import AutomorphismGroup
 from .cyclotomic import CyclotomicValue, render_value, zeta
 from .diagonal import DiagonalGroup
 from .errors import CapExceeded, VerificationInconsistency
+from .perm import compose_images
 from .tables import GroupTable
 from .witness import Multiset, Witness, verify_witness
 
@@ -26,33 +30,39 @@ DEFAULT_CLASS_CAP = 60
 
 # --- class algebra ---------------------------------------------------------
 
-def class_mult_coefficient(table: GroupTable, c1: int, c2: int, h: int) -> int:
-    """Number of pairs (x, y) with x in class c1, y in class c2, and xy = h."""
-    classes = table.conjugacy_classes()
-    count = 0
-    for x in classes[c1].members:
-        if table.class_of(table.multiply(table.inverse[x], h)) == c2:
-            count += 1
-    return count
-
-
 def _class_tensor(table: GroupTable) -> list[list[list[int]]]:
-    """a[i][j][l] = class_mult_coefficient(i, j, representative of l), all at once."""
+    """a[i][j][l], the number of x in class i with x^-1 r_l in class j, for r_l
+    the representative of class l.  x^-1 r_l is conjugate to r_l x^-1, so it
+    counts the y in the class i' inverse to i with r_l y in class j; each
+    class's segment of class_of(r_l y) is counted as bytes (at most 256
+    classes).  Checked: class 0 is the identity, a[0][j][l] = [j = l]; the
+    algebra commutes, a[i][j][l] = a[j][i][l]; and counting the triples
+    x y = z by x and z gives |C_l| a[i][j][l] = |C_j| a[i'][l][j]."""
     classes = table.conjugacy_classes()
     k = len(classes)
-    reps = [c.representative for c in classes]
+    lefts = {g: table.left_multiplication(g) for g in table.generator_indices}
+    class_of = bytes(map(table.class_of, range(len(table))))
+    inverse = [table.inverse_class(i) for i in range(k)]
     a = [[[0] * k for _ in range(k)] for _ in range(k)]
-    for i in range(k):
-        for x in classes[i].members:
-            xi = table.inverse[x]
-            for l in range(k):
-                a[i][table.class_of(table.multiply(xi, reps[l]))][l] += 1
-    for i in range(k):
-        for l in range(k):
-            if sum(a[i][j][l] for j in range(k)) != classes[i].size:
-                raise VerificationInconsistency(
-                    "class multiplication tensor row sum is off"
-                )
+    for l, cls in enumerate(classes):
+        word, x = [], cls.representative
+        while x:  # the BFS parent of x is its x g^-1 of smallest index
+            x, g = min((table.multiply(x, table.inverse[g]), g) for g in table.generator_indices)
+            word.append(g)
+        images = class_of
+        for g in reversed(word):
+            images = compose_images(lefts[g], images)
+        for i in range(k):
+            segment = bytes(compose_images(classes[inverse[i]].members, images))
+            for j in range(k):
+                a[i][j][l] = segment.count(j)
+    if any(a[0][j][l] != (j == l) for j in range(k) for l in range(k)):
+        raise VerificationInconsistency("class 0 is not the identity of the class algebra")
+    if any(a[i][j] != a[j][i] for i in range(k) for j in range(i)):
+        raise VerificationInconsistency("class multiplication tensor is not commutative")
+    if any(classes[l].size * a[i][j][l] != classes[j].size * a[inverse[i]][l][j]
+           for i in range(k) for j in range(k) for l in range(k)):
+        raise VerificationInconsistency("class multiplication tensor miscounts a class triple")
     return a
 
 
@@ -116,7 +126,6 @@ def _char_poly(mat: list[list[int]], p: int) -> list[int]:
 
 
 def _mat_mul(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
-    n = len(a)
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) % p for col in bt] for row in a]
 
@@ -245,16 +254,16 @@ class CharacterTable:
 def dixon_character_table(table: GroupTable, class_cap: int = DEFAULT_CLASS_CAP) -> CharacterTable:
     classes = table.conjugacy_classes()
     k = len(classes)
+    class_cap = min(class_cap, 256)  # _class_tensor counts class ids as bytes
     if k > class_cap:
         raise CapExceeded("conjugacy classes", class_cap)
     n = len(table.elements)
     sizes = [c.size for c in classes]
     p = dixon_prime(table.exponent(), n, k)
 
-    tensor = _class_tensor(table)
     # eigenvector coordinates follow the canonical class order; matrix i sends
-    # coordinate l to sum over j of a[i][j][l]
-    matrices = [[[tensor[i][j][l] % p for l in range(k)] for j in range(k)] for i in range(k)]
+    # coordinate l to sum over j of a[i][j][l], reduced mod p where it is used
+    matrices = _class_tensor(table)
 
     subspaces: list[list[list[int]]] = [
         [[1 if i == j else 0 for j in range(k)] for i in range(k)]
@@ -400,29 +409,6 @@ def column_orthogonality_holds(ct: CharacterTable) -> bool:
             expected = ct.centralizer_order(l1) if l1 == l2 else 0
             if s != expected:
                 return False
-    return True
-
-
-def class_algebra_consistent(
-    table: GroupTable, ct: CharacterTable, triples: list[tuple[int, int, int]]
-) -> bool:
-    """Cross-check table entries against brute-force pair counts.
-
-    For each (c1, c2, c3): the character-sum formula for the number of ways
-    to write a fixed c3-element as (c1-element)(c2-element) must match the
-    direct count.  Exact integer arithmetic throughout.
-    """
-    n = ct.group_order
-    classes = table.conjugacy_classes()
-    for c1, c2, c3 in triples:
-        s = CyclotomicValue.from_int(0)
-        for degree, row in zip(ct.degrees, ct.rows):
-            s = s + (n // degree) * row[c1] * row[c2] * row[c3].conjugate()
-        if not s.is_rational:
-            return False
-        brute = class_mult_coefficient(table, c1, c2, classes[c3].representative)
-        if s.as_int() * classes[c1].size * classes[c2].size != brute * n * n:
-            return False
     return True
 
 

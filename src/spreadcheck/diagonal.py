@@ -20,14 +20,15 @@ from .tables import GroupTable
 
 
 def right_translation(table: GroupTable, t: int) -> Permutation:
-    """The permutation x -> x t of element indices."""
-    return Permutation._unchecked(tuple(table.multiply(x, t) for x in range(len(table))))
+    """The permutation x -> x t of element indices: x t = (t^-1 x^-1)^-1, so it
+    is inversion, then left multiplication by t^-1, then inversion."""
+    left = table.left_multiplication(table.inverse[t])
+    return Permutation._unchecked(compose_images(compose_images(table.inverse, left), table.inverse))
 
 
 def left_translation(table: GroupTable, t: int) -> Permutation:
     """The permutation x -> t^-1 x of element indices."""
-    tinv = table.inverse[t]
-    return Permutation._unchecked(tuple(table.multiply(tinv, x) for x in range(len(table))))
+    return Permutation._unchecked(table.left_multiplication(table.inverse[t]))
 
 
 def inversion_map(table: GroupTable) -> Permutation:

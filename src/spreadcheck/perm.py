@@ -186,10 +186,10 @@ def parse_permutation(data, degree: int) -> Permutation:
 
 
 def parse_point(text: str, degree: int, what: str = "point") -> int:
-    """A point in canonical decimal ("01", "+1", " 1", "1_0" are refused) and
-    in 0..degree-1; anything else raises ValueError."""
-    point = int(text)
-    if str(point) != text:
+    """A point in canonical decimal ("01", "+1", " 1", "1_0", "a" and "" are
+    refused) and in 0..degree-1; anything else raises ValueError naming it."""
+    point = int(text) if text.isascii() and text.removeprefix("-").isdigit() else None
+    if point is None or str(point) != text:
         raise ValueError(f"{what} {text!r} is not a canonical integer")
     if not 0 <= point < degree:
         raise ValueError(f"{what} {text!r} outside 0..{degree - 1}")

@@ -4,7 +4,12 @@ A GroupTable is the one enumeration of a small group T: a BFS from the identity
 in generator order fills its elements and their index together, so index 0 is
 the identity and indices are reproducible.  A product composes two elements'
 permutations and looks the result up.  No |T| x |T| table is ever stored, which
-keeps groups up to a few hundred thousand elements workable.  The class walk
+keeps groups up to a few hundred thousand elements workable.  The one
+whole-table kernel is left_multiplication(t), the indices of t x for all x:
+one itemgetter over t's images maps every element's image tuple to t x in a
+single C-level pass, and map looks the results up.  It is computed on demand
+and never stored; the Dixon class matrices and the translations of the
+diagonal action are built on it, with no product per element.  The class walk
 records one conjugator per element, taking it to its class representative, and
 centralizers are closed from the walk's Schreier generators, not a scan of T.
 
@@ -24,6 +29,7 @@ normalizers, point and setwise stabilizers, and coset spaces.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import CapExceeded, InvalidSubgroup, VerificationInconsistency
@@ -78,6 +84,13 @@ class GroupTable:
 
     def multiply(self, i: int, j: int) -> int:
         return self.index[compose_images(self.elements[i].images, self.elements[j].images)]
+
+    def left_multiplication(self, t: int) -> tuple[int, ...]:
+        """The indices of t x for every x in index order (see the module notes)."""
+        images = self.elements[t].images
+        # itemgetter returns a bare item for one index: degree < 2 takes compose_images
+        times_t = itemgetter(*images) if len(images) >= 2 else lambda x: compose_images(images, x)
+        return tuple(map(self.index.__getitem__, map(times_t, (x.images for x in self.elements))))
 
     def conjugate(self, x: int, t: int) -> int:
         """Index of t^-1 x t."""
@@ -190,17 +203,19 @@ class GroupTable:
         found once.
 
         Uses the first two generators when they suffice; otherwise scans for the
-        first partner (by index) of the first generator.
+        first partner (by index) of the first generator.  T = 1 gets (0, 0).
         """
         if self._pair is None:
             self._pair = self._find_generating_pair()
         return self._pair
 
     def _find_generating_pair(self) -> tuple[int, int]:
+        if len(self.elements) == 1:
+            return 0, 0
         gens = self.generator_indices
         if len(gens) >= 2 and self._pair_generates(gens[0], gens[1]):
             return gens[0], gens[1]
-        g1 = gens[0] if gens else 0  # no generators: T = 1, and the scan finds no pair
+        g1 = gens[0]
         for g2 in range(1, len(self.elements)):
             if g2 != g1 and self._pair_generates(g1, g2):
                 return g1, g2

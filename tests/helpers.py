@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from spreadcheck.autos import Automorphism
+from spreadcheck.cyclotomic import CyclotomicValue
 from spreadcheck.perm import Permutation, PermutationGroup
 from spreadcheck.tables import coset_space
 from spreadcheck.witness import Refutation, Witness, image_weight
@@ -159,3 +160,34 @@ def inner_witness(table, aut):
             # agreeing on a generating pair forces agreement everywhere
             return t
     return None
+
+
+def class_mult_coefficient(table, c1, c2, h):
+    """Number of pairs (x, y) with x in class c1, y in class c2, and xy = h."""
+    classes = table.conjugacy_classes()
+    count = 0
+    for x in classes[c1].members:
+        if table.class_of(table.multiply(table.inverse[x], h)) == c2:
+            count += 1
+    return count
+
+
+def class_algebra_consistent(table, ct, triples):
+    """Cross-check character table entries against brute-force pair counts.
+
+    For each (c1, c2, c3): the character-sum formula for the number of ways
+    to write a fixed c3-element as (c1-element)(c2-element) must match the
+    direct count.  Exact integer arithmetic throughout.
+    """
+    n = ct.group_order
+    classes = table.conjugacy_classes()
+    for c1, c2, c3 in triples:
+        s = CyclotomicValue.from_int(0)
+        for degree, row in zip(ct.degrees, ct.rows):
+            s = s + (n // degree) * row[c1] * row[c2] * row[c3].conjugate()
+        if not s.is_rational:
+            return False
+        brute = class_mult_coefficient(table, c1, c2, classes[c3].representative)
+        if s.as_int() * classes[c1].size * classes[c2].size != brute * n * n:
+            return False
+    return True

@@ -4,6 +4,7 @@ import json
 import time
 
 from helpers import (
+    class_algebra_consistent,
     conjugate_subgroup,
     naive_orbit,
     recheck_refutation,
@@ -13,7 +14,6 @@ from helpers import (
 from spreadcheck import catalog
 from spreadcheck.chartab import (
     character_triple_search,
-    class_algebra_consistent,
     class_orbit_partition,
     column_orthogonality_holds,
     dixon_character_table,

@@ -6,15 +6,14 @@ from functools import lru_cache
 
 import pytest
 
-from helpers import recheck_witness
+from helpers import class_algebra_consistent, class_mult_coefficient, recheck_witness
 from spreadcheck import catalog
 from spreadcheck.chartab import (
     CharTripleRefutation,
     CharWitnessSpec,
+    _class_tensor,
     character_triple_check,
     character_triple_search,
-    class_algebra_consistent,
-    class_mult_coefficient,
     class_orbit_partition,
     column_orthogonality_holds,
     dixon_character_table,
@@ -24,7 +23,7 @@ from spreadcheck.chartab import (
 )
 from spreadcheck.cyclotomic import CyclotomicValue, zeta
 from spreadcheck.diagonal import build_diagonal_group
-from spreadcheck.errors import CapExceeded
+from spreadcheck.errors import CapExceeded, VerificationInconsistency
 from spreadcheck.perm import Permutation, PermutationGroup
 from spreadcheck.tables import build_group_table
 
@@ -182,6 +181,42 @@ class TestClassMultCoefficients:
                 for c3 in range(k):
                     vals = {class_mult_coefficient(t, c1, c2, h) for h in classes[c3].members}
                     assert len(vals) == 1
+
+
+class TestClassTensor:
+    @pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "A6"])
+    def test_tensor_matches_brute_force_count(self, name):
+        t = catalog.load_group_table(name)
+        classes = t.conjugacy_classes()
+        k = len(classes)
+        assert _class_tensor(t) == [
+            [[class_mult_coefficient(t, i, j, classes[l].representative) for l in range(k)]
+             for j in range(k)]
+            for i in range(k)
+        ]
+
+    @pytest.mark.parametrize(
+        "swap,message",
+        [((0, 1), "not the identity"), ((1, 3), "not commutative"), ((4, 42), "miscounts")],
+        ids=["identity", "commutative", "triple-count"],
+    )
+    def test_corrupted_left_multiplication_is_caught(self, swap, message):
+        """Two entries of every generator's left multiplication swapped; each
+        swap here breaks a different identity of the class algebra."""
+        t = build_group_table(catalog.load_entry("A5").group, name="A5")
+        honest = t.left_multiplication
+
+        def corrupted(g):
+            images = list(honest(g))
+            a, b = swap
+            images[a], images[b] = images[b], images[a]
+            return tuple(images)
+
+        t.left_multiplication = corrupted
+        with pytest.raises(VerificationInconsistency, match=message):
+            _class_tensor(t)
+        with pytest.raises(VerificationInconsistency, match=message):
+            dixon_character_table(t)
 
 
 class TestClassAlgebraConsistency:

@@ -314,23 +314,27 @@ class TestFileRoute:
 
     def test_generator_free_file_is_the_trivial_group(self, capsys, tmp_path):
         """"generators": [] and one identity generator give the same trivial
-        group; neither has a generating pair, so "group aut" is an error."""
-        reports = {}
-        for stem, generators in (("empty", []), ("identity", [[]])):
-            path = tmp_path / f"{stem}.json"
-            path.write_text(json.dumps({"name": "One", "degree": 3, "generators": generators,
-                                        "known_order": 1}))
-            for command in ("group classes", "chartab compute", "group aut"):
-                reports[stem, command] = run_json(capsys, *command.split(), "--file", str(path))
-        for command in ("group classes", "chartab compute"):
-            code, report = reports["empty", command]
-            assert code == 0
-            assert report["certificate"] == reports["identity", command][1]["certificate"]
-        assert reports["empty", "chartab compute"][1]["certificate"]["rows"] == [[1]]
-        for stem in ("empty", "identity"):
-            code, report = reports[stem, "group aut"]
-            assert code == 2
-            assert report["certificate"]["error"] == "ValueError"
+        group, on one point (the kernel's plain-tuple path) or on three.  Its
+        generating pair is (0, 0), so "group aut" finds Aut(1) = 1 and
+        "char-search" searches and finds no triple."""
+        commands = ("group classes", "chartab compute", "group aut", "spreading char-search")
+        for degree in (1, 3):
+            reports = {}
+            for stem, generators in (("empty", []), ("identity", [[]])):
+                path = tmp_path / f"{stem}{degree}.json"
+                path.write_text(json.dumps({"name": "One", "degree": degree, "generators": generators,
+                                            "known_order": 1}))
+                for command in commands:
+                    reports[stem, command] = run_json(capsys, *command.split(), "--file", str(path))
+            for command in commands:
+                code, report = reports["empty", command]
+                assert code == (1 if command == "spreading char-search" else 0)
+                assert report["certificate"] == reports["identity", command][1]["certificate"]
+            assert reports["empty", "chartab compute"][1]["certificate"]["rows"] == [[1]]
+            assert reports["empty", "group aut"][1]["certificate"] == {
+                "group": "One", "order": 1, "inner_order": 1, "outer_order": 1}
+            assert reports["empty", "spreading char-search"][1]["certificate"] == {
+                "group": "One", "count": 0, "triples": []}
 
 
 class TestErrorPaths:
@@ -392,6 +396,8 @@ class TestErrorPaths:
             ("verify-witness", '{"set": [0, 1], "multiset": {"0": 1, "0": 4, "1": 0}}'),
             ("group-file", '{"name": "D10ext", "degree": 5, "degree": 6, "generators": [],'
                            ' "known_order": 1}'),
+            ("ab-check", "a,1"),
+            ("verify-witness", {"set": [0, 1], "multiset": {"x": 1, "0": 3}}),
         ],
         ids=["key-999", "key-minus-1", "fractional-multiplicity", "degree-null",
              "degree-string", "top-level-list", "set-entry-null", "set-entry-fractional",
@@ -401,7 +407,8 @@ class TestErrorPaths:
              "two-point-label-int", "key-leading-zero",
              "key-plus-sign", "key-space", "key-underscore", "set-point-99",
              "set-point-minus-1", "set-point-leading-zero", "set-empty", "set-point-repeated",
-             "witness-point-repeated", "multiset-key-repeated", "group-key-repeated"],
+             "witness-point-repeated", "multiset-key-repeated", "group-key-repeated",
+             "set-point-letter", "key-letter"],
     )
     def test_malformed_input_is_an_error_report(self, capsys, tmp_path, command, data):
         code, report = run_json(capsys, *_malformed_argv(tmp_path, command, data))
@@ -423,6 +430,22 @@ class TestErrorPaths:
         ids=["set-point", "witness-point", "multiset-key", "group-key"],
     )
     def test_a_repeat_is_named(self, capsys, tmp_path, command, data, message):
+        code, report = run_json(capsys, *_malformed_argv(tmp_path, command, data))
+        assert code == 2
+        assert report["certificate"] == {"error": "ValueError", "message": message}
+
+    @pytest.mark.parametrize(
+        "command,data,message",
+        [
+            ("ab-check", "a,1", "--set point 'a' is not a canonical integer"),
+            ("ab-check", "", "--set point '' is not a canonical integer"),
+            ("ab-check", "01,1", "--set point '01' is not a canonical integer"),
+            ("verify-witness", {"set": [0, 1], "multiset": {"x": 1, "0": 3}},
+             "multiset point 'x' is not a canonical integer"),
+        ],
+        ids=["set-point-letter", "set-empty", "set-point-leading-zero", "multiset-key-letter"],
+    )
+    def test_a_non_integer_point_is_named(self, capsys, tmp_path, command, data, message):
         code, report = run_json(capsys, *_malformed_argv(tmp_path, command, data))
         assert code == 2
         assert report["certificate"] == {"error": "ValueError", "message": message}

@@ -10,8 +10,11 @@ representatives in order, so every route to Aut(T) must keep picking the same
 representatives.  tests/data/enumeration.json pins, for each base catalog
 group, sha256 hashes of its table's element image tuples in index order, of its
 inverse list and of its generator indices, so no change to the table's walk
-moves an index.  After a change that is meant to alter a certificate, a
-representative or an index, regenerate the three files with
+moves an index.  tests/data/character_tables.json pins, for each base catalog
+group, a sha256 over its Dixon character table's --json form (ct.to_json()
+with sorted keys), so no change to the class algebra moves a character value.
+After a change that is meant to alter a certificate, a representative, an
+index or a character table, regenerate the four files with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
@@ -27,11 +30,13 @@ from pathlib import Path
 import pytest
 
 from spreadcheck import catalog
+from spreadcheck.chartab import dixon_character_table
 from spreadcheck.cli import main
 
 DATA = Path(__file__).resolve().parent / "data" / "reports.json"
 REPS = DATA.with_name("coset_representatives.json")
 ENUMERATION = DATA.with_name("enumeration.json")
+CHARACTER_TABLES = DATA.with_name("character_tables.json")
 BASE_GROUPS = [name for name in catalog.catalog_names() if not name.endswith("_3sets")]
 
 COMMANDS = [
@@ -93,6 +98,12 @@ def _enumeration_hashes(name: str) -> dict:
     }
 
 
+def _character_table_hash(name: str) -> str:
+    """sha256 over the group's Dixon character table as sorted-key JSON."""
+    ct = dixon_character_table(catalog.load_group_table(name))
+    return hashlib.sha256(json.dumps(ct.to_json(), sort_keys=True).encode()).hexdigest()
+
+
 def _stored() -> dict:
     return {case["command"]: case for case in json.loads(DATA.read_text(encoding="utf-8"))}
 
@@ -116,6 +127,11 @@ def test_enumeration_matches_stored(name):
     assert _enumeration_hashes(name) == json.loads(ENUMERATION.read_text(encoding="utf-8"))[name]
 
 
+@pytest.mark.parametrize("name", BASE_GROUPS)
+def test_character_table_matches_stored(name):
+    assert _character_table_hash(name) == json.loads(CHARACTER_TABLES.read_text(encoding="utf-8"))[name]
+
+
 if __name__ == "__main__":
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps([_run(c) for c in COMMANDS], indent=1, sort_keys=True) + "\n",
@@ -127,3 +143,6 @@ if __name__ == "__main__":
     ENUMERATION.write_text(json.dumps({name: _enumeration_hashes(name) for name in BASE_GROUPS},
                                       indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(BASE_GROUPS)} enumeration hashes to {ENUMERATION}")
+    CHARACTER_TABLES.write_text(json.dumps({name: _character_table_hash(name) for name in BASE_GROUPS},
+                                           indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(BASE_GROUPS)} character table hashes to {CHARACTER_TABLES}")

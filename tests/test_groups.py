@@ -463,6 +463,16 @@ def test_automorphism_orders(name):
 
 
 class TestDiagonalAction:
+    @pytest.mark.parametrize("name", ["A5", "PSL(2,7)"])
+    def test_translations_match_multiply(self, name):
+        t = catalog.load_group_table(name)
+        n = len(t)
+        for s in random.Random(5).sample(range(n), 6):
+            assert t.left_multiplication(s) == tuple(t.multiply(s, x) for x in range(n))
+            assert right_translation(t, s).images == tuple(t.multiply(x, s) for x in range(n))
+            assert left_translation(t, s).images == tuple(
+                t.multiply(t.inverse[s], x) for x in range(n))
+
     def test_translation_identities(self):
         t = catalog.load_group_table("A5")
         rng = random.Random(3)
