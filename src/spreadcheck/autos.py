@@ -18,6 +18,8 @@ supplied automorphism; diag(T) uses the same closure, with a flag for
 inversion, to count its point stabiliser modulo Inn.  The search tries x
 among class representatives only, skips marked pairs, and pre-filters by
 element order, class size and the orders of a few fixed words in the pair.
+Cayley walks read x g from arrays R_g made once per route, and the image side
+stays one product per edge, so a failing candidate stops at its first edge.
 """
 
 from __future__ import annotations
@@ -66,11 +68,10 @@ def center(table: GroupTable) -> frozenset[int]:
     return frozenset(c.representative for c in table.conjugacy_classes() if c.size == 1)
 
 
-def _extend_images(table: GroupTable, gens: Sequence[int], images: Sequence[int]) -> Automorphism | None:
-    """The automorphism sending gens[k] to images[k], or None if there is none.
-
-    One walk of the Cayley graph of gens from the identity: a new vertex x g
-    takes the image phi(x) phi(g), and every other edge must satisfy
+def _extend_images(table: GroupTable, rights: Sequence, images: Sequence[int]) -> Automorphism | None:
+    """The automorphism sending the g_k with rights[k] = R_(g_k) to images[k],
+    or None.  One Cayley walk from the identity: a new vertex x g, read from
+    the array, takes the image phi(x) phi(g), and every other edge must satisfy
     phi(x g) = phi(x) phi(g), so the walk stops at the first edge that fails.
     A map that passes every edge and reaches every element is a homomorphism
     of T, and an automorphism exactly when it is bijective.
@@ -82,8 +83,8 @@ def _extend_images(table: GroupTable, gens: Sequence[int], images: Sequence[int]
     order = [0]
     for x in order:  # grows while it is walked
         mx = mapping[x]
-        for g, mg in zip(gens, images):
-            y, my = multiply(x, g), multiply(mx, mg)
+        for right, mg in zip(rights, images):
+            y, my = right[x], multiply(mx, mg)
             if mapping[y] < 0:
                 mapping[y] = my
                 order.append(y)
@@ -99,19 +100,23 @@ def automorphism_from_generator_images(table: GroupTable, images: Sequence[int])
     gens = table.generator_indices
     if len(images) != len(gens):
         raise ValueError(f"need {len(gens)} generator images, got {len(images)}")
-    aut = _extend_images(table, gens, images)
+    aut = _extend_images(table, [table.right_multiplication(g) for g in gens], images)
     if aut is None:
         raise ValueError("generator images do not define an automorphism")
     return aut
 
 
 def as_automorphism(table: GroupTable, mapping: tuple[int, ...]) -> Automorphism | None:
-    """The map of element indices as an Automorphism, or None if it is none:
-    the automorphism that agrees with it on the table generators, if there is
-    one, must be the map itself."""
-    gens = table.generator_indices
-    aut = _extend_images(table, gens, [mapping[g] for g in gens])
-    return aut if aut is not None and aut.mapping == mapping else None
+    """The map sigma of element indices as an Automorphism, or None: a bijection
+    with sigma R_g = R_sigma(g) sigma, i.e. sigma(x g) = sigma(x) sigma(g), for
+    each table generator g, compared as whole arrays."""
+    right = table.right_multiplication
+    if sorted(mapping) == list(range(len(table))) and all(
+        compose_images(right(g), mapping) == compose_images(mapping, right(mapping[g]))
+        for g in table.generator_indices
+    ):
+        return Automorphism(table, tuple(mapping))
+    return None
 
 
 @dataclass(frozen=True)
@@ -226,11 +231,12 @@ def search_automorphism_group(table: GroupTable) -> AutomorphismGroup:
     target = fingerprint(a, b)
     x_candidates = [c.representative for c in classes if profile(c.representative) == prof_a]
     y_candidates = [m for c in classes if profile(c.representative) == prof_b for m in c.members]
+    rights = (table.right_multiplication(a), table.right_multiplication(b))
     for x in x_candidates:
         for y in y_candidates:
             if (x, y) in cosets.marked or fingerprint(x, y) != target:
                 continue
-            aut = _extend_images(table, (a, b), (x, y))
+            aut = _extend_images(table, rights, (x, y))
             if aut is not None:
                 cosets.add(aut)
     return AutomorphismGroup(table, tuple(cosets.reps))

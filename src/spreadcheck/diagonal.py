@@ -20,10 +20,8 @@ from .tables import GroupTable
 
 
 def right_translation(table: GroupTable, t: int) -> Permutation:
-    """The permutation x -> x t of element indices: x t = (t^-1 x^-1)^-1, so it
-    is inversion, then left multiplication by t^-1, then inversion."""
-    left = table.left_multiplication(table.inverse[t])
-    return Permutation._unchecked(compose_images(compose_images(table.inverse, left), table.inverse))
+    """The permutation x -> x t of element indices: the table's kernel R_t."""
+    return Permutation._unchecked(table.right_multiplication(t))
 
 
 def left_translation(table: GroupTable, t: int) -> Permutation:
@@ -58,8 +56,10 @@ def build_diagonal_group(table: GroupTable, auts: AutomorphismGroup) -> Diagonal
     Generator order is fixed: right translations by T's generators, then left
     translations, then one permutation per nontrivial automorphism coset, then
     inversion.  Inner automorphisms are omitted; they are products of matching
-    left and right translations.
+    left and right translations.  T = 1 is refused: the formula needs T > 1.
     """
+    if len(table) == 1:
+        raise ValueError("the diagonal group diag(T) needs a nontrivial group T")
     gens: list[Permutation] = []
     for t in table.generator_indices:
         gens.append(right_translation(table, t))
@@ -115,7 +115,7 @@ def diagonal_order(table: GroupTable, group: PermutationGroup) -> int:
     for k, s in enumerate(group.generators):
         w = s(0)
         w_inv = table.inverse[w]
-        sigma = compose_images(s.images, right_translation(table, w_inv).images)
+        sigma = compose_images(s.images, table.right_multiplication(w_inv))
         if sigma == identity:
             right.append(s)
             continue

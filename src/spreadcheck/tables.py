@@ -4,13 +4,13 @@ A GroupTable is the one enumeration of a small group T: a BFS from the identity
 in generator order fills its elements and their index together, so index 0 is
 the identity and indices are reproducible.  A product composes two elements'
 permutations and looks the result up.  No |T| x |T| table is ever stored, which
-keeps groups up to a few hundred thousand elements workable.  The one
-whole-table kernel is left_multiplication(t), the indices of t x for all x:
-one itemgetter over t's images maps every element's image tuple to t x in a
-single C-level pass, and map looks the results up.  It is computed on demand
-and never stored; the Dixon class matrices and the translations of the
-diagonal action are built on it, with no product per element.  The class walk
-records one conjugator per element, taking it to its class representative, and
+keeps groups up to a few hundred thousand elements workable.  Two whole-table
+kernels, made on demand and never stored, are left_multiplication(t), the
+indices of t x for all x (one itemgetter over t's images in a C-level pass,
+then map looks them up), and right_multiplication(t), x t as inverse, L_(t^-1),
+inverse.  Class matrices, diagonal translations, automorphisms and the class
+walk's conjugation arrays are built on them, with no product per element.  The
+walk records one conjugator per element, taking it to its class representative;
 centralizers are closed from the walk's Schreier generators, not a scan of T.
 
 Subgroups are Subgroup values: frozensets of element indices that also hold
@@ -92,6 +92,11 @@ class GroupTable:
         times_t = itemgetter(*images) if len(images) >= 2 else lambda x: compose_images(images, x)
         return tuple(map(self.index.__getitem__, map(times_t, (x.images for x in self.elements))))
 
+    def right_multiplication(self, t: int) -> tuple[int, ...]:
+        """The indices of x t for every x in index order: x t = (t^-1 x^-1)^-1."""
+        left = self.left_multiplication(self.inverse[t])
+        return compose_images(compose_images(self.inverse, left), self.inverse)
+
     def conjugate(self, x: int, t: int) -> int:
         """Index of t^-1 x t."""
         return self.multiply(self.multiply(self.inverse[t], x), t)
@@ -136,24 +141,23 @@ class GroupTable:
         return self._to_rep[y]
 
     def _compute_classes(self) -> None:
-        """Walk each class from its smallest member by generator conjugation;
-        y = x^g with x^u = start has y^(g^-1 u) = start, one product per y."""
+        """Walk each class from its smallest member by generator conjugation:
+        y = x^g = R_g[L[x]], L = L_(g^-1), has y^L[u] = start if x^u = start."""
         n = len(self.elements)
         to_rep = [-1] * n
         raw: list[list[int]] = []
+        rights = map(self.right_multiplication, self.generator_indices)
+        steps = [(compose_images(compose_images(self.inverse, r), self.inverse), r) for r in rights]
         for start in range(n):
             if to_rep[start] >= 0:
                 continue
             members = [start]
             to_rep[start] = 0
-            i = 0
-            while i < len(members):
-                x = members[i]
-                i += 1
-                for g in self.generator_indices:
-                    y = self.conjugate(x, g)
+            for x in members:  # grows while it is walked
+                for left, right in steps:
+                    y = right[left[x]]
                     if to_rep[y] < 0:
-                        to_rep[y] = self.multiply(self.inverse[g], to_rep[x])
+                        to_rep[y] = left[to_rep[x]]
                         members.append(y)
             raw.append(sorted(members))
         self._to_rep = to_rep

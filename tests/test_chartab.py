@@ -202,8 +202,11 @@ class TestClassTensor:
     )
     def test_corrupted_left_multiplication_is_caught(self, swap, message):
         """Two entries of every generator's left multiplication swapped; each
-        swap here breaks a different identity of the class algebra."""
+        swap here breaks a different identity of the class algebra.  The
+        classes are built first, from the honest kernel, so only the tensor's
+        input is corrupted."""
         t = build_group_table(catalog.load_entry("A5").group, name="A5")
+        t.conjugacy_classes()
         honest = t.left_multiplication
 
         def corrupted(g):

@@ -336,6 +336,24 @@ class TestFileRoute:
             assert reports["empty", "spreading char-search"][1]["certificate"] == {
                 "group": "One", "count": 0, "triples": []}
 
+    def test_diagonal_commands_refuse_the_trivial_group(self, capsys, tmp_path):
+        """diag(T) needs T > 1: verify-witness --diagonal is a usage error
+        from build_diagonal_group, and diagonal-witness finds no proper pair
+        B < A < T before it builds diag(T)."""
+        group = tmp_path / "one.json"
+        group.write_text(json.dumps({"name": "One", "degree": 1, "generators": [], "known_order": 1}))
+        witness = tmp_path / "w.json"
+        witness.write_text(json.dumps({"set": [0], "multiset": {"0": 1}}))
+        code, report = run_json(capsys, "spreading", "verify-witness", "--diagonal", "--file", str(group),
+                                "--witness", str(witness))
+        assert (code, report["verdict"]) == (2, "error")
+        assert report["certificate"]["error"] == "ValueError"
+        assert "nontrivial" in report["certificate"]["message"]
+        code, report = run_json(capsys, "spreading", "diagonal-witness", "--file", str(group),
+                                "--A", "1", "--B", "1")
+        assert (code, report["verdict"]) == (2, "error")
+        assert report["certificate"]["error"] == "InvalidSubgroup"
+
 
 class TestErrorPaths:
     def test_unknown_group(self, capsys):

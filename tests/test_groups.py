@@ -14,6 +14,7 @@ from helpers import (
 )
 from spreadcheck import autos, catalog
 from spreadcheck.autos import (
+    as_automorphism,
     automorphism_from_generator_images,
     automorphism_group_from_supplied,
     center,
@@ -344,8 +345,9 @@ class TestAutomorphisms:
             automorphism_from_generator_images(t, [0, 0])  # a homomorphism, not bijective
         # no homomorphism sends both generators to one element of order > 1, so
         # an edge fails; one generator's walk misses most of T
-        assert autos._extend_images(t, gens, [gens[0], gens[0]]) is None
-        assert autos._extend_images(t, gens[:1], gens[:1]) is None
+        rights = [t.right_multiplication(g) for g in gens]
+        assert autos._extend_images(t, rights, [gens[0], gens[0]]) is None
+        assert autos._extend_images(t, rights[:1], gens[:1]) is None
 
     def test_search_requires_trivial_center(self):
         c3 = build_group_table(PermutationGroup([cyc(3, [0, 1, 2])]), name="C3")
@@ -366,27 +368,48 @@ class TestAutomorphisms:
             with pytest.raises(CapExceeded):
                 entry.automorphisms
 
-    @pytest.mark.parametrize("name,bound", [("A8", 8), ("PSL(2,13)", 11), ("M11", 5)])
+    @pytest.mark.parametrize("name,bound", [("A8", 3), ("PSL(2,13)", 5), ("M11", 3)])
     def test_loading_automorphisms_scans_t_only_to_extend_images(self, monkeypatch, name, bound):
         """Once the classes are built, the supplied route (A8) and the search
         (PSL(2,13), M11) stay within bound*|T| products: the coset bookkeeping
         stores nothing of size |T| and finds centralizers from the class walk,
-        and a search candidate that is no automorphism (10 of M11's 11) stops
-        at the first edge of the Cayley graph that it fails."""
+        the Cayley walk reads x g from right multiplication arrays, and a
+        search candidate that is no automorphism (10 of M11's 11) stops at the
+        first edge of the Cayley graph that it fails."""
         entry = catalog.load_entry.__wrapped__(name)
         t = entry.table
         t.conjugacy_classes()
-        calls = 0
-        multiply = t.multiply
-
-        def counting(i, j):
-            nonlocal calls
-            calls += 1
-            return multiply(i, j)
-
-        monkeypatch.setattr(t, "multiply", counting)
+        counter = _count_products(monkeypatch, t)
         assert entry.automorphisms.order == AUT_ORDERS[name][0]
-        assert calls <= bound * len(t)
+        assert counter["calls"] <= bound * len(t)
+
+    @pytest.mark.parametrize("name", ["A7", "A8"])
+    def test_class_walk_makes_no_product(self, monkeypatch, name):
+        """The class walk reads conjugation arrays built from the kernels."""
+        t = catalog.load_entry.__wrapped__(name).table
+        counter = _count_products(monkeypatch, t)
+        assert len(t.conjugacy_classes()) == {"A7": 9, "A8": 14}[name]
+        assert counter["calls"] == 0
+
+    @pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "M11"])
+    def test_as_automorphism_accepts_automorphisms(self, name):
+        t, auts = catalog.load_group_table(name), catalog.load_automorphisms(name)
+        for rep in auts.coset_representatives:
+            assert as_automorphism(t, rep.mapping) == rep
+        inner = inner_automorphism(t, len(t) // 2)
+        assert as_automorphism(t, inner.mapping) == inner
+
+    @pytest.mark.parametrize("name", ["A5", "PSL(2,7)"])
+    def test_as_automorphism_rejects_non_automorphisms(self, name):
+        t = catalog.load_group_table(name)
+        swapped = list(range(len(t)))
+        swapped[3], swapped[7] = swapped[7], swapped[3]
+        assert as_automorphism(t, tuple(swapped)) is None
+        # inversion is a bijective anti-automorphism of a nonabelian T: only
+        # the commuting check with the right multiplications can reject it
+        assert sorted(t.inverse) == list(range(len(t)))
+        assert as_automorphism(t, tuple(t.inverse)) is None
+        assert as_automorphism(t, tuple(range(len(t) - 1))) is None
 
     def test_class_walk_conjugators_and_centralizers(self):
         for name in ("A5", "PSL(2,7)", "A7"):
@@ -438,6 +461,19 @@ class TestAutomorphisms:
             ) == 1
 
 
+def _count_products(monkeypatch, table):
+    """Count the table's multiply calls from now on, in counter["calls"]."""
+    counter = {"calls": 0}
+    multiply = table.multiply
+
+    def counting(i, j):
+        counter["calls"] += 1
+        return multiply(i, j)
+
+    monkeypatch.setattr(table, "multiply", counting)
+    return counter
+
+
 AUT_ORDERS = {
     "A5": (120, 2),
     "A6": (1440, 4),
@@ -469,9 +505,18 @@ class TestDiagonalAction:
         n = len(t)
         for s in random.Random(5).sample(range(n), 6):
             assert t.left_multiplication(s) == tuple(t.multiply(s, x) for x in range(n))
+            assert t.right_multiplication(s) == tuple(t.multiply(x, s) for x in range(n))
             assert right_translation(t, s).images == tuple(t.multiply(x, s) for x in range(n))
             assert left_translation(t, s).images == tuple(
                 t.multiply(t.inverse[s], x) for x in range(n))
+
+    @pytest.mark.parametrize("degree", [1, 3])
+    def test_kernels_on_the_trivial_table(self, degree):
+        """|T| = 1 takes compose_images's plain-tuple path in both kernels."""
+        t = build_group_table(PermutationGroup([], degree))
+        assert len(t) == 1
+        assert t.left_multiplication(0) == t.right_multiplication(0) == (0,)
+        assert right_translation(t, 0).images == (0,)
 
     def test_translation_identities(self):
         t = catalog.load_group_table("A5")
