@@ -106,14 +106,14 @@ def automorphism_from_generator_images(table: GroupTable, images: Sequence[int])
     return aut
 
 
-def as_automorphism(table: GroupTable, mapping: tuple[int, ...]) -> Automorphism | None:
+def as_automorphism(table: GroupTable, rights: Sequence, mapping: tuple[int, ...]) -> Automorphism | None:
     """The map sigma of element indices as an Automorphism, or None: a bijection
     with sigma R_g = R_sigma(g) sigma, i.e. sigma(x g) = sigma(x) sigma(g), for
-    each table generator g, compared as whole arrays."""
+    each table generator g_k, compared as whole arrays with R_(g_k) = rights[k]."""
     right = table.right_multiplication
     if sorted(mapping) == list(range(len(table))) and all(
-        compose_images(right(g), mapping) == compose_images(mapping, right(mapping[g]))
-        for g in table.generator_indices
+        compose_images(r, mapping) == compose_images(mapping, right(mapping[g]))
+        for g, r in zip(table.generator_indices, rights)
     ):
         return Automorphism(table, tuple(mapping))
     return None

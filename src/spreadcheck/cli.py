@@ -9,6 +9,7 @@ identical inputs are identical byte for byte apart from the timing field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -133,6 +134,13 @@ def decimal(text: str) -> int:
     if str(int(text)) != text:
         raise ValueError(text)
     return int(text)
+
+
+def nonnegative(text: str) -> int:
+    """A canonical decimal that is not negative; argparse exits 2 on "-1" too."""
+    if text.startswith("-"):
+        raise ValueError(text)
+    return decimal(text)
 
 
 def _cap_kw(args) -> dict:
@@ -343,11 +351,12 @@ def _leaf(sub, name: str, path: str, handler, cap=False):
     _add_group_source(p)
     p.add_argument("--json", action="store_true", help="machine-readable report")
     if cap:
-        p.add_argument("--cap", type=int, default=None, help="set-orbit enumeration cap")
+        p.add_argument("--cap", type=nonnegative, default=None, help="set-orbit enumeration cap")
     p.set_defaults(handler=handler, command_path=path, cap=None)
     return p
 
 
+@functools.cache  # parsing leaves the tree unchanged, so one serves every call
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="spreadcheck")
     sections = parser.add_subparsers(dest="section", required=True)

@@ -109,6 +109,7 @@ def diagonal_order(table: GroupTable, group: PermutationGroup) -> int:
     """
     n = len(table)
     identity = tuple(range(n))
+    rights = [table.right_multiplication(g) for g in table.generator_indices]
     right: list[Permutation] = []
     left: list[Permutation] = []
     parts = []
@@ -119,14 +120,14 @@ def diagonal_order(table: GroupTable, group: PermutationGroup) -> int:
         if sigma == identity:
             right.append(s)
             continue
-        phi = as_automorphism(table, sigma)
+        phi = as_automorphism(table, rights, sigma)
         if phi is not None:
             if all(sigma[g] == table.conjugate(g, w_inv) for g in table.generator_indices):
                 left.append(s)
             else:
                 parts.append((phi, 0))
             continue
-        phi = as_automorphism(table, compose_images(sigma, table.inverse))
+        phi = as_automorphism(table, rights, compose_images(sigma, table.inverse))
         if phi is None:
             raise VerificationInconsistency(
                 f"diagonal generator {k} is no translation times an automorphism or its inversion"

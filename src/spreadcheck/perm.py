@@ -8,6 +8,8 @@ A PermutationGroup keeps its generators and gives Schreier-Sims order and
 membership, point orbits and set orbits; it enumerates no elements (a GroupTable
 does).  Chain base points are the smallest moved points, and transversals and
 orbits are filled by BFS in generator order, so all of it is reproducible.
+Cycles, point and set orbits, the point stabilizer, and the class walk and
+normalizers of tables all take one breadth-first walk with a transversal, ``orbit_walk``.
 
 Every composition of image tuples goes through one kernel, ``compose_images``,
 which does the per-point lookups in C through ``operator.itemgetter``.  The
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 from operator import itemgetter
-from typing import Collection, Iterable, Sequence
+from typing import Callable, Collection, Hashable, Iterable, Sequence
 
 from .errors import CapExceeded
 
@@ -100,21 +102,15 @@ class Permutation:
         return [i for i, img in enumerate(self.images) if i != img]
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
-        """Disjoint cycle decomposition, each cycle led by its smallest point."""
+        """Disjoint cycle decomposition, each cycle (an orbit of <self>) led by its smallest point."""
         seen: set[int] = set()
         out: list[tuple[int, ...]] = []
         for start in range(len(self.images)):
-            if start in seen:
-                continue
-            cycle = [start]
-            seen.add(start)
-            pt = self.images[start]
-            while pt != start:
-                cycle.append(pt)
-                seen.add(pt)
-                pt = self.images[pt]
-            if len(cycle) > 1 or include_fixed:
-                out.append(tuple(cycle))
+            if start not in seen:
+                cycle = tuple(orbit_walk(start, [(self.images.__getitem__, _unchanged)], start))
+                seen.update(cycle)
+                if len(cycle) > 1 or include_fixed:
+                    out.append(cycle)
         return out
 
     def order(self) -> int:
@@ -194,6 +190,30 @@ def parse_point(text: str, degree: int, what: str = "point") -> int:
     if not 0 <= point < degree:
         raise ValueError(f"{what} {text!r} outside 0..{degree - 1}")
     return point
+
+
+def orbit_walk(start: Hashable, steps: Sequence[tuple[Callable, Callable]], u, cap: float = math.inf,
+               what: str = "orbit") -> dict:
+    """The orbit of start, walked breadth first in step order, as a dict from
+    each point, in the order found, to its transversal element: start gets u,
+    and a point first reached as act(x) by a step (act, carry) gets carry(u_x).
+    Finding more than cap points raises CapExceeded(what, cap)."""
+    walk = {start: u}
+    points = [start]
+    for x in points:  # grows while it is walked
+        ux = walk[x]
+        for act, carry in steps:
+            y = act(x)
+            if y not in walk:
+                if len(points) >= cap:
+                    raise CapExceeded(what, cap)
+                walk[y] = carry(ux)
+                points.append(y)
+    return walk
+
+
+def _unchanged(u):  # the carry of a walk that keeps no transversal
+    return u
 
 
 # --- stabilizer chain ------------------------------------------------------
@@ -353,18 +373,8 @@ class PermutationGroup:
     def orbit(self, point: int) -> set[int]:
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} out of range for degree {self.degree}")
-        queue = [point]
-        seen = {point}
-        i = 0
-        while i < len(queue):
-            beta = queue[i]
-            i += 1
-            for g in self.generators:
-                gamma = g(beta)
-                if gamma not in seen:
-                    seen.add(gamma)
-                    queue.append(gamma)
-        return seen
+        steps = [(g.images.__getitem__, _unchanged) for g in self.generators]
+        return set(orbit_walk(point, steps, point))
 
     def orbits(self) -> list[set[int]]:
         """Orbit partition of the whole domain, ordered by smallest point."""
@@ -379,35 +389,17 @@ class PermutationGroup:
     def is_transitive(self) -> bool:
         return self.degree > 0 and len(self.orbit(0)) == self.degree
 
-    def orbit_with_transversal(self, point: int) -> dict[int, Permutation]:
-        """Maps each orbit point beta to some u in the group with point^u = beta."""
-        trans = {point: Permutation.identity(self.degree)}
-        queue = [point]
-        i = 0
-        while i < len(queue):
-            beta = queue[i]
-            i += 1
-            u = trans[beta]
-            for g in self.generators:
-                gamma = g(beta)
-                if gamma not in trans:
-                    trans[gamma] = u * g
-                    queue.append(gamma)
-        return trans
-
     def stabilizer(self, point: int) -> "PermutationGroup":
         """Point stabilizer, generated by the Schreier generators of the orbit."""
-        trans = self.orbit_with_transversal(point)
-        gens: list[Permutation] = []
-        seen: set[tuple[int, ...]] = set()
+        steps = [(g.images.__getitem__, lambda u, g=g: u * g) for g in self.generators]
+        trans = orbit_walk(point, steps, Permutation.identity(self.degree))
+        gens: dict[tuple[int, ...], Permutation] = {}
         for beta in sorted(trans):
-            u = trans[beta]
             for s in self.generators:
-                schreier = u * s * trans[s(beta)].inverse()
-                if not schreier.is_identity and schreier.images not in seen:
-                    seen.add(schreier.images)
-                    gens.append(schreier)
-        return PermutationGroup(gens, self.degree)
+                schreier = trans[beta] * s * trans[s(beta)].inverse()
+                if not schreier.is_identity:
+                    gens.setdefault(schreier.images, schreier)
+        return PermutationGroup(list(gens.values()), self.degree)
 
     def set_orbit(self, points: Iterable[int], cap: int = DEFAULT_SET_ORBIT_CAP) -> list[frozenset[int]]:
         """Orbit of a point set under the setwise action, in BFS discovery order."""
@@ -415,20 +407,8 @@ class PermutationGroup:
         for pt in start:
             if not 0 <= pt < self.degree:
                 raise ValueError(f"point {pt} out of range for degree {self.degree}")
-        seen = {start}
-        out = [start]
-        i = 0
-        while i < len(out):
-            current = out[i]
-            i += 1
-            for g in self.generators:
-                image = frozenset(compose_images(current, g.images))
-                if image not in seen:
-                    if len(out) >= cap:
-                        raise CapExceeded("set orbit", cap)
-                    seen.add(image)
-                    out.append(image)
-        return out
+        steps = [(lambda s, g=g.images: frozenset(compose_images(s, g)), _unchanged) for g in self.generators]
+        return list(orbit_walk(start, steps, start, cap, "set orbit"))
 
     def __repr__(self) -> str:
         gens = ", ".join(g.cycle_string() for g in self.generators) or "()"

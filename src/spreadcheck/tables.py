@@ -11,7 +11,8 @@ then map looks them up), and right_multiplication(t), x t as inverse, L_(t^-1),
 inverse.  Class matrices, diagonal translations, automorphisms and the class
 walk's conjugation arrays are built on them, with no product per element.  The
 walk records one conjugator per element, taking it to its class representative;
-centralizers are closed from the walk's Schreier generators, not a scan of T.
+centralizers are closed from its Schreier generators, and normalizers from
+those of a subgroup's walk under conjugation (both perm.orbit_walk), not a scan.
 
 Subgroups are Subgroup values: frozensets of element indices that also hold
 their table and the generators kept for them.  Only _closure builds one, for
@@ -33,7 +34,7 @@ from operator import itemgetter
 from typing import Iterable
 
 from .errors import CapExceeded, InvalidSubgroup, VerificationInconsistency
-from .perm import Permutation, PermutationGroup, compose_images, inverse_images
+from .perm import Permutation, PermutationGroup, compose_images, inverse_images, orbit_walk
 
 DEFAULT_TABLE_CAP = 10**4
 
@@ -97,6 +98,15 @@ class GroupTable:
         left = self.left_multiplication(self.inverse[t])
         return compose_images(compose_images(self.inverse, left), self.inverse)
 
+    def conjugations(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+        """For each generator g, the indices of x^g and of g^-1 x for every x in
+        index order, from R_g: g^-1 x = (x^-1 g)^-1 and x^g = (g^-1 x) g."""
+        out = []
+        for right in map(self.right_multiplication, self.generator_indices):
+            left = compose_images(compose_images(self.inverse, right), self.inverse)
+            out.append((compose_images(left, right), left))
+        return out
+
     def conjugate(self, x: int, t: int) -> int:
         """Index of t^-1 x t."""
         return self.multiply(self.multiply(self.inverse[t], x), t)
@@ -146,20 +156,13 @@ class GroupTable:
         n = len(self.elements)
         to_rep = [-1] * n
         raw: list[list[int]] = []
-        rights = map(self.right_multiplication, self.generator_indices)
-        steps = [(compose_images(compose_images(self.inverse, r), self.inverse), r) for r in rights]
+        steps = [(conj.__getitem__, left.__getitem__) for conj, left in self.conjugations()]
         for start in range(n):
-            if to_rep[start] >= 0:
-                continue
-            members = [start]
-            to_rep[start] = 0
-            for x in members:  # grows while it is walked
-                for left, right in steps:
-                    y = right[left[x]]
-                    if to_rep[y] < 0:
-                        to_rep[y] = left[to_rep[x]]
-                        members.append(y)
-            raw.append(sorted(members))
+            if to_rep[start] < 0:
+                walk = orbit_walk(start, steps, 0)
+                for y, u in walk.items():
+                    to_rep[y] = u
+                raw.append(sorted(walk))
         self._to_rep = to_rep
         raw.sort(key=lambda ms: (len(ms), ms[0]))
         self._classes = [ConjClass(ms[0], tuple(ms)) for ms in raw]
@@ -364,10 +367,16 @@ def centralizer(table: GroupTable, x: int) -> frozenset[int]:
 
 
 def normalizer(table: GroupTable, subgroup: Iterable[int]) -> frozenset[int]:
+    """N_T(H) by orbit-stabiliser: the walk of H under conjugation gives each
+    conjugate P a u_P with P^(u_P) = H, and the Schreier generators u_P^-1 g
+    u_(P^g) = (g^-1 u_P)^-1 u_(P^g) are closed once with cap |T| / |orbit|."""
     subgroup = validate_subgroup(table, subgroup)
-    return frozenset(
-        t for t in range(len(table)) if all(table.conjugate(g, t) in subgroup for g in subgroup.gens)
-    )
+    steps = [(lambda p, c=conj: frozenset(compose_images(p, c)), left.__getitem__)
+             for conj, left in table.conjugations()]
+    walk = orbit_walk(frozenset(subgroup), steps, 0)
+    inverse, multiply = table.inverse, table.multiply
+    schreier = {multiply(inverse[carry(u)], walk[act(p)]) for p, u in walk.items() for act, carry in steps}
+    return frozenset(_closure(table, schreier, len(table) // len(walk)))
 
 
 def point_stabilizer(table: GroupTable, point: int) -> frozenset[int]:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from spreadcheck.autos import Automorphism
 from spreadcheck.cyclotomic import CyclotomicValue
 from spreadcheck.perm import Permutation, PermutationGroup
-from spreadcheck.tables import coset_space
+from spreadcheck.tables import coset_space, validate_subgroup
 from spreadcheck.witness import Refutation, Witness, image_weight
 
 
@@ -39,6 +39,31 @@ def naive_orbit(generators, point):
                     nxt.append(img)
         frontier = nxt
     return orbit
+
+
+def naive_bfs_order(start, actions):
+    """The orbit of start level by level: each level in the order its points
+    are first reached, each point's images in action order."""
+    order = [start]
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for act in actions:
+                y = act(x)
+                if y not in order and y not in nxt:
+                    nxt.append(y)
+        order += nxt
+        frontier = nxt
+    return order
+
+
+def scan_normalizer(table, subgroup):
+    """N_T(H) by testing every t in T: H's generators conjugated by t stay in H."""
+    subgroup = validate_subgroup(table, subgroup)
+    return frozenset(
+        t for t in range(len(table)) if all(table.conjugate(g, t) in subgroup for g in subgroup.gens)
+    )
 
 
 def sorted_tuple_set_orbit(group, points, cap=1_000_000):

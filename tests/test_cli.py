@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from spreadcheck import catalog, perm, tables
+from spreadcheck import catalog, cli, perm, tables
 from spreadcheck.cli import main
 
 D10_JSON = {
@@ -479,6 +479,39 @@ class TestErrorPaths:
         assert code == 1
         assert report["inputs"]["base"] == 1
 
+    @pytest.mark.parametrize("cap", ["01", "+5", " 7", "1_0", "-1", "x"],
+                             ids=["leading-zero", "plus-sign", "space", "underscore", "negative",
+                                  "letter"])
+    def test_cap_must_be_canonical_nonnegative_decimal(self, capsys, cap):
+        argv = ["spreading", "ab-check", "--group", "A5", "--A", "A4", "--B", "V4", "--cap"]
+        code, report = run_json(capsys, *argv, cap)
+        assert code == 2
+        assert report["certificate"] == {
+            "error": "UsageError", "message": f"argument --cap: invalid nonnegative value: {cap!r}"}
+        # the canonical spelling runs, and is reported as a JSON integer
+        for canonical in (10, 0):
+            code, report = run_json(capsys, *argv, str(canonical))
+            assert code == 1
+            assert report["inputs"]["cap"] == canonical
+
+    def test_parser_is_reused_unchanged(self, capsys):
+        """One parser serves every call in a process: a usage error reads the
+        same before and after a command that parsed and ran."""
+        bad = ["spreading", "ab-check", "--group", "A5", "--A", "A4", "--cap", "01", "--json"]
+        seen = []
+        for argv in (bad, ["group", "info", "--group", "A5", "--json"], bad):
+            code = main(argv)
+            captured = capsys.readouterr()
+            report = json.loads(captured.out)
+            report.pop("timing_ms")
+            seen.append((code, report, captured.err))
+        assert cli._build_parser() is cli._build_parser()
+        assert seen[1][0] == 0 and seen[1][2] == ""
+        assert seen[0] == seen[2]
+        assert seen[0][0] == 2
+        assert seen[0][1]["certificate"]["error"] == "UsageError"
+        assert seen[0][2].endswith("error: argument --cap: invalid nonnegative value: '01'\n")
+
     def test_cap_rejected_where_not_honoured(self, capsys):
         assert main(["orbits", "count", "--group", "A5", "--A", "A4", "--B", "V4", "--cap", "5"]) == 2
         assert main(["spreading", "supplement", "--group", "A5", "--A", "C5", "--B", "1",
@@ -516,7 +549,7 @@ class TestErrorPaths:
             (["--A", "A4", "--B", "V4", "--base", "x"], "argument --base: invalid decimal value: 'x'"),
             (["--A", "A4", "--B", "V4", "--base", "01"],
              "argument --base: invalid decimal value: '01'"),
-            (["--A", "A4", "--B", "V4", "--cap", "x"], "argument --cap: invalid int value: 'x'"),
+            (["--A", "A4", "--B", "V4", "--cap", "x"], "argument --cap: invalid nonnegative value: 'x'"),
             (["--B", "V4"], "the following arguments are required: --A"),
         ],
         ids=["base-x", "base-leading-zero", "cap-x", "missing-A"],

@@ -11,8 +11,9 @@ from helpers import (
     inner_witness,
     is_automorphism,
     product_set,
+    scan_normalizer,
 )
-from spreadcheck import autos, catalog
+from spreadcheck import autos, catalog, tables
 from spreadcheck.autos import (
     as_automorphism,
     automorphism_from_generator_images,
@@ -278,6 +279,19 @@ class TestSubgroupHelpers:
         d10 = normalizer(t, c5)
         assert len(d10) == 10
 
+    @pytest.mark.parametrize("name", ["A5", "A6", "A7", "A8", "PSL(2,7)", "PSL(2,8)", "PSL(2,11)",
+                                      "PSL(2,13)", "PSL(3,2)", "M11"])
+    def test_normalizer_matches_the_scan(self, monkeypatch, name):
+        """The orbit-stabiliser normalizer equals the scan of T on every
+        catalog subgroup and every Sylow subgroup, and reads no index range."""
+        entry = catalog.load_entry(name)
+        t = entry.table
+        subgroups = [entry.subgroup(label) for label in entry.subgroups]
+        subgroups += [sylow_subgroup(t, p) for p in (2, 3, 5, 7, 11, 13) if len(t) % p == 0]
+        expected = [scan_normalizer(t, h) for h in subgroups]
+        monkeypatch.setattr(tables, "range", _no_scan(len(t)), raising=False)
+        assert [normalizer(t, h) for h in subgroups] == expected
+
     def test_stabilizers(self):
         t = catalog.load_group_table("A5")
         assert len(point_stabilizer(t, 0)) == 12
@@ -394,22 +408,24 @@ class TestAutomorphisms:
     @pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "M11"])
     def test_as_automorphism_accepts_automorphisms(self, name):
         t, auts = catalog.load_group_table(name), catalog.load_automorphisms(name)
+        rights = [t.right_multiplication(g) for g in t.generator_indices]
         for rep in auts.coset_representatives:
-            assert as_automorphism(t, rep.mapping) == rep
+            assert as_automorphism(t, rights, rep.mapping) == rep
         inner = inner_automorphism(t, len(t) // 2)
-        assert as_automorphism(t, inner.mapping) == inner
+        assert as_automorphism(t, rights, inner.mapping) == inner
 
     @pytest.mark.parametrize("name", ["A5", "PSL(2,7)"])
     def test_as_automorphism_rejects_non_automorphisms(self, name):
         t = catalog.load_group_table(name)
+        rights = [t.right_multiplication(g) for g in t.generator_indices]
         swapped = list(range(len(t)))
         swapped[3], swapped[7] = swapped[7], swapped[3]
-        assert as_automorphism(t, tuple(swapped)) is None
+        assert as_automorphism(t, rights, tuple(swapped)) is None
         # inversion is a bijective anti-automorphism of a nonabelian T: only
         # the commuting check with the right multiplications can reject it
         assert sorted(t.inverse) == list(range(len(t)))
-        assert as_automorphism(t, tuple(t.inverse)) is None
-        assert as_automorphism(t, tuple(range(len(t) - 1))) is None
+        assert as_automorphism(t, rights, tuple(t.inverse)) is None
+        assert as_automorphism(t, rights, tuple(range(len(t) - 1))) is None
 
     def test_class_walk_conjugators_and_centralizers(self):
         for name in ("A5", "PSL(2,7)", "A7"):
@@ -422,6 +438,13 @@ class TestAutomorphisms:
                         c for c in range(len(t)) if t.multiply(c, x) == t.multiply(x, c)
                     )
                     assert centralizer(t, x) == expected
+
+    @pytest.mark.parametrize("name", ["A7", "PSL(2,13)"])
+    def test_every_element_is_conjugated_to_its_representative(self, name):
+        t = catalog.load_group_table(name)
+        reps = [cls.representative for cls in t.conjugacy_classes()]
+        for y in range(len(t)):
+            assert t.conjugate(y, t.to_representative(y)) == reps[t.class_of(y)]
 
     def test_search_a5(self):
         auts = catalog.load_automorphisms("A5")
@@ -459,6 +482,16 @@ class TestAutomorphisms:
             assert sum(
                 inner_witness(t, s * r.inverse()) is not None for r in supplied.coset_representatives
             ) == 1
+
+
+def _no_scan(n):
+    """A range for the tables module that refuses range(n), a pass over T."""
+
+    def guarded(*args):
+        assert args != (n,), "a pass over all of T"
+        return range(*args)
+
+    return guarded
 
 
 def _count_products(monkeypatch, table):
@@ -517,6 +550,22 @@ class TestDiagonalAction:
         assert len(t) == 1
         assert t.left_multiplication(0) == t.right_multiplication(0) == (0,)
         assert right_translation(t, 0).images == (0,)
+
+    def test_diagonal_build_makes_each_generator_array_once(self, monkeypatch):
+        """diagonal_order builds R_g for T's generators once and passes them to
+        every as_automorphism call: 19 arrays on A5, not 26."""
+        t, auts = catalog.load_group_table("A5"), catalog.load_automorphisms("A5")
+        t.conjugacy_classes()
+        counter = {"calls": 0}
+        right_multiplication = t.right_multiplication
+
+        def counting(g):
+            counter["calls"] += 1
+            return right_multiplication(g)
+
+        monkeypatch.setattr(t, "right_multiplication", counting)
+        build_diagonal_group(t, auts)
+        assert counter["calls"] <= 19
 
     def test_translation_identities(self):
         t = catalog.load_group_table("A5")

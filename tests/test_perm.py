@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import naive_elements, naive_orbit, sorted_tuple_set_orbit
+from helpers import naive_bfs_order, naive_elements, naive_orbit, sorted_tuple_set_orbit
 from spreadcheck import catalog
 from spreadcheck.diagonal import build_diagonal_group
 from spreadcheck.errors import CapExceeded
@@ -11,6 +11,7 @@ from spreadcheck.perm import (
     PermutationGroup,
     compose,
     compose_images,
+    orbit_walk,
     parse_permutation,
 )
 from spreadcheck.tables import GroupTable
@@ -123,7 +124,7 @@ class TestPermutationGroup:
 
     def test_transversal_reaches_each_point(self):
         group = _s4()
-        trans = group.orbit_with_transversal(0)
+        trans = orbit_walk(0, _point_steps(group), Permutation.identity(4))
         assert set(trans) == {0, 1, 2, 3}
         for pt, rep in trans.items():
             assert rep(0) == pt
@@ -154,6 +155,63 @@ class TestPermutationGroup:
         t = PermutationGroup.trivial(6)
         assert t.order() == 1
         assert t.orbit(3) == {3}
+
+
+def _point_steps(group):
+    return [(g.images.__getitem__, lambda u, g=g: u * g) for g in group.generators]
+
+
+def _set_image(g):
+    return lambda s: frozenset(g(p) for p in s)
+
+
+class TestOrbitWalk:
+    """The one breadth-first orbit walk, its order, its cap and its transversal."""
+
+    def _groups(self):
+        psl27 = catalog.load_entry("PSL(2,7)").group
+        return [_s4(), _a5(), psl27, PermutationGroup([cyc(6, [0, 1], [2, 3])], 6)]
+
+    def test_points_come_breadth_first_in_step_order(self):
+        for group in self._groups():
+            for point in (0, group.degree - 1):
+                walk = orbit_walk(point, _point_steps(group), Permutation.identity(group.degree))
+                assert list(walk) == naive_bfs_order(point, group.generators)
+            start = frozenset({0, 2})
+            expected = naive_bfs_order(start, [_set_image(g) for g in group.generators])
+            assert group.set_orbit(start) == expected
+
+    def test_cap_counts_points(self):
+        group = _a5()
+        start = frozenset({0, 1})
+        steps = [(_set_image(g), lambda u: u) for g in group.generators]
+        assert len(orbit_walk(start, steps, None, 10, "pair orbit")) == 10
+        with pytest.raises(CapExceeded, match="^pair orbit exceeded cap of 9;") as caught:
+            orbit_walk(start, steps, None, 9, "pair orbit")
+        assert (caught.value.what, caught.value.cap) == ("pair orbit", 9)
+        assert len(group.set_orbit(start, cap=10)) == 10
+        with pytest.raises(CapExceeded, match="^set orbit exceeded cap of 9;"):
+            group.set_orbit(start, cap=9)
+        # the start is not counted against the cap: a fixed set passes cap 0
+        assert group.set_orbit(range(5), cap=0) == [frozenset(range(5))]
+
+    def test_transversal_takes_start_to_each_point(self):
+        for group in self._groups():
+            walk = orbit_walk(1, _point_steps(group), Permutation.identity(group.degree))
+            assert set(walk) == group.orbit(1) == naive_orbit(group.generators, 1)
+            assert all(u(1) == pt for pt, u in walk.items())
+
+    def test_table_transversal_conjugates_start_to_each_point(self):
+        t = catalog.load_group_table("A5")
+        steps = [
+            (lambda x, g=g: t.conjugate(x, g), lambda u, g=g: t.multiply(u, g))
+            for g in t.generator_indices
+        ]
+        for cls in t.conjugacy_classes():
+            start = cls.members[-1]
+            walk = orbit_walk(start, steps, 0)
+            assert sorted(walk) == list(cls.members)
+            assert all(t.conjugate(start, u) == y for y, u in walk.items())
 
 
 class TestDiagonalChains:
