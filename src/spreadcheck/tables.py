@@ -11,8 +11,10 @@ then map looks them up), and right_multiplication(t), x t as inverse, L_(t^-1),
 inverse.  Class matrices, diagonal translations, automorphisms and the class
 walk's conjugation arrays are built on them, with no product per element.  The
 walk records one conjugator per element, taking it to its class representative;
-centralizers are closed from its Schreier generators, and normalizers from
-those of a subgroup's walk under conjugation (both perm.orbit_walk), not a scan.
+centralizers are closed from its Schreier generators, and normalizers and point
+and setwise stabilizers from those of an orbit walk (perm.orbit_walk), not a
+scan of T.  A coset space fills each new coset in one C-level pass, and orbit
+counts on cosets come from the permutation character, one class_of per member.
 
 Subgroups are Subgroup values: frozensets of element indices that also hold
 their table and the generators kept for them.  Only _closure builds one, for
@@ -29,9 +31,10 @@ normalizers, point and setwise stabilizers, and coset spaces.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import CapExceeded, InvalidSubgroup, VerificationInconsistency
 from .perm import Permutation, PermutationGroup, compose_images, inverse_images, orbit_walk
@@ -88,10 +91,14 @@ class GroupTable:
 
     def left_multiplication(self, t: int) -> tuple[int, ...]:
         """The indices of t x for every x in index order (see the module notes)."""
-        images = self.elements[t].images
+        return tuple(self._left_products((x.images for x in self.elements), t))
+
+    def _left_products(self, images: Iterable[tuple[int, ...]], t: int) -> Iterator[int]:
+        """The indices of t x for the x with these image tuples, in one C-level pass."""
+        t_images = self.elements[t].images
         # itemgetter returns a bare item for one index: degree < 2 takes compose_images
-        times_t = itemgetter(*images) if len(images) >= 2 else lambda x: compose_images(images, x)
-        return tuple(map(self.index.__getitem__, map(times_t, (x.images for x in self.elements))))
+        times_t = itemgetter(*t_images) if len(t_images) >= 2 else lambda x: compose_images(t_images, x)
+        return map(self.index.__getitem__, map(times_t, images))
 
     def right_multiplication(self, t: int) -> tuple[int, ...]:
         """The indices of x t for every x in index order: x t = (t^-1 x^-1)^-1."""
@@ -367,27 +374,38 @@ def centralizer(table: GroupTable, x: int) -> frozenset[int]:
 
 
 def normalizer(table: GroupTable, subgroup: Iterable[int]) -> frozenset[int]:
-    """N_T(H) by orbit-stabiliser: the walk of H under conjugation gives each
-    conjugate P a u_P with P^(u_P) = H, and the Schreier generators u_P^-1 g
-    u_(P^g) = (g^-1 u_P)^-1 u_(P^g) are closed once with cap |T| / |orbit|."""
-    subgroup = validate_subgroup(table, subgroup)
+    """N_T(H), the stabiliser of H under conjugation (see _stabilizer)."""
+    return _normalizer(table, subgroup, table.conjugations())
+
+
+def _normalizer(table: GroupTable, subgroup: Iterable[int], conjugations: list) -> frozenset[int]:
+    """normalizer, on arrays from GroupTable.conjugations built once by the caller."""
     steps = [(lambda p, c=conj: frozenset(compose_images(p, c)), left.__getitem__)
-             for conj, left in table.conjugations()]
-    walk = orbit_walk(frozenset(subgroup), steps, 0)
-    inverse, multiply = table.inverse, table.multiply
-    schreier = {multiply(inverse[carry(u)], walk[act(p)]) for p, u in walk.items() for act, carry in steps}
-    return frozenset(_closure(table, schreier, len(table) // len(walk)))
+             for conj, left in conjugations]
+    return _stabilizer(table, frozenset(validate_subgroup(table, subgroup)), steps)
 
 
 def point_stabilizer(table: GroupTable, point: int) -> frozenset[int]:
-    return frozenset(i for i, p in enumerate(table.elements) if p(point) == point)
+    return setwise_stabilizer(table, (point,))
 
 
 def setwise_stabilizer(table: GroupTable, points: Iterable[int]) -> frozenset[int]:
-    pts = frozenset(points)
-    return frozenset(
-        i for i, p in enumerate(table.elements) if frozenset(compose_images(pts, p.images)) == pts
-    )
+    """The elements mapping the point set to itself (see _stabilizer)."""
+    multiply = table.multiply
+    steps = [(lambda p, g=table.elements[g].images: frozenset(compose_images(p, g)),
+              lambda u, h=table.inverse[g]: multiply(h, u)) for g in table.generator_indices]
+    return _stabilizer(table, frozenset(points), steps)
+
+
+def _stabilizer(table: GroupTable, start, steps: list) -> frozenset[int]:
+    """Orbit-stabiliser, with no scan of T: steps[k] = (act on points, carry
+    u -> g^-1 u) for the k-th table generator g.  The walk gives each point p
+    a u_p with p^(u_p) = start, and the Schreier generators (g^-1 u_p)^-1
+    u_(p^g) are closed once with cap |T| / |orbit|."""
+    walk = orbit_walk(start, steps, 0)
+    inverse, multiply = table.inverse, table.multiply
+    schreier = {multiply(inverse[carry(u)], walk[act(p)]) for p, u in walk.items() for act, carry in steps}
+    return frozenset(_closure(table, schreier, len(table) // len(walk)))
 
 
 def sylow_subgroup(table: GroupTable, p: int) -> Subgroup:
@@ -406,8 +424,9 @@ def sylow_subgroup(table: GroupTable, p: int) -> Subgroup:
         if o > best_order and _is_p_power(o, p):
             best, best_order = cls.representative, o
     current = close_subgroup(table, [best], cap=p_part)
+    conjugations = table.conjugations() if len(current) < p_part else []
     while len(current) < p_part:
-        norm = normalizer(table, current)
+        norm = _normalizer(table, current, conjugations)
         for t in sorted(norm - current):
             if _is_p_power(table.element_order(t), p):
                 current = close_subgroup(table, sorted(current | {t}), cap=p_part)
@@ -427,15 +446,6 @@ def sylow_normalizer(table: GroupTable, p: int) -> frozenset[int]:
     return normalizer(table, sylow_subgroup(table, p))
 
 
-def product_size(table: GroupTable, left: frozenset[int], right: frozenset[int]) -> int:
-    """|B S| for subgroups B, S via |B||S| / |B n S|."""
-    inter = len(left & right)
-    size, rem = divmod(len(left) * len(right), inter)
-    if rem:
-        raise InvalidSubgroup("product size formula requires both factors to be subgroups")
-    return size
-
-
 # --- coset spaces ----------------------------------------------------------
 
 
@@ -451,40 +461,29 @@ class CosetSpace:
         return len(self.representatives)
 
     def action_of(self, t: int) -> Permutation:
-        """The permutation of coset ids induced by right multiplication with t."""
-        return Permutation._unchecked(
-            tuple(self.point_of[self.table.multiply(rep, t)] for rep in self.representatives)
-        )
-
-    def meet_conjugate(self, subset: Iterable[int], t: int) -> frozenset[int]:
-        """The members of subset that lie in H^t = t^-1 H t, for H the subgroup.
-
-        a lies in H^t exactly when t a lies in the coset H t, so each member
-        costs one product and no conjugate of H is built.
-        """
-        point_of, multiply = self.point_of, self.table.multiply
-        cid = point_of[t]
-        return frozenset(a for a in subset if point_of[multiply(t, a)] == cid)
+        """The permutation of coset ids induced by right multiplication with t,
+        as rep t = (t^-1 rep^-1)^-1 in one C-level pass."""
+        table, inverse = self.table, self.table.inverse
+        rep_inverses = (table.elements[inverse[rep]].images for rep in self.representatives)
+        products = map(inverse.__getitem__, table._left_products(rep_inverses, inverse[t]))
+        return Permutation._unchecked(tuple(map(self.point_of.__getitem__, products)))
 
 
 def coset_space(table: GroupTable, subgroup: Iterable[int]) -> CosetSpace:
-    subgroup = validate_subgroup(table, subgroup)
-    n = len(table)
-    point_of = [-1] * n
-    reps = [0]
-    for a in subgroup:
-        point_of[a] = 0
-    i = 0
-    while i < len(reps):
-        rep = reps[i]
-        i += 1
-        for g in table.generator_indices:
-            s = table.multiply(rep, g)
-            if point_of[s] == -1:
-                cid = len(reps)
-                reps.append(s)
-                for a in subgroup:
-                    point_of[table.multiply(a, s)] = cid
+    """Right cosets, numbered in BFS order over the table generators from the
+    identity.  A new coset H s is filled in one C-level pass as (s^-1 H)^-1."""
+    point_of = [-1] * len(table)
+    reps: list[int] = []
+    members = [table.elements[h].images for h in validate_subgroup(table, subgroup)]
+    inverse = table.inverse
+    found = [0]
+    for s in found:  # grows while it is walked; a coset counts from its first element
+        if point_of[s] < 0:
+            cid = len(reps)
+            reps.append(s)
+            for y in table._left_products(members, inverse[s]):
+                point_of[inverse[y]] = cid
+            found += [table.multiply(s, g) for g in table.generator_indices]
     return CosetSpace(table, tuple(reps), tuple(point_of))
 
 
@@ -494,15 +493,16 @@ def orbits_on_cosets(space: CosetSpace, subgroup: Iterable[int]) -> list[set[int
     return PermutationGroup(gens, len(space)).orbits()
 
 
-def cauchy_frobenius_count(space: CosetSpace, subgroup: frozenset[int]) -> int:
-    """Orbit count of a subgroup on a coset space by averaging fixed points."""
-    table = space.table
-    total = 0
-    for s in subgroup:
-        total += sum(
-            1 for cid, rep in enumerate(space.representatives) if space.point_of[table.multiply(rep, s)] == cid
-        )
-    count, rem = divmod(total, len(subgroup))
+def cauchy_frobenius_count(table: GroupTable, h: Iterable[int], subgroup: Iterable[int]) -> int:
+    """Orbit count of a subgroup S on the right cosets of H by the permutation
+    character: s fixes |C_T(s)| |s^T n H| / |H| cosets (Cauchy-Frobenius), so
+    the count is sum over classes c of |S n c| |C_T(c)| |H n c| / (|H| |S|),
+    one class_of per member of H and S and no product."""
+    h, subgroup = validate_subgroup(table, h), validate_subgroup(table, subgroup)
+    in_h, in_s = Counter(map(table.class_of, h)), Counter(map(table.class_of, subgroup))
+    sizes = [c.size for c in table.conjugacy_classes()]
+    total = sum(k * in_h[c] * (len(table) // sizes[c]) for c, k in in_s.items())
+    count, rem = divmod(total, len(h) * len(subgroup))
     if rem:
         raise InvalidSubgroup("fixed-point sum not divisible by subgroup order; not a subgroup?")
     return count

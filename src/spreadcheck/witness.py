@@ -14,8 +14,10 @@ Applied to the diagonal action of a simple group T with A, B inside T itself,
 this gives the standard witness (A, Omega + |A:B|*B - A).
 
 The remaining operations quantify the supplement condition A = B(A cap A^t)
-and its relatives: orbit counts of A and B on cosets, two-point stabilizer
-scans, and the orbit-count lower bound for base size at least three.
+and its relatives: orbit counts of A and B on cosets, by the permutation
+character (a coset space is built only to locate a failure, and as the second
+route of orbit_count_pair), the two-point screen for a regular A-orbit, and
+the orbit-count lower bound for base size at least three.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ from .diagonal import build_diagonal_group, right_translation
 from .errors import InvalidSubgroup, VerificationInconsistency
 from .perm import DEFAULT_SET_ORBIT_CAP, Permutation, PermutationGroup, compose_images, parse_point
 from .tables import (
+    CosetSpace,
     GroupTable,
     Subgroup,
     cauchy_frobenius_count,
     coset_space,
     orbits_on_cosets,
-    product_size,
     validate_subgroup,
 )
 
@@ -372,14 +374,15 @@ def supplement_property(
     scope: str = "T",
     auts: AutomorphismGroup | None = None,
 ) -> SupplementReport:
-    """Check A = B(A cap A^t) for every t in T, or every automorphism image.
+    """Check A = B(A cap H^t) for every t in T, for H = A or, over scope "Aut",
+    each image A^phi, phi one representative per outer coset (the identity's
+    image is A itself and is not closed again).
 
-    Product sizes are compared through |B||S|/|B cap S| without materializing
-    the products.  Conjugates are constant on right cosets of the conjugated
-    subgroup, so only coset representatives are tested, and A cap A^t is read
-    from that coset space at one product per member of A.  For scope "Aut"
-    the images run over (A^phi)^t with phi one representative per outer coset;
-    the identity's image is A itself, already checked, so it is not closed again.
+    A cap H^t stabilises the coset H t in A, so the property holds at H t
+    exactly when its A-orbit is one B-orbit, and on all of H exactly when A
+    and B have equally many orbits, both counted by the permutation character.
+    Only when they differ is the coset space built, to report the first
+    representative, in BFS order, whose A- and B-orbits differ.
     """
     a_set, b_set = _normal_pair(table, a_set, b_set)
     if scope == "T":
@@ -392,14 +395,21 @@ def supplement_property(
     else:
         raise ValueError(f"scope must be 'T' or 'Aut', got {scope!r}")
 
-    target = len(a_set)
     for outer_idx, image in outer_images:
-        space = coset_space(table, image)
-        for t in space.representatives:
-            inter = space.meet_conjugate(a_set, t)
-            if product_size(table, b_set, inter) != target:
-                return SupplementReport(False, scope, failing_element=t, failing_outer=outer_idx)
+        image = validate_subgroup(table, image)
+        if cauchy_frobenius_count(table, image, a_set) != cauchy_frobenius_count(table, image, b_set):
+            space = coset_space(table, image)
+            size_a, size_b = _orbit_sizes(space, a_set), _orbit_sizes(space, b_set)
+            t = next((t for cid, t in enumerate(space.representatives) if size_a[cid] != size_b[cid]), None)
+            if t is None:
+                raise VerificationInconsistency("orbit counts differ, yet every A-orbit is a B-orbit")
+            return SupplementReport(False, scope, failing_element=t, failing_outer=outer_idx)
     return SupplementReport(True, scope)
+
+
+def _orbit_sizes(space: CosetSpace, subgroup: Subgroup) -> dict[int, int]:
+    """The size of each coset's orbit under the subgroup, by coset id."""
+    return {point: len(orbit) for orbit in orbits_on_cosets(space, subgroup) for point in orbit}
 
 
 def orbit_count_pair(
@@ -407,46 +417,37 @@ def orbit_count_pair(
 ) -> tuple[int, int]:
     """Orbit counts of A and of B on the right cosets of A.
 
-    Both counts are computed twice, by direct orbit partition and by averaging
-    fixed points; disagreement raises, since it would mean a bug.
+    Both counts are computed twice, by direct orbit partition of the coset
+    action and by the permutation character; disagreement raises, since it
+    would mean a bug.
     """
-    a_set = validate_subgroup(table, a_set)
-    b_set = validate_subgroup(table, b_set)
+    a_set, b_set = validate_subgroup(table, a_set), validate_subgroup(table, b_set)
     if not b_set <= a_set:
         raise InvalidSubgroup("B must be contained in A")
     space = coset_space(table, a_set)
-    c_a = len(orbits_on_cosets(space, a_set))
-    c_b = len(orbits_on_cosets(space, b_set))
-    if c_a != cauchy_frobenius_count(space, a_set):
-        raise VerificationInconsistency("A-orbit count: partition and fixed-point average differ")
-    if c_b != cauchy_frobenius_count(space, b_set):
-        raise VerificationInconsistency("B-orbit count: partition and fixed-point average differ")
+    c_a, c_b = len(orbits_on_cosets(space, a_set)), len(orbits_on_cosets(space, b_set))
+    if (c_a, c_b) != (cauchy_frobenius_count(table, a_set, a_set), cauchy_frobenius_count(table, a_set, b_set)):
+        raise VerificationInconsistency("orbit counts: partition and permutation character differ")
     return c_a, c_b
 
 
 def two_point_stabilizer_trivial(table: GroupTable, a_set: Iterable[int]) -> int | None:
     """The first t in index order with A cap A^t trivial, or None.
 
-    A cap A^t depends only on the coset At, so each coset is tested once, at
-    its smallest element, and A cap A^t is read from the coset space of A.
+    A cap A^t is the stabiliser in A of the coset A t, so it is trivial
+    exactly when the A-orbit of A t is regular, of size |A|.
     """
     a_set = validate_subgroup(table, a_set)
     if len(a_set) >= len(table):
         raise InvalidSubgroup("A must be a proper subgroup of T")
     space = coset_space(table, a_set)
-    seen: set[int] = set()
-    for t in range(len(table)):
-        cid = space.point_of[t]
-        if cid in seen:
-            continue
-        seen.add(cid)
-        if len(space.meet_conjugate(a_set, t)) == 1:
-            return t
-    return None
+    sizes = _orbit_sizes(space, a_set)
+    return next((t for t, cid in enumerate(space.point_of) if sizes[cid] == len(a_set)), None)
 
 
 def orbit_bound_holds(table: GroupTable, a_set: Iterable[int]) -> bool:
-    """Whether c|A|/2 >= |T:A| for c = number of A-orbits on cosets of A.
+    """Whether c|A|/2 >= |T:A| for c = number of A-orbits on cosets of A,
+    counted by the permutation character.
 
     The bound is necessary for all two-point stabilizers to be nontrivial, so
     a False here certifies that some A cap A^t is trivial.
@@ -454,6 +455,5 @@ def orbit_bound_holds(table: GroupTable, a_set: Iterable[int]) -> bool:
     a_set = validate_subgroup(table, a_set)
     if len(a_set) >= len(table):
         raise InvalidSubgroup("A must be a proper subgroup of T")
-    space = coset_space(table, a_set)
-    c = len(orbits_on_cosets(space, a_set))
-    return c * len(a_set) >= 2 * len(space)
+    c = cauchy_frobenius_count(table, a_set, a_set)
+    return c * len(a_set) >= 2 * (len(table) // len(a_set))

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from spreadcheck.autos import Automorphism
 from spreadcheck.cyclotomic import CyclotomicValue
+from spreadcheck.errors import InvalidSubgroup
 from spreadcheck.perm import Permutation, PermutationGroup
 from spreadcheck.tables import coset_space, validate_subgroup
-from spreadcheck.witness import Refutation, Witness, image_weight
+from spreadcheck.witness import Refutation, SupplementReport, Witness, image_weight
 
 
 def naive_elements(generators, degree, cap=200_000):
@@ -64,6 +65,12 @@ def scan_normalizer(table, subgroup):
     return frozenset(
         t for t in range(len(table)) if all(table.conjugate(g, t) in subgroup for g in subgroup.gens)
     )
+
+
+def scan_setwise_stabilizer(table, points):
+    """The elements of T mapping the point set to itself, by testing each."""
+    pts = frozenset(points)
+    return frozenset(i for i, p in enumerate(table.elements) if frozenset(p(x) for x in pts) == pts)
 
 
 def sorted_tuple_set_orbit(group, points, cap=1_000_000):
@@ -143,6 +150,45 @@ def product_set(table, left, right):
 def conjugate_subgroup(table, subgroup, t):
     """The conjugate t^-1 H t, built member by member."""
     return frozenset(table.conjugate(x, t) for x in subgroup)
+
+
+def product_size(table, left, right):
+    """|B S| for subgroups B, S via |B||S| / |B n S|."""
+    size, rem = divmod(len(left) * len(right), len(left & right))
+    if rem:
+        raise InvalidSubgroup("product size formula requires both factors to be subgroups")
+    return size
+
+
+def supplement_per_coset(table, a_set, b_set, scope="T", auts=None):
+    """The supplement property coset by coset: for each image H of A and each
+    coset representative t of H in T, read A n H^t from the coset space (a
+    lies in H^t exactly when t a lies in the coset H t) and test
+    |B (A n H^t)| = |A|.  Reports the first failure, as supplement_property."""
+    a_set, b_set = validate_subgroup(table, a_set), validate_subgroup(table, b_set)
+    if scope == "T":
+        images = [(None, a_set)]
+    else:
+        images = list(enumerate(aut.apply_to_set(a_set) for aut in auts.coset_representatives))
+    for outer, image in images:
+        space = coset_space(table, image)
+        for t in space.representatives:
+            cid = space.point_of[t]
+            meet = frozenset(a for a in a_set if space.point_of[table.multiply(t, a)] == cid)
+            if product_size(table, b_set, meet) != len(a_set):
+                return SupplementReport(False, scope, failing_element=t, failing_outer=outer)
+    return SupplementReport(True, scope)
+
+
+def fixed_point_average(table, h, subgroup):
+    """Orbit count of a subgroup on the cosets of H: the average number of
+    cosets each member fixes, read from action_of."""
+    space = coset_space(table, h)
+    total = sum(sum(1 for cid, image in enumerate(space.action_of(s).images) if image == cid)
+                for s in subgroup)
+    count, rem = divmod(total, len(subgroup))
+    assert rem == 0, "fixed points do not average to an integer"
+    return count
 
 
 def coset_action(table, subgroup):

@@ -98,8 +98,8 @@ def test_criterion_3_a7_on_three_subsets():
     assert len(space) == 35
     assert len(orbits_on_cosets(space, a)) == 4
     assert len(orbits_on_cosets(space, b)) == 4
-    assert cauchy_frobenius_count(space, a) == 4
-    assert cauchy_frobenius_count(space, b) == 4
+    assert cauchy_frobenius_count(table, a, a) == 4
+    assert cauchy_frobenius_count(table, a, b) == 4
     assert orbit_count_pair(table, a, b) == (4, 4)
     assert supplement_property(table, a, b).holds
     threes = catalog.load_entry("A7_3sets").group
@@ -185,8 +185,8 @@ def test_criterion_7_m11_index_eleven_row():
     space = coset_space(table, a)
     assert len(space) == 11
     assert len(orbits_on_cosets(space, a)) == 2
-    assert cauchy_frobenius_count(space, a) == 2
-    assert cauchy_frobenius_count(space, b) == 2
+    assert cauchy_frobenius_count(table, a, a) == 2
+    assert cauchy_frobenius_count(table, a, b) == 2
     assert orbit_count_pair(table, a, b) == (2, 2)
     assert supplement_property(table, a, b).holds
     _finish(7, started, 120.0, "M11 with its index-11 subgroup: counts (2,2), supplement holds")

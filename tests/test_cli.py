@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from spreadcheck import catalog, cli, perm, tables
+from spreadcheck import catalog, cli, perm, tables, witness
 from spreadcheck.cli import main
 
 D10_JSON = {
@@ -609,6 +609,32 @@ def test_resolved_subgroups_are_not_closed_again(capsys, monkeypatch, argv):
     assert main(argv) in (0, 1)
     capsys.readouterr()
     assert closures <= allowed
+
+
+@pytest.mark.parametrize("scope", ["T", "Aut"])
+@pytest.mark.parametrize("name,a_label,b_label,spaces", [("A7", "stab3", "stab3_even", 0),
+                                                         ("A5", "C5", "1", 1)])
+def test_supplement_builds_a_coset_space_only_to_locate_a_failure(
+        capsys, monkeypatch, scope, name, a_label, b_label, spaces):
+    """The supplement property is decided by orbit counts from the permutation
+    character; a coset space is built only when they differ, to find the
+    failing representative."""
+    entry = catalog.load_entry(name)
+    entry.automorphisms
+    built = 0
+    coset_space = witness.coset_space
+
+    def counting(*args):
+        nonlocal built
+        built += 1
+        return coset_space(*args)
+
+    monkeypatch.setattr(witness, "coset_space", counting)
+    argv = ["spreading", "supplement", "--group", name, "--A", a_label, "--B", b_label,
+            "--scope", scope, "--json"]
+    assert main(argv) == (1 if spaces else 0)
+    assert json.loads(capsys.readouterr().out)["certificate"]["holds"] is not bool(spaces)
+    assert built == spaces
 
 
 @pytest.mark.parametrize(

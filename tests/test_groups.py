@@ -11,7 +11,9 @@ from helpers import (
     inner_witness,
     is_automorphism,
     product_set,
+    product_size,
     scan_normalizer,
+    scan_setwise_stabilizer,
 )
 from spreadcheck import autos, catalog, tables
 from spreadcheck.autos import (
@@ -42,7 +44,6 @@ from spreadcheck.tables import (
     normalizer,
     orbits_on_cosets,
     point_stabilizer,
-    product_size,
     setwise_stabilizer,
     sylow_normalizer,
     sylow_subgroup,
@@ -297,6 +298,20 @@ class TestSubgroupHelpers:
         assert len(point_stabilizer(t, 0)) == 12
         assert len(setwise_stabilizer(t, (0, 1))) == 6
 
+    @pytest.mark.parametrize("name,points", [("A5", ()), ("A5", (0, 1)), ("A7", (0, 1, 2)),
+                                             ("A8", (0, 1, 2)), ("A8", (0, 2, 3, 5)),
+                                             ("PSL(2,7)", (0, 7)), ("M11", (0,)), ("M11", (3, 4))])
+    def test_stabilizers_match_the_scan(self, monkeypatch, name, points):
+        """Orbit-stabiliser gives the stabilizers the scan of T gives, as plain
+        frozensets, and reads no index range."""
+        t = catalog.load_group_table(name)
+        expected = scan_setwise_stabilizer(t, points)
+        monkeypatch.setattr(tables, "range", _no_scan(len(t)), raising=False)
+        found = setwise_stabilizer(t, points)
+        assert type(found) is frozenset and found == expected
+        if len(points) == 1:
+            assert point_stabilizer(t, points[0]) == expected
+
     def test_sylow(self):
         t = catalog.load_group_table("A5")
         assert len(sylow_subgroup(t, 2)) == 4
@@ -325,7 +340,7 @@ class TestSubgroupHelpers:
         v4 = catalog.resolve_subgroup("A5", "V4")
         for sub, count in ((a4, 2), (v4, 2)):
             assert len(orbits_on_cosets(space, sub)) == count
-            assert cauchy_frobenius_count(space, sub) == count
+            assert cauchy_frobenius_count(t, a4, sub) == count
 
 
 class TestAutomorphisms:

@@ -2,12 +2,25 @@
 
 import pytest
 
-from helpers import conjugate_subgroup, product_set, recheck_refutation, recheck_witness
+from helpers import (
+    conjugate_subgroup,
+    fixed_point_average,
+    product_set,
+    recheck_refutation,
+    recheck_witness,
+    supplement_per_coset,
+)
 from spreadcheck import catalog
 from spreadcheck.diagonal import build_diagonal_group
 from spreadcheck.errors import InvalidSubgroup
 from spreadcheck.perm import Permutation, PermutationGroup
-from spreadcheck.tables import build_group_table, validate_subgroup
+from spreadcheck.tables import (
+    build_group_table,
+    cauchy_frobenius_count,
+    sylow_normalizer,
+    sylow_subgroup,
+    validate_subgroup,
+)
 from spreadcheck.witness import (
     Multiset,
     Refutation,
@@ -228,6 +241,63 @@ class TestSupplementProperty:
             supplement_property(t, c5, frozenset({0}), scope="G")
         with pytest.raises(ValueError):
             supplement_property(t, c5, frozenset({0}), scope="Aut")  # needs auts
+
+
+SUBGROUPS_GROUPS = ["A5", "A6", "A7", "A8", "PSL(2,7)", "PSL(3,2)", "PSL(2,8)", "PSL(2,11)",
+                    "PSL(2,13)", "M11", "M12"]
+
+
+def _candidate_subgroups(name):
+    """The recipe subgroups, the Sylow 2-, 3- and 5-subgroups and their
+    normalizers, and 1, each once."""
+    entry = catalog.load_entry(name)
+    t = entry.table
+    found = [entry.subgroup(label) for label in entry.subgroups] + [validate_subgroup(t, {0})]
+    for p in (2, 3, 5):
+        if len(t) % p == 0:
+            found += [sylow_subgroup(t, p), validate_subgroup(t, sylow_normalizer(t, p))]
+    return list({frozenset(h): h for h in found}.values())
+
+
+def _normal_pairs(name):
+    """Every pair B < A of candidate subgroups with B normal in A and A < T;
+    on M12 only its catalog pair, as the per-coset route is slow there."""
+    entry = catalog.load_entry(name)
+    t = entry.table
+    if name == "M12":
+        return [tuple(entry.subgroup(label) for label in pair) for pair in entry.supplement_pairs]
+    subgroups = _candidate_subgroups(name)
+    return [(a, b) for a in subgroups for b in subgroups
+            if b < a and len(a) < len(t) and all(t.conjugate(x, g) in b for x in b.gens for g in a.gens)]
+
+
+@pytest.mark.parametrize("name", SUBGROUPS_GROUPS)
+def test_supplement_matches_the_per_coset_route(name):
+    """The orbit-count decision and its failure locator give the report of
+    the per-coset test |B (A cap H^t)| = |A|, failing element and outer coset
+    included, over both scopes."""
+    t = catalog.load_group_table(name)
+    auts = catalog.load_automorphisms(name)
+    pairs = _normal_pairs(name)
+    assert pairs
+    for a, b in pairs:
+        for scope in ("T", "Aut"):
+            expected = supplement_per_coset(t, a, b, scope, auts).to_json()
+            assert supplement_property(t, a, b, scope, auts).to_json() == expected, (len(a), len(b))
+
+
+@pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "A7", "M11"])
+def test_character_count_matches_the_fixed_point_average(name):
+    """The permutation-character count equals the fixed points of action_of,
+    averaged, for every pair of candidate subgroups whose oracle reads at most
+    50,000 coset images (|S| |T:H|)."""
+    t = catalog.load_group_table(name)
+    subgroups = _candidate_subgroups(name)
+    for h in subgroups:
+        for s in subgroups:
+            if len(s) * (len(t) // len(h)) > 50_000:
+                continue
+            assert cauchy_frobenius_count(t, h, s) == fixed_point_average(t, h, s), (len(h), len(s))
 
 
 COUNT_CASES = {
