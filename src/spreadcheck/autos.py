@@ -74,7 +74,8 @@ def _extend_images(table: GroupTable, rights: Sequence, images: Sequence[int]) -
     the array, takes the image phi(x) phi(g), and every other edge must satisfy
     phi(x g) = phi(x) phi(g), so the walk stops at the first edge that fails.
     A map that passes every edge and reaches every element is a homomorphism
-    of T, and an automorphism exactly when it is bijective.
+    of T, and an automorphism exactly when its kernel is trivial: only the
+    identity maps to the identity.
     """
     n = len(table)
     multiply = table.multiply
@@ -90,7 +91,7 @@ def _extend_images(table: GroupTable, rights: Sequence, images: Sequence[int]) -
                 order.append(y)
             elif mapping[y] != my:
                 return None
-    if len(order) < n or len(set(mapping)) < n:
+    if len(order) < n or mapping.count(0) != 1:
         return None
     return Automorphism(table, tuple(mapping))
 

@@ -2,8 +2,9 @@
 
 The table construction follows the classical modular approach: build the
 class-sum multiplication matrices with no product per element (class_of
-composed with the table's left multiplications along each class
-representative's BFS word, one C-level pass per letter), diagonalise them
+composed with the table's stored right multiplications by its generators
+along each class representative's BFS word, one C-level pass per letter,
+shared between words with a common tail), diagonalise them
 simultaneously over a prime field F_p whose multiplicative group contains
 all needed roots of unity, read off each character modulo p, then lift every
 entry to an exact cyclotomic integer through the root-of-unity
@@ -32,26 +33,36 @@ DEFAULT_CLASS_CAP = 60
 
 def _class_tensor(table: GroupTable) -> list[list[list[int]]]:
     """a[i][j][l], the number of x in class i with x^-1 r_l in class j, for r_l
-    the representative of class l.  x^-1 r_l is conjugate to r_l x^-1, so it
-    counts the y in the class i' inverse to i with r_l y in class j; each
-    class's segment of class_of(r_l y) is counted as bytes (at most 256
-    classes).  Checked: class 0 is the identity, a[0][j][l] = [j = l]; the
-    algebra commutes, a[i][j][l] = a[j][i][l]; and counting the triples
-    x y = z by x and z gives |C_l| a[i][j][l] = |C_j| a[i'][l][j]."""
+    the representative of class l: the y = x^-1 of the class i' inverse to i
+    with y r_l in class j.  With r_l = g_1 ... g_m its BFS word, class_of(y r_l)
+    is class_of composed with R_(g_m), then ..., then R_(g_1), one C-level pass
+    per letter on the table's stored generator arrays.  The words, read last
+    letter first, are walked in sorted order on a stack of class-id bytes, so
+    words with a common tail share its passes.  Each class's segment of
+    class_of(y r_l) is counted as bytes (at most 256 classes).  Checked: class
+    0 is the identity, a[0][j][l] = [j = l]; the algebra commutes, a[i][j][l] =
+    a[j][i][l]; and counting the triples x y = z by x and z gives
+    |C_l| a[i][j][l] = |C_j| a[i'][l][j]."""
     classes = table.conjugacy_classes()
     k = len(classes)
-    lefts = {g: table.left_multiplication(g) for g in table.generator_indices}
-    class_of = bytes(map(table.class_of, range(len(table))))
-    inverse = [table.inverse_class(i) for i in range(k)]
-    a = [[[0] * k for _ in range(k)] for _ in range(k)]
+    words = []
     for l, cls in enumerate(classes):
         word, x = [], cls.representative
         while x:  # the BFS parent of x is its x g^-1 of smallest index
             x, g = min((table.multiply(x, table.inverse[g]), g) for g in table.generator_indices)
             word.append(g)
-        images = class_of
-        for g in reversed(word):
-            images = compose_images(lefts[g], images)
+        words.append((word, l))
+    inverse = [table.inverse_class(i) for i in range(k)]
+    a = [[[0] * k for _ in range(k)] for _ in range(k)]
+    stack, walked = [bytes(map(table.class_of, range(len(table))))], []
+    for word, l in sorted(words):
+        shared = 0  # stack[d] is class_of(y s), s the product of the word's last d letters
+        while shared < min(len(word), len(walked)) and word[shared] == walked[shared]:
+            shared += 1
+        del stack[shared + 1:]
+        for g in word[shared:]:
+            stack.append(bytes(compose_images(table.right_multiplication(g), stack[-1])))
+        walked, images = word, stack[-1]
         for i in range(k):
             segment = bytes(compose_images(classes[inverse[i]].members, images))
             for j in range(k):

@@ -117,6 +117,8 @@ class CyclotomicValue:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.order == other.order == 1:  # integers: what the general path gives
+            return CyclotomicValue(1, (self.coeffs[0] + other.coeffs[0],))
         n = lcm(self.order, other.order)
         a, b = self._embedded(n), other._embedded(n)
         return _make(n, [x + y for x, y in zip(a, b)])
@@ -142,6 +144,8 @@ class CyclotomicValue:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.order == other.order == 1:
+            return CyclotomicValue(1, (self.coeffs[0] * other.coeffs[0],))
         n = lcm(self.order, other.order)
         a, b = self._embedded(n), other._embedded(n)
         prod = [0] * (len(a) + len(b) - 1)

@@ -5,10 +5,13 @@ in generator order fills its elements and their index together, so index 0 is
 the identity and indices are reproducible.  A product composes two elements'
 permutations and looks the result up.  No |T| x |T| table is ever stored, which
 keeps groups up to a few hundred thousand elements workable.  Two whole-table
-kernels, made on demand and never stored, are left_multiplication(t), the
-indices of t x for all x (one itemgetter over t's images in a C-level pass,
-then map looks them up), and right_multiplication(t), x t as inverse, L_(t^-1),
-inverse.  Class matrices, diagonal translations, automorphisms and the class
+kernels give a product per element with no multiply: left_multiplication(t),
+the indices of t x for all x (one itemgetter over t's images in a C-level pass,
+then map looks them up), and right_multiplication(t), the indices of x t.  The
+BFS already looks up x g for every x and generator g, so it keeps R_g of each
+table generator (one |T|-long tuple per generator, about 1.5 MB on A9); any
+other R_t is made on demand as inverse, L_(t^-1), inverse, and L_t is never
+stored.  Class matrices, diagonal translations, automorphisms and the class
 walk's conjugation arrays are built on them, with no product per element.  The
 walk records one conjugator per element, taking it to its class representative;
 centralizers are closed from its Schreier generators, and normalizers and point
@@ -65,16 +68,21 @@ class GroupTable:
         identity = Permutation.identity(group.degree)
         self.elements: list[Permutation] = [identity]
         self.index: dict[tuple[int, ...], int] = {identity.images: 0}
+        rights: list[list[int]] = [[] for _ in gens]
         for x in self.elements:  # reaches the elements it appends: a BFS
-            for g in gens:
+            for g, right in zip(gens, rights):
                 y = compose_images(x.images, g)
-                if y not in self.index:
+                k = self.index.get(y)
+                if k is None:
                     if len(self.elements) >= cap:
                         raise CapExceeded("element enumeration", cap)
-                    self.index[y] = len(self.elements)
+                    k = self.index[y] = len(self.elements)
                     self.elements.append(Permutation._unchecked(y))
+                right.append(k)
         self.inverse: list[int] = [self.index[inverse_images(p.images)] for p in self.elements]
         self.generator_indices: list[int] = [self.index[g] for g in gens]
+        # each generator's R_g, kept from the BFS; pop frees each list as its tuple is made
+        self._rights = {g: tuple(rights.pop(0)) for g in self.generator_indices}
         self._class_orders: list[int] | None = None
         self._classes: list[ConjClass] | None = None
         self._class_of: list[int] | None = None
@@ -101,7 +109,10 @@ class GroupTable:
         return map(self.index.__getitem__, map(times_t, images))
 
     def right_multiplication(self, t: int) -> tuple[int, ...]:
-        """The indices of x t for every x in index order: x t = (t^-1 x^-1)^-1."""
+        """The indices of x t for every x in index order: kept from the BFS for
+        a table generator, else computed as x t = (t^-1 x^-1)^-1."""
+        if t in self._rights:
+            return self._rights[t]
         left = self.left_multiplication(self.inverse[t])
         return compose_images(compose_images(self.inverse, left), self.inverse)
 

@@ -25,7 +25,7 @@ from spreadcheck.cyclotomic import CyclotomicValue, zeta
 from spreadcheck.diagonal import build_diagonal_group
 from spreadcheck.errors import CapExceeded, VerificationInconsistency
 from spreadcheck.perm import Permutation, PermutationGroup
-from spreadcheck.tables import build_group_table
+from spreadcheck.tables import GroupTable, build_group_table
 
 
 @lru_cache(maxsize=None)
@@ -197,29 +197,41 @@ class TestClassTensor:
 
     @pytest.mark.parametrize(
         "swap,message",
-        [((0, 1), "not the identity"), ((1, 3), "not commutative"), ((4, 42), "miscounts")],
+        [((0, 1), "not the identity"), ((4, 42), "not commutative"), ((4, 43), "miscounts")],
         ids=["identity", "commutative", "triple-count"],
     )
-    def test_corrupted_left_multiplication_is_caught(self, swap, message):
-        """Two entries of every generator's left multiplication swapped; each
-        swap here breaks a different identity of the class algebra.  The
-        classes are built first, from the honest kernel, so only the tensor's
-        input is corrupted."""
+    def test_corrupted_generator_arrays_are_caught(self, swap, message):
+        """Two entries of every stored generator array R_g swapped; each swap
+        here breaks a different identity of the class algebra.  The classes
+        are built first, from the honest arrays, so only the tensor's input is
+        corrupted."""
         t = build_group_table(catalog.load_entry("A5").group, name="A5")
         t.conjugacy_classes()
-        honest = t.left_multiplication
-
-        def corrupted(g):
-            images = list(honest(g))
+        for g in t.generator_indices:
+            images = list(t.right_multiplication(g))
             a, b = swap
             images[a], images[b] = images[b], images[a]
-            return tuple(images)
-
-        t.left_multiplication = corrupted
+            t._rights[g] = tuple(images)
         with pytest.raises(VerificationInconsistency, match=message):
             _class_tensor(t)
         with pytest.raises(VerificationInconsistency, match=message):
             dixon_character_table(t)
+
+    def test_tensor_makes_no_left_multiplication(self, monkeypatch):
+        """A fresh table's classes and tensor read only the generator arrays
+        kept from its BFS: no _left_products pass."""
+        passes = {"calls": 0}
+        left_products = GroupTable._left_products
+
+        def counting(self, images, t):
+            passes["calls"] += 1
+            return left_products(self, images, t)
+
+        monkeypatch.setattr(GroupTable, "_left_products", counting)
+        t = build_group_table(catalog.load_entry("A7").group, name="A7")
+        t.conjugacy_classes()
+        _class_tensor(t)
+        assert passes["calls"] == 0
 
 
 class TestClassAlgebraConsistency:

@@ -1,5 +1,7 @@
 """Exact arithmetic on roots of unity."""
 
+import random
+
 import pytest
 
 from spreadcheck.cyclotomic import (
@@ -93,6 +95,23 @@ class TestCyclotomicValue:
         assert zeta(4, 2) == CyclotomicValue.from_int(-1)
         assert zeta(6) - zeta(6) == ZERO
         assert zeta(5) != zeta(7)
+
+    def test_integer_shortcut_matches_the_general_path(self):
+        """Sums and products of two integers skip the embedding.  Routed
+        through zeta(3), the same sums and products take the general path,
+        whose result collapses back to order 1 with the same coefficients."""
+        rng = random.Random(17)
+        z, z_inv = zeta(3), zeta(3, 2)
+        for _ in range(200):
+            a, b = rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)
+            x, y = CyclotomicValue.from_int(a), CyclotomicValue.from_int(b)
+            for short, general, expect in ((x + y, (x + z) + y - z, a + b),
+                                           (x * y, (x * z) * y * z_inv, a * b)):
+                assert (short.order, short.coeffs) == (general.order, general.coeffs) == (1, (expect,))
+        assert 3 * zeta(5) == zeta(5) + zeta(5) + zeta(5)
+        assert (3 * zeta(5)).coeffs == (0, 3, 0, 0)
+        assert zeta(3) + 2 == 1 - zeta(3, 2)
+        assert (zeta(3) + 2).order == 3 and (2 + zeta(3)).coeffs == (2, 1)
 
     def test_unhashable_by_design(self):
         with pytest.raises(TypeError):

@@ -377,6 +377,8 @@ class TestAutomorphisms:
         rights = [t.right_multiplication(g) for g in gens]
         assert autos._extend_images(t, rights, [gens[0], gens[0]]) is None
         assert autos._extend_images(t, rights[:1], gens[:1]) is None
+        # the trivial map passes every edge, but its kernel is all of T
+        assert autos._extend_images(t, rights, [0, 0]) is None
 
     def test_search_requires_trivial_center(self):
         c3 = build_group_table(PermutationGroup([cyc(3, [0, 1, 2])]), name="C3")
@@ -557,6 +559,15 @@ class TestDiagonalAction:
             assert right_translation(t, s).images == tuple(t.multiply(x, s) for x in range(n))
             assert left_translation(t, s).images == tuple(
                 t.multiply(t.inverse[s], x) for x in range(n))
+
+    @pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "M11"])
+    def test_generator_arrays_are_kept_from_the_bfs(self, name):
+        t = catalog.load_group_table(name)
+        n = len(t)
+        for g in t.generator_indices:
+            right = t.right_multiplication(g)
+            assert right == tuple(t.multiply(x, g) for x in range(n))
+            assert right is t._rights[g] and t.right_multiplication(g) is right
 
     @pytest.mark.parametrize("degree", [1, 3])
     def test_kernels_on_the_trivial_table(self, degree):
