@@ -19,7 +19,8 @@ inversion, to count its point stabiliser modulo Inn.  The search tries x
 among class representatives only, skips marked pairs, and pre-filters by
 element order, class size and the orders of a few fixed words in the pair.
 Cayley walks read x g from arrays R_g made once per route, and the image side
-stays one product per edge, so a failing candidate stops at its first edge.
+is one translate per edge by the image generator's table, so a failing
+candidate stops at its first edge.
 """
 
 from __future__ import annotations
@@ -78,14 +79,15 @@ def _extend_images(table: GroupTable, rights: Sequence, images: Sequence[int]) -
     identity maps to the identity.
     """
     n = len(table)
-    multiply = table.multiply
+    bytes_of, index = table.images, table.index
+    image_tables = [table.translate_table(mg) for mg in images]
     mapping = [-1] * n
     mapping[0] = 0
     order = [0]
     for x in order:  # grows while it is walked
-        mx = mapping[x]
-        for right, mg in zip(rights, images):
-            y, my = right[x], multiply(mx, mg)
+        mx = bytes_of[mapping[x]]
+        for right, t in zip(rights, image_tables):
+            y, my = right[x], index[mx.translate(t)]
             if mapping[y] < 0:
                 mapping[y] = my
                 order.append(y)

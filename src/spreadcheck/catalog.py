@@ -37,9 +37,9 @@ from .tables import (
     centralizer,
     close_subgroup,
     derived_subgroup,
+    normalizer,
     point_stabilizer,
     setwise_stabilizer,
-    sylow_normalizer,
     sylow_subgroup,
     validate_subgroup,
 )
@@ -66,6 +66,7 @@ class CatalogEntry:
     supplement_pairs: tuple[tuple[str, str], ...]
     two_point_labels: tuple[str, ...]
     _resolved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _sylow: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @functools.cached_property
     def group(self) -> PermutationGroup:
@@ -83,12 +84,25 @@ class CatalogEntry:
         supplied = []
         for images in self.aut_images:
             try:
-                supplied.append([table.index[p.images] for p in images])
+                supplied.append([table.index[bytes(p.images)] for p in images])
             except KeyError:
                 raise InvalidSubgroup(
                     f"supplied automorphism image does not lie in {self.name}"
                 ) from None
         return automorphism_group_from_supplied(table, supplied)
+
+    @functools.cached_property
+    def _conjugations(self) -> list:
+        """The table's conjugation arrays, built once for every Sylow growth
+        and normalizer of the entry's recipes."""
+        return self.table.conjugations()
+
+    def _sylow_of(self, p: int) -> Subgroup:
+        """A Sylow p-subgroup, grown once per prime for the sylow and
+        sylow_normalizer recipes alike."""
+        if p not in self._sylow:
+            self._sylow[p] = sylow_subgroup(self.table, p, lambda: self._conjugations)
+        return self._sylow[p]
 
     def subgroup(self, label: str) -> Subgroup:
         """The subgroup with this label, checked once against the table; the
@@ -417,9 +431,9 @@ def _resolve_recipe(entry: CatalogEntry, recipe: tuple) -> frozenset[int]:
     table = entry.table
     kind = recipe[0]
     if kind == "sylow":
-        return sylow_subgroup(table, recipe[1])
+        return entry._sylow_of(recipe[1])
     if kind == "sylow_normalizer":
-        return sylow_normalizer(table, recipe[1])
+        return normalizer(table, entry._sylow_of(recipe[1]), entry._conjugations)
     if kind == "point_stabilizer":
         return point_stabilizer(table, recipe[1])
     if kind == "setwise_stabilizer":
@@ -434,7 +448,7 @@ def _resolve_recipe(entry: CatalogEntry, recipe: tuple) -> frozenset[int]:
         return _index2_centerfree(table, entry.subgroup(recipe[1]))
     if kind == "generated":
         try:
-            indices = {table.index[p.images] for p in recipe[1]}
+            indices = {table.index[bytes(p.images)] for p in recipe[1]}
         except KeyError:
             raise InvalidSubgroup(
                 f"subgroup generator does not lie in {entry.name}"

@@ -2,22 +2,27 @@
 
 A GroupTable is the one enumeration of a small group T: a BFS from the identity
 in generator order fills its elements and their index together, so index 0 is
-the identity and indices are reproducible.  A product composes two elements'
-permutations and looks the result up.  No |T| x |T| table is ever stored, which
-keeps groups up to a few hundred thousand elements workable.  Two whole-table
-kernels give a product per element with no multiply: left_multiplication(t),
-the indices of t x for all x (one itemgetter over t's images in a C-level pass,
-then map looks them up), and right_multiplication(t), the indices of x t.  The
-BFS already looks up x g for every x and generator g, so it keeps R_g of each
-table generator (one |T|-long tuple per generator, about 1.5 MB on A9); any
-other R_t is made on demand as inverse, L_(t^-1), inverse, and L_t is never
-stored.  Class matrices, diagonal translations, automorphisms and the class
-walk's conjugation arrays are built on them, with no product per element.  The
-walk records one conjugator per element, taking it to its class representative;
+the identity and indices are reproducible.  An element is stored as one bytes
+of its point images (table.images, so the degree is at most 256), table.index
+is keyed by those bytes, and table.elements is a read-only view making a
+Permutation on access.  The one composition kernel is bytes.translate: x t is
+x.translate(translate_table(t)), t's images padded to 256 entries, one C call
+whose result caches its hash for the index lookup; inverses come from
+bytes.maketrans(x, identity).  No |T| x |T| table is ever stored, which keeps
+groups up to a few hundred thousand elements workable.  Two whole-table
+kernels give a product per element with no multiply: right_multiplication(t),
+the indices of x t for all x (map translates every element, map looks them
+up), and left_multiplication(t) = inverse, R_(t^-1), inverse.  The BFS already
+looks up x g for every x and generator g, so it keeps R_g of each table
+generator (one |T|-long tuple per generator, about 1.5 MB on A9).  Class
+matrices, diagonal translations, automorphisms and the class walk's
+conjugation arrays are built on them, with no product per element.  The walk
+records one conjugator per element, taking it to its class representative;
 centralizers are closed from its Schreier generators, and normalizers and point
 and setwise stabilizers from those of an orbit walk (perm.orbit_walk), not a
-scan of T.  A coset space fills each new coset in one C-level pass, and orbit
-counts on cosets come from the permutation character, one class_of per member.
+scan of T.  A coset space fills each new coset H s in one pass of products
+h s, and orbit counts on cosets come from the permutation character, one
+class_of per member.
 
 Subgroups are Subgroup values: frozensets of element indices that also hold
 their table and the generators kept for them.  Only _closure builds one, for
@@ -35,14 +40,16 @@ normalizers, point and setwise stabilizers, and coset spaces.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Iterable, Iterator
+from itertools import repeat
+from typing import Callable, Iterable, Iterator
 
 from .errors import CapExceeded, InvalidSubgroup, VerificationInconsistency
-from .perm import Permutation, PermutationGroup, compose_images, inverse_images, orbit_walk
+from .perm import Permutation, PermutationGroup, compose_images, orbit_walk
 
 DEFAULT_TABLE_CAP = 10**4
+MAX_TABLE_DEGREE = 256  # the points of an element are the values of one bytes
 
 
 @dataclass(frozen=True)
@@ -58,28 +65,58 @@ class ConjClass:
         return len(self.members)
 
 
+class _Elements(Sequence):
+    """A table's elements in index order, read-only: each access makes the
+    Permutation of the stored bytes."""
+
+    __slots__ = ("_images",)
+
+    def __init__(self, images: list[bytes]):
+        self._images = images
+
+    def __len__(self) -> int:
+        return len(self._images)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [Permutation._unchecked(tuple(x)) for x in self._images[i]]
+        return Permutation._unchecked(tuple(self._images[i]))
+
+    def __iter__(self) -> Iterator[Permutation]:
+        return (Permutation._unchecked(tuple(x)) for x in self._images)
+
+
 class GroupTable:
     """All elements of a finite permutation group, indexed 0..|T|-1."""
 
     def __init__(self, group: PermutationGroup, cap: int = DEFAULT_TABLE_CAP, name: str | None = None):
+        n = group.degree
+        if n > MAX_TABLE_DEGREE:
+            raise ValueError(
+                f"a group table holds points as bytes, so its degree is at most {MAX_TABLE_DEGREE}; got {n}"
+            )
         self.group = group
         self.name = name
-        gens = [g.images for g in group.generators]
-        identity = Permutation.identity(group.degree)
-        self.elements: list[Permutation] = [identity]
-        self.index: dict[tuple[int, ...], int] = {identity.images: 0}
+        self._pad = bytes(range(n, 256))
+        identity = bytes(range(n))
+        self.images: list[bytes] = [identity]
+        self.index: dict[bytes, int] = {identity: 0}
+        self.elements = _Elements(self.images)
+        gens = [bytes(g.images) for g in group.generators]
+        gen_tables = [g + self._pad for g in gens]
         rights: list[list[int]] = [[] for _ in gens]
-        for x in self.elements:  # reaches the elements it appends: a BFS
-            for g, right in zip(gens, rights):
-                y = compose_images(x.images, g)
-                k = self.index.get(y)
-                if k is None:
-                    if len(self.elements) >= cap:
+        images, setdefault = self.images, self.index.setdefault
+        for x in images:  # reaches the elements it appends: a BFS
+            for t, right in zip(gen_tables, rights):
+                y = x.translate(t)
+                k = setdefault(y, len(images))
+                if k == len(images):
+                    if k >= cap:
                         raise CapExceeded("element enumeration", cap)
-                    k = self.index[y] = len(self.elements)
-                    self.elements.append(Permutation._unchecked(y))
+                    images.append(y)
                 right.append(k)
-        self.inverse: list[int] = [self.index[inverse_images(p.images)] for p in self.elements]
+        inverses = map(identity.translate, map(bytes.maketrans, images, repeat(identity)))
+        self.inverse: list[int] = list(map(self.index.__getitem__, inverses))
         self.generator_indices: list[int] = [self.index[g] for g in gens]
         # each generator's R_g, kept from the BFS; pop frees each list as its tuple is made
         self._rights = {g: tuple(rights.pop(0)) for g in self.generator_indices}
@@ -92,37 +129,40 @@ class GroupTable:
         self._centralizers: dict[int, frozenset[int]] = {}
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.images)
+
+    def translate_table(self, t: int) -> bytes:
+        """The table by which x.translate gives the bytes of x t, for the bytes
+        x of any element: t's images, padded to 256 entries."""
+        return self.images[t] + self._pad
 
     def multiply(self, i: int, j: int) -> int:
-        return self.index[compose_images(self.elements[i].images, self.elements[j].images)]
+        return self.index[self.images[i].translate(self.translate_table(j))]
 
-    def left_multiplication(self, t: int) -> tuple[int, ...]:
-        """The indices of t x for every x in index order (see the module notes)."""
-        return tuple(self._left_products((x.images for x in self.elements), t))
-
-    def _left_products(self, images: Iterable[tuple[int, ...]], t: int) -> Iterator[int]:
-        """The indices of t x for the x with these image tuples, in one C-level pass."""
-        t_images = self.elements[t].images
-        # itemgetter returns a bare item for one index: degree < 2 takes compose_images
-        times_t = itemgetter(*t_images) if len(t_images) >= 2 else lambda x: compose_images(t_images, x)
-        return map(self.index.__getitem__, map(times_t, images))
+    def _products(self, images: Iterable[bytes], t: int) -> Iterator[int]:
+        """The indices of x t for the elements x with these bytes, in one C-level pass."""
+        return map(self.index.__getitem__, map(bytes.translate, images, repeat(self.translate_table(t))))
 
     def right_multiplication(self, t: int) -> tuple[int, ...]:
         """The indices of x t for every x in index order: kept from the BFS for
-        a table generator, else computed as x t = (t^-1 x^-1)^-1."""
+        a table generator, else one _products pass."""
         if t in self._rights:
             return self._rights[t]
-        left = self.left_multiplication(self.inverse[t])
-        return compose_images(compose_images(self.inverse, left), self.inverse)
+        return tuple(self._products(self.images, t))
+
+    def left_multiplication(self, t: int) -> tuple[int, ...]:
+        """The indices of t x for every x in index order, as t x = (x^-1 t^-1)^-1."""
+        s = self.inverse[t]
+        right = self._rights[s] if s in self._rights else tuple(self._products(self.images, s))
+        return compose_images(compose_images(self.inverse, right), self.inverse)
 
     def conjugations(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """For each generator g, the indices of x^g and of g^-1 x for every x in
         index order, from R_g: g^-1 x = (x^-1 g)^-1 and x^g = (g^-1 x) g."""
         out = []
-        for right in map(self.right_multiplication, self.generator_indices):
-            left = compose_images(compose_images(self.inverse, right), self.inverse)
-            out.append((compose_images(left, right), left))
+        for g in self.generator_indices:
+            left = self.left_multiplication(self.inverse[g])
+            out.append((compose_images(left, self.right_multiplication(g)), left))
         return out
 
     def conjugate(self, x: int, t: int) -> int:
@@ -171,7 +211,7 @@ class GroupTable:
     def _compute_classes(self) -> None:
         """Walk each class from its smallest member by generator conjugation:
         y = x^g = R_g[L[x]], L = L_(g^-1), has y^L[u] = start if x^u = start."""
-        n = len(self.elements)
+        n = len(self.images)
         to_rep = [-1] * n
         raw: list[list[int]] = []
         steps = [(conj.__getitem__, left.__getitem__) for conj, left in self.conjugations()]
@@ -235,20 +275,20 @@ class GroupTable:
         return self._pair
 
     def _find_generating_pair(self) -> tuple[int, int]:
-        if len(self.elements) == 1:
+        if len(self.images) == 1:
             return 0, 0
         gens = self.generator_indices
         if len(gens) >= 2 and self._pair_generates(gens[0], gens[1]):
             return gens[0], gens[1]
         g1 = gens[0]
-        for g2 in range(1, len(self.elements)):
+        for g2 in range(1, len(self.images)):
             if g2 != g1 and self._pair_generates(g1, g2):
                 return g1, g2
         raise ValueError("group is not generated by any pair containing its first generator")
 
     def _pair_generates(self, i: int, j: int) -> bool:
         sub = PermutationGroup([self.elements[i], self.elements[j]], self.group.degree)
-        return sub.order() == len(self.elements)
+        return sub.order() == len(self.images)
 
 
 def build_group_table(
@@ -384,13 +424,11 @@ def centralizer(table: GroupTable, x: int) -> frozenset[int]:
     return frozenset(table.conjugate(c, back) for c in c_r) if back else c_r
 
 
-def normalizer(table: GroupTable, subgroup: Iterable[int]) -> frozenset[int]:
-    """N_T(H), the stabiliser of H under conjugation (see _stabilizer)."""
-    return _normalizer(table, subgroup, table.conjugations())
-
-
-def _normalizer(table: GroupTable, subgroup: Iterable[int], conjugations: list) -> frozenset[int]:
-    """normalizer, on arrays from GroupTable.conjugations built once by the caller."""
+def normalizer(table: GroupTable, subgroup: Iterable[int], conjugations: list | None = None) -> frozenset[int]:
+    """N_T(H), the stabiliser of H under conjugation (see _stabilizer), on the
+    arrays of GroupTable.conjugations: the caller's, or built here."""
+    if conjugations is None:
+        conjugations = table.conjugations()
     steps = [(lambda p, c=conj: frozenset(compose_images(p, c)), left.__getitem__)
              for conj, left in conjugations]
     return _stabilizer(table, frozenset(validate_subgroup(table, subgroup)), steps)
@@ -419,9 +457,12 @@ def _stabilizer(table: GroupTable, start, steps: list) -> frozenset[int]:
     return frozenset(_closure(table, schreier, len(table) // len(walk)))
 
 
-def sylow_subgroup(table: GroupTable, p: int) -> Subgroup:
+def sylow_subgroup(table: GroupTable, p: int, get_conjugations: Callable[[], list] | None = None) -> Subgroup:
     """A Sylow p-subgroup: start from an element of maximal p-power order and
-    grow by p-elements of the normalizer until the full p-part is reached."""
+    grow by p-elements of the normalizer until the full p-part is reached.
+    The normalizers take the arrays of GroupTable.conjugations, got once, and
+    only if the start is short of the p-part, from get_conjugations() when
+    the caller shares them."""
     n = len(table)
     p_part = 1
     while n % (p_part * p) == 0:
@@ -435,9 +476,9 @@ def sylow_subgroup(table: GroupTable, p: int) -> Subgroup:
         if o > best_order and _is_p_power(o, p):
             best, best_order = cls.representative, o
     current = close_subgroup(table, [best], cap=p_part)
-    conjugations = table.conjugations() if len(current) < p_part else []
+    arrays = (get_conjugations or table.conjugations)() if len(current) < p_part else []
     while len(current) < p_part:
-        norm = _normalizer(table, current, conjugations)
+        norm = normalizer(table, current, arrays)
         for t in sorted(norm - current):
             if _is_p_power(table.element_order(t), p):
                 current = close_subgroup(table, sorted(current | {t}), cap=p_part)
@@ -473,28 +514,27 @@ class CosetSpace:
 
     def action_of(self, t: int) -> Permutation:
         """The permutation of coset ids induced by right multiplication with t,
-        as rep t = (t^-1 rep^-1)^-1 in one C-level pass."""
-        table, inverse = self.table, self.table.inverse
-        rep_inverses = (table.elements[inverse[rep]].images for rep in self.representatives)
-        products = map(inverse.__getitem__, table._left_products(rep_inverses, inverse[t]))
+        the products rep t in one C-level pass."""
+        images = self.table.images
+        products = self.table._products((images[rep] for rep in self.representatives), t)
         return Permutation._unchecked(tuple(map(self.point_of.__getitem__, products)))
 
 
 def coset_space(table: GroupTable, subgroup: Iterable[int]) -> CosetSpace:
     """Right cosets, numbered in BFS order over the table generators from the
-    identity.  A new coset H s is filled in one C-level pass as (s^-1 H)^-1."""
+    identity.  A new coset H s is filled in one C-level pass of products h s."""
     point_of = [-1] * len(table)
     reps: list[int] = []
-    members = [table.elements[h].images for h in validate_subgroup(table, subgroup)]
-    inverse = table.inverse
+    members = [table.images[h] for h in validate_subgroup(table, subgroup)]
+    rights = [table.right_multiplication(g) for g in table.generator_indices]
     found = [0]
     for s in found:  # grows while it is walked; a coset counts from its first element
         if point_of[s] < 0:
             cid = len(reps)
             reps.append(s)
-            for y in table._left_products(members, inverse[s]):
-                point_of[inverse[y]] = cid
-            found += [table.multiply(s, g) for g in table.generator_indices]
+            for y in table._products(members, s):
+                point_of[y] = cid
+            found += [right[s] for right in rights]
     return CosetSpace(table, tuple(reps), tuple(point_of))
 
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from spreadcheck import catalog
+from spreadcheck import catalog, tables
 from spreadcheck.errors import InvalidSubgroup, VerificationInconsistency
 from spreadcheck.perm import Permutation
 from spreadcheck.tables import validate_subgroup
@@ -153,6 +153,46 @@ def test_entry_owns_its_derived_objects_until_caches_are_cleared():
     catalog.clear_caches()
     assert catalog.load_group_table("A5") is not table
     assert catalog.load_entry("A5") is not entry
+
+
+def test_sylow_recipes_grow_each_sylow_subgroup_once(monkeypatch):
+    """A sylow and a sylow_normalizer recipe of one prime share one growth,
+    and every Sylow growth and normalizer of an entry shares one set of
+    conjugation arrays.  Set up as the benchmark's witnesses workload does,
+    fresh entries make 18 conjugations() calls: one per class walk and one
+    per entry with Sylow recipes (25 when each recipe grew its own)."""
+    calls = {"conjugations": 0, "growths": []}
+    conjugations, grow = tables.GroupTable.conjugations, catalog.sylow_subgroup
+
+    def counting_conjugations(self):
+        calls["conjugations"] += 1
+        return conjugations(self)
+
+    def counting_growth(table, p, *args):
+        calls["growths"].append((table.name, p))
+        return grow(table, p, *args)
+
+    monkeypatch.setattr(tables.GroupTable, "conjugations", counting_conjugations)
+    monkeypatch.setattr(catalog, "sylow_subgroup", counting_growth)
+    entries = [catalog._entry_from_builtin(name) for name in (
+        "A5", "A6", "A7", "PSL(2,7)", "PSL(3,2)", "PSL(2,8)", "PSL(2,11)", "PSL(2,13)",
+        "A5_3sets", "A6_3sets", "A7_3sets")]
+    for entry in entries:
+        entry.table.conjugacy_classes()
+        if entry.name != "A7" and not entry.name.endswith("_3sets"):
+            entry.automorphisms
+        for label in entry.subgroups:
+            entry.subgroup(label)
+    assert calls["conjugations"] == 18
+    assert sorted(calls["growths"]) == [("A5", 2), ("A5", 5), ("A6", 3), ("PSL(2,11)", 11), ("PSL(2,13)", 13),
+                                        ("PSL(2,7)", 7), ("PSL(2,8)", 2), ("PSL(3,2)", 7)]
+    monkeypatch.undo()
+    for entry in entries:
+        for label, (kind, p, *_) in entry.subgroups.items():
+            if kind == "sylow":
+                assert entry.subgroup(label) == tables.sylow_subgroup(entry.table, p)
+            elif kind == "sylow_normalizer":
+                assert entry.subgroup(label) == tables.sylow_normalizer(entry.table, p)
 
 
 def test_supplied_aut_images_must_lie_in_group():

@@ -219,15 +219,15 @@ class TestClassTensor:
 
     def test_tensor_makes_no_left_multiplication(self, monkeypatch):
         """A fresh table's classes and tensor read only the generator arrays
-        kept from its BFS: no _left_products pass."""
+        kept from its BFS: no pass of the product kernel _products."""
         passes = {"calls": 0}
-        left_products = GroupTable._left_products
+        products = GroupTable._products
 
         def counting(self, images, t):
             passes["calls"] += 1
-            return left_products(self, images, t)
+            return products(self, images, t)
 
-        monkeypatch.setattr(GroupTable, "_left_products", counting)
+        monkeypatch.setattr(GroupTable, "_products", counting)
         t = build_group_table(catalog.load_entry("A7").group, name="A7")
         t.conjugacy_classes()
         _class_tensor(t)

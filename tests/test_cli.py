@@ -2,10 +2,16 @@
 
 import copy
 import json
+import os
 import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spreadcheck
 from spreadcheck import catalog, cli, perm, tables, witness
 from spreadcheck.cli import main
 
@@ -88,6 +94,28 @@ class TestReports:
             report.pop("timing_ms")
             runs.append(json.dumps(report, sort_keys=True))
         assert runs[0] == runs[1]
+
+
+    @pytest.mark.parametrize("command", [
+        "group classes --group M11",
+        "spreading char-search --group PSL(2,11)",
+        "spreading supplement --group M12 --A 2xS5 --B S5 --scope Aut",
+        "spreading diagonal-witness --group PSL(2,13) --A F78 --B C13",
+    ])
+    def test_reports_do_not_depend_on_the_hash_seed(self, command):
+        """Table elements are bytes, whose hashes follow PYTHONHASHSEED, so a
+        report that iterated a set of them would change with the seed: two
+        processes with different seeds print the same report, timing_ms aside."""
+        src = str(Path(spreadcheck.__file__).resolve().parents[1])
+        reports = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            done = subprocess.run([sys.executable, "-m", "spreadcheck", *command.split(), "--json"],
+                                  env=env, capture_output=True, timeout=120, check=False)
+            assert done.returncode in (0, 1), done.stderr
+            reports.append(re.sub(rb'\n *"timing_ms": \d+,?', b"", done.stdout))
+        assert b'"certificate"' in reports[0] and b"timing_ms" not in reports[0]
+        assert reports[0] == reports[1]
 
 
 class TestGroupCommands:
@@ -314,9 +342,9 @@ class TestFileRoute:
 
     def test_generator_free_file_is_the_trivial_group(self, capsys, tmp_path):
         """"generators": [] and one identity generator give the same trivial
-        group, on one point (the kernel's plain-tuple path) or on three.  Its
-        generating pair is (0, 0), so "group aut" finds Aut(1) = 1 and
-        "char-search" searches and finds no triple."""
+        group, on one point or on three.  Its generating pair is (0, 0), so
+        "group aut" finds Aut(1) = 1 and "char-search" searches and finds no
+        triple."""
         commands = ("group classes", "chartab compute", "group aut", "spreading char-search")
         for degree in (1, 3):
             reports = {}
@@ -366,6 +394,25 @@ class TestErrorPaths:
         code, report = run_json(capsys, "group", "info", "--file", "/no/such/entry.json")
         assert code == 2
         assert report["certificate"]["error"] in {"OSError", "FileNotFoundError"}
+
+    def test_table_degree_limit(self, capsys, tmp_path):
+        """A table holds each element's points as bytes, so a group of degree
+        257 loads (group info reads no table) but every command that builds
+        its table exits 2 with a ValueError naming the limit; degree 256 is
+        tabled."""
+        for degree in (256, 257):
+            path = tmp_path / f"C{degree}.json"
+            path.write_text(json.dumps({"name": f"C{degree}", "degree": degree,
+                                        "generators": [list(range(1, degree)) + [0]], "known_order": degree}))
+        code, report = run_json(capsys, "group", "classes", "--file", str(tmp_path / "C256.json"))
+        assert (code, len(report["certificate"]["classes"])) == (0, 256)
+        code, report = run_json(capsys, "group", "info", "--file", str(path))
+        assert (code, report["certificate"]["order"]) == (0, 257)
+        for command in ("group classes", "group aut", "chartab compute", "spreading char-search"):
+            code, report = run_json(capsys, *command.split(), "--file", str(path))
+            assert (code, report["verdict"]) == (2, "error")
+            assert report["certificate"]["error"] == "ValueError"
+            assert "degree is at most 256; got 257" in report["certificate"]["message"]
 
     def test_cap_exceeded(self, capsys):
         # a cap of 0 is a cap, not "no cap"

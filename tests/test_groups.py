@@ -72,7 +72,7 @@ class TestGroupTable:
         t = _a4_table()
         assert len(t) == 12
         for i, p in enumerate(t.elements):
-            assert t.index[p.images] == i
+            assert t.index[bytes(p.images)] == i
             assert t.multiply(i, t.inverse[i]) == 0
 
     def test_associativity_exhaustive_small(self):
@@ -571,7 +571,7 @@ class TestDiagonalAction:
 
     @pytest.mark.parametrize("degree", [1, 3])
     def test_kernels_on_the_trivial_table(self, degree):
-        """|T| = 1 takes compose_images's plain-tuple path in both kernels."""
+        """|T| = 1, on one point and on three: both kernels give (0,)."""
         t = build_group_table(PermutationGroup([], degree))
         assert len(t) == 1
         assert t.left_multiplication(0) == t.right_multiplication(0) == (0,)

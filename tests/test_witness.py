@@ -161,8 +161,8 @@ class TestSubgroupPairBuilder:
         t4 = build_group_table(s4, name="S4")
         image = t4.elements.__getitem__
         s3 = validate_subgroup(t4, {i for i in range(24) if t4.elements[i](3) == 3})
-        c2 = frozenset({0, t4.index[Permutation.from_cycles(4, [[0, 1]]).images]})
-        c2_other = frozenset({0, t4.index[Permutation.from_cycles(4, [[0, 3]]).images]})
+        c2 = frozenset({0, t4.index[bytes(Permutation.from_cycles(4, [[0, 1]]).images)]})
+        c2_other = frozenset({0, t4.index[bytes(Permutation.from_cycles(4, [[0, 3]]).images)]})
         a4 = frozenset(i for i, p in enumerate(t4.elements)
                        if sum(len(c) - 1 for c in p.cycles()) % 2 == 0)  # even permutations
         for a, b, message in [
