@@ -3,23 +3,25 @@
 The table construction follows the classical modular approach: build the
 class-sum multiplication matrices with no product per element (class_of
 composed with the table's stored right multiplications by its generators
-along each class representative's BFS word, one C-level pass per letter,
-shared between words with a common tail), diagonalise them
-simultaneously over a prime field F_p whose multiplicative group contains
-all needed roots of unity, read off each character modulo p, then lift every
-entry to an exact cyclotomic integer through the root-of-unity
-correspondence.  The finished table is self-checked (orthogonality, degree
-sum) before it is returned, so downstream zero/equality tests never rest on
-an unverified computation.
+along the edges s -> g s of a greedy tree that reaches a member of every
+class, one C-level pass per edge), diagonalise them simultaneously over a
+prime field F_p whose multiplicative group contains all needed roots of unity,
+starting from one fixed integer combination of them, read off each character
+modulo p, then lift every entry to an exact cyclotomic integer through the
+root-of-unity correspondence, one reduction modulo the cyclotomic polynomial
+per entry.  The finished table is self-checked (orthogonality, with rational
+terms summed as integers, and degree sum) before it is returned, so
+downstream zero/equality tests never rest on an unverified computation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isqrt
+from operator import mul
 
 from .autos import AutomorphismGroup
-from .cyclotomic import CyclotomicValue, render_value, zeta
+from .cyclotomic import CyclotomicValue, from_coefficients, render_value
 from .diagonal import DiagonalGroup
 from .errors import CapExceeded, VerificationInconsistency
 from .perm import compose_images
@@ -31,42 +33,60 @@ DEFAULT_CLASS_CAP = 60
 
 # --- class algebra ---------------------------------------------------------
 
+def _word_tree(table: GroupTable) -> tuple[dict[int, list[tuple[int, int]]], dict[int, int]]:
+    """A tree on T rooted at the identity, as the edges (g, g s) out of each
+    node s for table generators g, and one node of each class.  It grows
+    greedily: a BFS from all its nodes at once finds the nearest element of a
+    class not yet reached, and the path to it joins the tree."""
+    k, gens, class_of = len(table.conjugacy_classes()), table.generator_indices, table._class_of
+    tree, first = {0: []}, {0: 0}
+    while len(first) < k:
+        queue, parent = list(tree), dict.fromkeys(tree)
+        for s, g in ((s, g) for s in queue for g in gens):  # the queue grows as it is read
+            t = table.multiply(g, s)
+            if t not in parent:
+                parent[t] = (s, g)
+                queue.append(t)
+                if class_of[t] not in first:
+                    break
+        while parent[t] is not None:
+            s, g = parent[t]
+            tree.setdefault(s, []).append((g, t))
+            tree.setdefault(t, [])
+            first.setdefault(class_of[t], t)
+            t = s
+    return tree, first
+
+
 def _class_tensor(table: GroupTable) -> list[list[list[int]]]:
     """a[i][j][l], the number of x in class i with x^-1 r_l in class j, for r_l
-    the representative of class l: the y = x^-1 of the class i' inverse to i
-    with y r_l in class j.  With r_l = g_1 ... g_m its BFS word, class_of(y r_l)
-    is class_of composed with R_(g_m), then ..., then R_(g_1), one C-level pass
-    per letter on the table's stored generator arrays.  The words, read last
-    letter first, are walked in sorted order on a stack of class-id bytes, so
-    words with a common tail share its passes.  Each class's segment of
-    class_of(y r_l) is counted as bytes (at most 256 classes).  Checked: class
-    0 is the identity, a[0][j][l] = [j = l]; the algebra commutes, a[i][j][l] =
-    a[j][i][l]; and counting the triples x y = z by x and z gives
-    |C_l| a[i][j][l] = |C_j| a[i'][l][j]."""
+    any member of class l (conjugating by t maps the solutions for r_l onto
+    those for r_l^t): the y = x^-1 of the class i' inverse to i with y r_l in
+    class j.  The members r_l are the nodes _word_tree picks, walked depth
+    first from the identity: a child g s gets class_of(y g s) from its
+    parent's class_of(y s) composed with the stored R_g, one C-level pass of
+    class-id bytes per tree edge.  A node's array is dropped once its
+    children's are made, so only those of pending siblings along one path are
+    kept.  Each class's segment of class_of(y r_l) is counted as bytes (at
+    most 256 classes).  Checked: class 0 is the identity, a[0][j][l] = [j = l];
+    the algebra commutes, a[i][j][l] = a[j][i][l]; and counting the triples
+    x y = z by x and z gives |C_l| a[i][j][l] = |C_j| a[i'][l][j]."""
     classes = table.conjugacy_classes()
     k = len(classes)
-    words = []
-    for l, cls in enumerate(classes):
-        word, x = [], cls.representative
-        while x:  # the BFS parent of x is its x g^-1 of smallest index
-            x, g = min((table.multiply(x, table.inverse[g]), g) for g in table.generator_indices)
-            word.append(g)
-        words.append((word, l))
+    tree, first = _word_tree(table)
     inverse = [table.inverse_class(i) for i in range(k)]
     a = [[[0] * k for _ in range(k)] for _ in range(k)]
-    stack, walked = [bytes(map(table.class_of, range(len(table))))], []
-    for word, l in sorted(words):
-        shared = 0  # stack[d] is class_of(y s), s the product of the word's last d letters
-        while shared < min(len(word), len(walked)) and word[shared] == walked[shared]:
-            shared += 1
-        del stack[shared + 1:]
-        for g in word[shared:]:
-            stack.append(bytes(compose_images(table.right_multiplication(g), stack[-1])))
-        walked, images = word, stack[-1]
-        for i in range(k):
-            segment = bytes(compose_images(classes[inverse[i]].members, images))
-            for j in range(k):
-                a[i][j][l] = segment.count(j)
+    pending = [(0, bytes(table._class_of))]  # (s, class_of(y s) for every y)
+    while pending:
+        s, images = pending.pop()
+        l = table.class_of(s)
+        if first[l] == s:
+            for i in range(k):
+                segment = bytes(compose_images(classes[inverse[i]].members, images))
+                for j in range(k):
+                    a[i][j][l] = segment.count(j)
+        for g, t in tree[s]:
+            pending.append((t, bytes(compose_images(table.right_multiplication(g), images))))
     if any(a[0][j][l] != (j == l) for j in range(k) for l in range(k)):
         raise VerificationInconsistency("class 0 is not the identity of the class algebra")
     if any(a[i][j] != a[j][i] for i in range(k) for j in range(i)):
@@ -138,7 +158,7 @@ def _char_poly(mat: list[list[int]], p: int) -> list[int]:
 
 def _mat_mul(a: list[list[int]], b: list[list[int]], p: int) -> list[list[int]]:
     bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) % p for col in bt] for row in a]
+    return [[sum(map(mul, row, col)) % p for col in bt] for row in a]
 
 
 def _poly_roots(coeffs: list[int], p: int) -> list[int]:
@@ -279,10 +299,11 @@ def dixon_character_table(table: GroupTable, class_cap: int = DEFAULT_CLASS_CAP)
     subspaces: list[list[list[int]]] = [
         [[1 if i == j else 0 for j in range(k)] for i in range(k)]
     ]
-    for i in range(1, k):
+    # one fixed combination of the class matrices usually splits every subspace at once
+    combined = [[sum(i * matrices[i][r][c] for i in range(1, k)) for c in range(k)] for r in range(k)]
+    for mat in [combined, *matrices[1:]]:
         if all(len(b) == 1 for b in subspaces):
             break
-        mat = matrices[i]
         refined: list[list[list[int]]] = []
         for basis in subspaces:
             if len(basis) == 1:
@@ -290,7 +311,7 @@ def dixon_character_table(table: GroupTable, class_cap: int = DEFAULT_CLASS_CAP)
                 continue
             pivots = _pivot_columns(basis)
             images = [
-                [sum(mat[r][c] * vec[c] for c in range(k)) % p for r in range(k)]
+                [sum(map(mul, mat[r], vec)) % p for r in range(k)]
                 for vec in basis
             ]
             coords = [_coords_in_basis(img, basis, pivots, p) for img in images]
@@ -341,16 +362,16 @@ def dixon_character_table(table: GroupTable, class_cap: int = DEFAULT_CLASS_CAP)
         raise VerificationInconsistency("degree squares do not sum to the group order")
 
     w = _primitive_root(p)
+    orders = [table.element_order(c.representative) for c in classes]
+    power_classes = [[table.power_class(l, u) for u in range(m)] for l, m in enumerate(orders)]
     rows: list[tuple[int, tuple[CyclotomicValue, ...]]] = []
     for degree, v in characters_mod_p:
         values: list[CyclotomicValue] = []
-        for l in range(k):
-            m = table.element_order(classes[l].representative)
+        for l, m in enumerate(orders):
             if m == 1:
                 values.append(CyclotomicValue.from_int(degree))
                 continue
-            power_cls = [table.power_class(l, u) for u in range(m)]
-            vals = [degree * v[c] * inv_size[c] % p for c in power_cls]
+            vals = [degree * v[c] * inv_size[c] % p for c in power_classes[l]]
             z = pow(w, (p - 1) // m, p)
             zi = _inv_mod(z, p)
             m_inv = _inv_mod(m, p)
@@ -371,11 +392,7 @@ def dixon_character_table(table: GroupTable, class_cap: int = DEFAULT_CLASS_CAP)
                 raise VerificationInconsistency("eigenvalue multiplicities do not fill the degree")
             if sum(c * pow(z, key, p) for key, c in enumerate(counts)) % p != vals[1]:
                 raise VerificationInconsistency("lifted value does not reduce back mod p")
-            value = CyclotomicValue.from_int(0)
-            for key, c in enumerate(counts):
-                if c:
-                    value = value + c * zeta(m, key)
-            values.append(value)
+            values.append(from_coefficients(m, counts))
         rows.append((degree, tuple(values)))
 
     rows.sort(key=lambda r: (r[0], [(v.order, v.coeffs) for v in r[1]]))
@@ -386,9 +403,7 @@ def dixon_character_table(table: GroupTable, class_cap: int = DEFAULT_CLASS_CAP)
         prime=p,
         class_names=tuple(table.class_names()),
         class_sizes=tuple(sizes),
-        class_element_orders=tuple(
-            table.element_order(c.representative) for c in classes
-        ),
+        class_element_orders=tuple(orders),
         degrees=tuple(r[0] for r in rows),
         rows=tuple(r[1] for r in rows),
     )
@@ -399,28 +414,40 @@ def dixon_character_table(table: GroupTable, class_cap: int = DEFAULT_CLASS_CAP)
     return result
 
 
-def row_orthogonality_holds(ct: CharacterTable) -> bool:
-    n = ct.group_order
-    for i in range(len(ct.rows)):
-        for j in range(i, len(ct.rows)):
-            s = CyclotomicValue.from_int(0)
-            for l in range(ct.num_classes):
-                s = s + ct.class_sizes[l] * ct.rows[i][l] * ct.rows[j][l].conjugate()
-            if s != (n if i == j else 0):
+def _split(values) -> tuple[list[int], dict[int, CyclotomicValue]]:
+    """Character values as plain ints at the rational entries (0 at the
+    others) and the irrational entries by position."""
+    return ([v.as_int() if v.is_rational else 0 for v in values],
+            {l: v for l, v in enumerate(values) if not v.is_rational})
+
+
+def _orthogonal(vectors, weights, norm) -> bool:
+    """Whether sum_l weights[l] u[l] conj(v[l]) is norm(i) for u = v the i-th
+    vector and 0 for two different vectors.  Each vector is read once by
+    _split and conjugated once; the terms with both factors rational are
+    summed as ints, only the others in cyclotomic arithmetic, and the two
+    partial sums are compared exactly."""
+    split = [_split(u) for u in vectors]
+    conjugates = [_split([x.conjugate() for x in u]) for u in vectors]
+    for i, (u_ints, u_irr) in enumerate(split):
+        for j in range(i, len(vectors)):
+            v_ints, v_irr = conjugates[j]
+            rational = sum(map(mul, weights, map(mul, u_ints, v_ints)))
+            irrational = 0
+            for l in u_irr.keys() | v_irr.keys():
+                irrational = irrational + weights[l] * u_irr.get(l, u_ints[l]) * v_irr.get(l, v_ints[l])
+            if irrational != (norm(i) if i == j else 0) - rational:
                 return False
     return True
+
+
+def row_orthogonality_holds(ct: CharacterTable) -> bool:
+    return _orthogonal(ct.rows, ct.class_sizes, lambda i: ct.group_order)
 
 
 def column_orthogonality_holds(ct: CharacterTable) -> bool:
-    for l1 in range(ct.num_classes):
-        for l2 in range(l1, ct.num_classes):
-            s = CyclotomicValue.from_int(0)
-            for row in ct.rows:
-                s = s + row[l1] * row[l2].conjugate()
-            expected = ct.centralizer_order(l1) if l1 == l2 else 0
-            if s != expected:
-                return False
-    return True
+    columns = [[row[l] for row in ct.rows] for l in range(ct.num_classes)]
+    return _orthogonal(columns, [1] * len(ct.rows), ct.centralizer_order)
 
 
 # --- the character-theoretic witness test ----------------------------------

@@ -66,7 +66,8 @@ def _reduce(coeffs: list[int], order: int) -> list[int]:
     return work
 
 
-def _make(order: int, coeffs: list[int]) -> "CyclotomicValue":
+def from_coefficients(order: int, coeffs: list[int]) -> "CyclotomicValue":
+    """The sum of coeffs[k] zeta_order^k, reduced modulo Phi_order once; order 1 if it is an integer."""
     reduced = _reduce(coeffs, order)
     if order > 1 and not any(reduced[1:]):
         return CyclotomicValue(1, (reduced[0],))
@@ -121,7 +122,7 @@ class CyclotomicValue:
             return CyclotomicValue(1, (self.coeffs[0] + other.coeffs[0],))
         n = lcm(self.order, other.order)
         a, b = self._embedded(n), other._embedded(n)
-        return _make(n, [x + y for x, y in zip(a, b)])
+        return from_coefficients(n, [x + y for x, y in zip(a, b)])
 
     __radd__ = __add__
 
@@ -154,7 +155,7 @@ class CyclotomicValue:
                 for j, y in enumerate(b):
                     if y:
                         prod[i + j] += x * y
-        return _make(n, prod)
+        return from_coefficients(n, prod)
 
     __rmul__ = __mul__
 
@@ -165,7 +166,7 @@ class CyclotomicValue:
         out = [0] * ((len(self.coeffs) - 1) * (self.order - 1) + 1)
         for j, c in enumerate(self.coeffs):
             out[j * (self.order - 1)] += c
-        return _make(self.order, out)
+        return from_coefficients(self.order, out)
 
     def __eq__(self, other: object) -> bool:
         other = _coerce(other)
@@ -192,7 +193,7 @@ class CyclotomicValue:
         if isinstance(data, int):
             return CyclotomicValue.from_int(data)
         if isinstance(data, dict):
-            return _make(int(data["order"]), [int(c) for c in data["coeffs"]])
+            return from_coefficients(int(data["order"]), [int(c) for c in data["coeffs"]])
         raise ValueError(f"bad cyclotomic value payload: {data!r}")
 
 
@@ -209,7 +210,7 @@ def zeta(order: int, power: int = 1) -> CyclotomicValue:
     if order < 1:
         raise ValueError("root order must be positive")
     power %= order
-    return _make(order, [0] * power + [1])
+    return from_coefficients(order, [0] * power + [1])
 
 
 ZERO = CyclotomicValue.from_int(0)

@@ -33,8 +33,8 @@ a subgroup H with k kept generators costs O(|H| k) products, not the |H|^2 of
 checking every product.  Functions that need a subgroup's generators accept
 any index set and pass it through validate_subgroup, which returns a Subgroup
 of the same table as it is and closes anything else once.  The helpers cover
-derived subgroups, centralizers, normalizers, Sylow subgroups and their
-normalizers, point and setwise stabilizers, and coset spaces.
+derived subgroups, centralizers, normalizers, Sylow subgroups, point and
+setwise stabilizers, and coset spaces.
 """
 
 from __future__ import annotations
@@ -492,10 +492,6 @@ def _is_p_power(n: int, p: int) -> bool:
     while n % p == 0:
         n //= p
     return n == 1
-
-
-def sylow_normalizer(table: GroupTable, p: int) -> frozenset[int]:
-    return normalizer(table, sylow_subgroup(table, p))
 
 
 # --- coset spaces ----------------------------------------------------------

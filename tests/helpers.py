@@ -6,7 +6,7 @@ from spreadcheck.autos import Automorphism
 from spreadcheck.cyclotomic import CyclotomicValue
 from spreadcheck.errors import InvalidSubgroup
 from spreadcheck.perm import Permutation, PermutationGroup
-from spreadcheck.tables import coset_space, validate_subgroup
+from spreadcheck.tables import coset_space, normalizer, sylow_subgroup, validate_subgroup
 from spreadcheck.witness import Refutation, SupplementReport, Witness, image_weight
 
 
@@ -150,6 +150,11 @@ def product_set(table, left, right):
 def conjugate_subgroup(table, subgroup, t):
     """The conjugate t^-1 H t, built member by member."""
     return frozenset(table.conjugate(x, t) for x in subgroup)
+
+
+def sylow_normalizer(table, p):
+    """N_T(P) of the Sylow p-subgroup P that sylow_subgroup grows."""
+    return normalizer(table, sylow_subgroup(table, p))
 
 
 def product_size(table, left, right):

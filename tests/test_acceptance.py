@@ -303,3 +303,17 @@ def test_criterion_9_cross_validation_property_suite():
         runs += 1
 
     _finish(9, started, 600.0, f"{runs} catalog runs independently re-checked")
+
+
+def test_criterion_10_large_character_tables():
+    """The Dixon tables of A9 and M12, timed once their group tables and
+    classes are loaded; each table runs its own orthogonality self-checks."""
+    loaded = {name: catalog.load_group_table(name) for name in ("A9", "M12")}
+    for table in loaded.values():
+        table.conjugacy_classes()
+    started = time.perf_counter()
+    for name, table in loaded.items():
+        ct = dixon_character_table(table)
+        assert ct.num_classes == {"A9": 18, "M12": 15}[name]
+        assert sum(d * d for d in ct.degrees) == ct.group_order == len(table)
+    _finish(10, started, 5.0, "A9 (18 classes) and M12 (15 classes) Dixon tables, self-checked")

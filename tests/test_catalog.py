@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from helpers import sylow_normalizer
 from spreadcheck import catalog, tables
 from spreadcheck.errors import InvalidSubgroup, VerificationInconsistency
 from spreadcheck.perm import Permutation
@@ -192,7 +193,7 @@ def test_sylow_recipes_grow_each_sylow_subgroup_once(monkeypatch):
             if kind == "sylow":
                 assert entry.subgroup(label) == tables.sylow_subgroup(entry.table, p)
             elif kind == "sylow_normalizer":
-                assert entry.subgroup(label) == tables.sylow_normalizer(entry.table, p)
+                assert entry.subgroup(label) == sylow_normalizer(entry.table, p)
 
 
 def test_supplied_aut_images_must_lie_in_group():

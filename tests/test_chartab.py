@@ -7,7 +7,7 @@ from functools import lru_cache
 import pytest
 
 from helpers import class_algebra_consistent, class_mult_coefficient, recheck_witness
-from spreadcheck import catalog
+from spreadcheck import catalog, chartab
 from spreadcheck.chartab import (
     CharTripleRefutation,
     CharWitnessSpec,
@@ -122,6 +122,31 @@ def test_orthogonality_checker_rejects_tampering():
     assert not row_orthogonality_holds(tampered)
 
 
+def test_orthogonality_checkers_reject_a_tampered_irrational_entry():
+    """One degree-3 character of A5 with its values on 5A and 5B swapped is
+    the other degree-3 character; only the irrational terms see it."""
+    ct = _ct("A5")
+    c5a, c5b = 1, 2
+    row = list(ct.rows[1])
+    assert not row[c5a].is_rational and not row[c5b].is_rational
+    row[c5a], row[c5b] = row[c5b], row[c5a]
+    tampered = dataclasses.replace(ct, rows=(ct.rows[0], tuple(row)) + ct.rows[2:])
+    assert not row_orthogonality_holds(tampered)
+    assert not column_orthogonality_holds(tampered)
+
+
+def test_column_orthogonality_rejects_a_tampered_rational_entry():
+    """The degree-4 character of A5 with its value on 3A raised by one: the
+    3A column is all rational, so only the integer sums see it."""
+    ct = _ct("A5")
+    c3a = 4
+    row = list(ct.rows[3])
+    assert all(r[c3a].is_rational for r in ct.rows)
+    row[c3a] = row[c3a] + 1
+    tampered = dataclasses.replace(ct, rows=ct.rows[:3] + (tuple(row),) + ct.rows[4:])
+    assert not column_orthogonality_holds(tampered)
+
+
 @pytest.mark.parametrize("name", ["A5", "PSL(2,7)"])
 def test_inverse_class_values_are_conjugate(name):
     table = catalog.load_group_table(name)
@@ -197,7 +222,7 @@ class TestClassTensor:
 
     @pytest.mark.parametrize(
         "swap,message",
-        [((0, 1), "not the identity"), ((4, 42), "not commutative"), ((4, 43), "miscounts")],
+        [((0, 1), "not the identity"), ((4, 42), "not commutative"), ((4, 39), "miscounts")],
         ids=["identity", "commutative", "triple-count"],
     )
     def test_corrupted_generator_arrays_are_caught(self, swap, message):
@@ -232,6 +257,29 @@ class TestClassTensor:
         t.conjugacy_classes()
         _class_tensor(t)
         assert passes["calls"] == 0
+
+    def test_tensor_work_on_a8(self, monkeypatch):
+        """A8's tensor makes at most 20 compositions of length |T|, one per
+        edge of its word tree, and no pass of the product kernel _products."""
+        t = catalog.load_group_table("A8")
+        t.conjugacy_classes()
+        whole, passes = [], []
+        compose, products = chartab.compose_images, GroupTable._products
+
+        def counting_compose(p, q):
+            if len(p) == len(t):
+                whole.append(p)
+            return compose(p, q)
+
+        def counting_products(self, images, x):
+            passes.append(x)
+            return products(self, images, x)
+
+        monkeypatch.setattr(chartab, "compose_images", counting_compose)
+        monkeypatch.setattr(GroupTable, "_products", counting_products)
+        _class_tensor(t)
+        assert 0 < len(whole) <= 20
+        assert passes == []
 
 
 class TestClassAlgebraConsistency:

@@ -9,6 +9,7 @@ from spreadcheck.cyclotomic import (
     ZERO,
     CyclotomicValue,
     cyclotomic_polynomial,
+    from_coefficients,
     render_value,
     zeta,
 )
@@ -112,6 +113,27 @@ class TestCyclotomicValue:
         assert (3 * zeta(5)).coeffs == (0, 3, 0, 0)
         assert zeta(3) + 2 == 1 - zeta(3, 2)
         assert (zeta(3) + 2).order == 3 and (2 + zeta(3)).coeffs == (2, 1)
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 7, 9, 15])
+    def test_from_coefficients_matches_the_zeta_sum(self, order):
+        """One reduction of sum counts[key] x^key gives the value, order and
+        coefficients alike, that adding counts[key] zeta(order, key) one term at
+        a time gives: on seeded random counts, on the all-zero vector, and on
+        counts that collapse to order 1 (a constant, and equal counts, whose
+        sum over all order-th roots is 0 for order > 1)."""
+        rng = random.Random(order)
+        cases = [[0] * order, [2] + [0] * (order - 1), [3] * order]
+        cases += [[rng.randrange(5) for _ in range(order)] for _ in range(30)]
+        for counts in cases:
+            value = CyclotomicValue.from_int(0)
+            for key, c in enumerate(counts):
+                if c:
+                    value = value + c * zeta(order, key)
+            got = from_coefficients(order, counts)
+            assert (got.order, got.coeffs) == (value.order, value.coeffs)
+        constant, equal = from_coefficients(order, [2] + [0] * (order - 1)), from_coefficients(order, [3] * order)
+        assert (constant.order, constant.coeffs) == (1, (2,))
+        assert (equal.order, equal.coeffs) == (1, (3,) if order == 1 else (0,))
 
     def test_unhashable_by_design(self):
         with pytest.raises(TypeError):

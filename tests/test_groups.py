@@ -14,6 +14,7 @@ from helpers import (
     product_size,
     scan_normalizer,
     scan_setwise_stabilizer,
+    sylow_normalizer,
 )
 from spreadcheck import autos, catalog, tables
 from spreadcheck.autos import (
@@ -45,7 +46,6 @@ from spreadcheck.tables import (
     orbits_on_cosets,
     point_stabilizer,
     setwise_stabilizer,
-    sylow_normalizer,
     sylow_subgroup,
     validate_subgroup,
 )

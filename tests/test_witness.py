@@ -9,6 +9,7 @@ from helpers import (
     recheck_refutation,
     recheck_witness,
     supplement_per_coset,
+    sylow_normalizer,
 )
 from spreadcheck import catalog
 from spreadcheck.diagonal import build_diagonal_group
@@ -17,7 +18,6 @@ from spreadcheck.perm import Permutation, PermutationGroup
 from spreadcheck.tables import (
     build_group_table,
     cauchy_frobenius_count,
-    sylow_normalizer,
     sylow_subgroup,
     validate_subgroup,
 )
