@@ -235,8 +235,8 @@ def _cmd_ab_check(args):
     a_sub, b_sub = entry.subgroup(args.A), entry.subgroup(args.B)
     points = (catalog.distinct([parse_point(s, entry.degree, "--set point") for s in args.set.split(",")],
                                "--set point") if args.set is not None else None)
-    result = witness_from_subgroup_pair(entry.group, a_sub, b_sub, entry.table.elements.__getitem__,
-                                        args.base, points, group_label=entry.name, **_cap_kw(args))
+    result = witness_from_subgroup_pair(a_sub, b_sub, args.base, points, group_label=entry.name,
+                                        **_cap_kw(args))
     verdict, cert, code = _outcome(result)
     return verdict, cert, code, [_witness_line(result)]
 

@@ -108,6 +108,8 @@ class CyclotomicValue:
 
     def _embedded(self, n: int) -> list[int]:
         """Coefficient vector of this value inside Z[x]/(Phi_n), order | n."""
+        if n == self.order:
+            return list(self.coeffs)  # stored reduced
         step = n // self.order
         out = [0] * ((len(self.coeffs) - 1) * step + 1)
         for j, c in enumerate(self.coeffs):

@@ -38,7 +38,6 @@ class DiagonalGroup:
     """T acting on itself two-sidedly, extended by Aut(T) and inversion."""
 
     base: GroupTable
-    auts: AutomorphismGroup
     group: PermutationGroup
 
     @property
@@ -76,7 +75,7 @@ def build_diagonal_group(table: GroupTable, auts: AutomorphismGroup) -> Diagonal
         raise VerificationInconsistency(
             f"diagonal group order {actual} != |T|^2 * outer * 2 = {expected}"
         )
-    return DiagonalGroup(table, auts, group)
+    return DiagonalGroup(table, group)
 
 
 def diagonal_order(table: GroupTable, group: PermutationGroup) -> int:

@@ -152,8 +152,7 @@ class GroupTable:
 
     def left_multiplication(self, t: int) -> tuple[int, ...]:
         """The indices of t x for every x in index order, as t x = (x^-1 t^-1)^-1."""
-        s = self.inverse[t]
-        right = self._rights[s] if s in self._rights else tuple(self._products(self.images, s))
+        right = self.right_multiplication(self.inverse[t])
         return compose_images(compose_images(self.inverse, right), self.inverse)
 
     def conjugations(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

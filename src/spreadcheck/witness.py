@@ -7,11 +7,12 @@ every g in G.  The verifier here checks exactly that, quantifying over the
 distinct images of X (the weight depends only on the image set, so running
 over the set orbit is equivalent to running over all of G).
 
-The builders produce witnesses from subgroup data: a subgroup pair B normal in
-A inside a transitive G yields (X, Omega + k*B-orbit - A-orbit) provided B is
-transitive on each A-orbit of the images meeting the A-orbit of a base point.
-Applied to the diagonal action of a simple group T with A, B inside T itself,
-this gives the standard witness (A, Omega + |A:B|*B - A).
+The subgroup-pair builder makes (X, Omega + k*B-orbit - A-orbit) from B normal
+in A inside a tabled group T on its own points, when B is transitive on each
+A-orbit of the images meeting the A-orbit of a base point.  Over diag(T), with
+A and B inside T, that condition is the supplement property over Aut(T):
+diagonal_witness decides by it and walks the set orbit of A once, to verify
+(A, Omega + |A:B|*B - A) or to find the first image where B is not transitive.
 
 The remaining operations quantify the supplement condition A = B(A cap A^t)
 and its relatives: orbit counts of A and B on cosets, by the permutation
@@ -23,13 +24,13 @@ the orbit-count lower bound for base size at least three.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
-from typing import Callable, Collection, Iterable
+from functools import cached_property
+from typing import Collection, Iterable
 
 from .autos import AutomorphismGroup
-from .diagonal import build_diagonal_group, right_translation
+from .diagonal import build_diagonal_group
 from .errors import InvalidSubgroup, VerificationInconsistency
-from .perm import DEFAULT_SET_ORBIT_CAP, Permutation, PermutationGroup, compose_images, parse_point
+from .perm import DEFAULT_SET_ORBIT_CAP, PermutationGroup, compose_images, parse_point
 from .tables import (
     CosetSpace,
     GroupTable,
@@ -216,57 +217,47 @@ def verify_witness(
 
 
 def witness_from_subgroup_pair(
-    group: PermutationGroup,
     a_sub: Subgroup,
     b_sub: Iterable[int],
-    image: Callable[[int], Permutation],
     base_point: int,
     points: Iterable[int] | None = None,
     group_label: str = "G",
     cap: int = DEFAULT_SET_ORBIT_CAP,
 ) -> Witness | Refutation:
-    """Build the witness (X, Omega + k*base^B - base^A) from a subgroup pair.
+    """Build the witness (X, Omega + k*base^B - base^A) from a subgroup pair
+    A (a Subgroup of a table T) and B (indices of T), in T's own permutation
+    group on its points.  X defaults to base^A.
 
-    A is a Subgroup of a table T and B a set of indices of the same table;
-    image(i) is the permutation of Omega by which element i of T acts inside
-    the transitive group.  X defaults to base^A.  The checks run in order:
-    the group is transitive, a given X is nonempty and proper, then
-    _normal_pair checks on the table that B is normal and proper in A and A
-    proper in T.  When A is transitive, the default X is all of Omega, which
-    comes back as a "set-trivial" refutation, as verify_witness reports it.
-    The images of A's and B's generators only walk orbits and set orbits.
-    The base point's A-orbit must split into k >= 2 orbits of B, and B must
-    act transitively on each A-orbit of the images of X that meet the A-orbit
-    of the base point; failures of those two conditions come back as
-    refutations.  The constructed witness is re-verified from scratch before
-    it is returned.
+    The checks run in order: T's group is transitive, a given X is nonempty
+    and proper, then _normal_pair checks that B is normal and proper in A and
+    A proper in T.  A transitive A makes the default X all of Omega, refuted
+    as "set-trivial" as verify_witness reports it.  The base point's A-orbit
+    must split into k >= 2 orbits of B, and B must act transitively on each
+    A-orbit of the images of X that meet it; failures of those two
+    conditions come back as refutations.  The witness is re-verified from
+    scratch before it is returned.
     """
-    n = group.degree
+    table = a_sub.table
+    group, n = table.group, table.group.degree
     if not group.is_transitive():
         raise ValueError("the ambient group must be transitive")
-    a_group = PermutationGroup([image(g) for g in a_sub.gens], n)
+    a_group = PermutationGroup([table.elements[g] for g in a_sub.gens], n)
     orbit_a = frozenset(a_group.orbit(base_point))
     x = orbit_a if points is None else frozenset(points)
     if points is not None and not 0 < len(x) < n:
         raise ValueError("the point set must be nonempty and proper")
-    a_sub, b_sub = _normal_pair(a_sub.table, a_sub, b_sub)
+    a_sub, b_sub = _normal_pair(table, a_sub, b_sub)
     if len(x) == n:
         return Refutation(group_label, x, None, "set-trivial", {"set_size": n, "domain_size": n})
-    b_group = PermutationGroup([image(g) for g in b_sub.gens], n)
+    b_group = PermutationGroup([table.elements[g] for g in b_sub.gens], n)
     orbit_b = frozenset(b_group.orbit(base_point))
     # B <= A and B normal, so orbit_a splits into B-orbits of equal size
     k, rem = divmod(len(orbit_a), len(orbit_b))
     if rem:
         raise VerificationInconsistency("B-orbit size does not divide the A-orbit size")
     if k < 2:
-        return Refutation(
-            group_label,
-            x,
-            None,
-            "k-too-small",
-            {"k": k, "A_orbit": sorted(orbit_a), "B_orbit": sorted(orbit_b)},
-        )
-
+        return Refutation(group_label, x, None, "k-too-small",
+                          {"k": k, "A_orbit": sorted(orbit_a), "B_orbit": sorted(orbit_b)})
     delta = [y for y in group.set_orbit(x, cap) if y & orbit_a]
     remaining = set(delta)
     while remaining:
@@ -275,35 +266,10 @@ def witness_from_subgroup_pair(
         if not a_orbit <= remaining:
             raise VerificationInconsistency("A-orbit escaped the filtered image family")
         remaining -= a_orbit
-        b_orbit = set(b_group.set_orbit(start, cap))
-        if b_orbit != a_orbit:
-            return Refutation(
-                group_label,
-                x,
-                None,
-                "B-not-transitive-on-orbit",
-                {
-                    "orbit_size": len(a_orbit),
-                    "B_suborbit_size": len(b_orbit),
-                    "member": sorted(start),
-                },
-            )
-
-    multiset = (
-        Multiset.uniform(n)
-        + k * Multiset.indicator(orbit_b, n)
-        - Multiset.indicator(orbit_a, n)
-    )
-    if multiset.cardinality != n:
-        raise VerificationInconsistency(
-            f"witness multiset cardinality {multiset.cardinality} != domain size {n}"
-        )
-    result = verify_witness(group, x, multiset, group_label, cap)
-    if isinstance(result, Refutation):
-        raise VerificationInconsistency(
-            f"constructed witness failed re-verification: {result.violation}"
-        )
-    return result
+        b_size = len(b_group.set_orbit(start, cap))
+        if b_size != len(a_orbit):
+            return _not_transitive(group_label, x, start, len(a_orbit), b_size)
+    return _pair_witness(group, x, orbit_a, orbit_b, group_label, cap)
 
 
 def diagonal_witness(
@@ -315,17 +281,49 @@ def diagonal_witness(
 ) -> Witness | Refutation:
     """The witness (A, Omega + |A:B|*B - A) over the diagonal action on T.
 
-    A must be proper in T and B normal and proper in A.  The pair is checked
-    before diag(T) is built, so a bad pair costs no diag(T) at all; its order
-    is counted on the table by orbit-stabiliser (diagonal.diagonal_order),
-    and no stabilizer chain is built.  The heavy lifting is delegated to the
-    subgroup-pair builder with right translations as the images and the
-    identity of T as base point, whose A-orbit is A itself.
+    A must be proper in T and B normal and proper in A, checked before
+    diag(T) is built.  The images of A under diag(T) are the right cosets H m
+    of the Aut(T)-images H of A, on which A acts by right translation, so B
+    is transitive on the A-orbit of H m exactly when A = B(A cap H^m): the
+    supplement property over Aut decides the pair.  When it holds, the
+    witness is built at once and verify_witness makes the one walk of the set
+    orbit of A.  When it fails, that walk finds the first image Y, in BFS
+    order, that meets A in a point m and whose A- and B-orbits differ in
+    size: Y a = Y exactly when m a lies in Y, so the orbit sizes are
+    |A| / #{a in A : m a in Y} and |B| / #{b in B : m b in Y}.
     """
     a_set, b_set = _normal_pair(table, a_sub, b_sub)
     diag = build_diagonal_group(table, auts)
-    return witness_from_subgroup_pair(diag.group, a_set, b_set, partial(right_translation, table),
-                                      0, group_label=diag.label, cap=cap)
+    if supplement_property(table, a_set, b_set, "Aut", auts).holds:
+        return _pair_witness(diag.group, a_set, a_set, b_set, diag.label, cap)
+    for y in diag.group.set_orbit(a_set, cap):
+        meet = y & a_set
+        if meet:
+            m = min(meet)
+            size_a, size_b = (len(h) // sum(table.multiply(m, g) in y for g in h) for h in (a_set, b_set))
+            if size_a != size_b:
+                return _not_transitive(diag.label, a_set, y, size_a, size_b)
+    raise VerificationInconsistency("the supplement property fails, yet B is transitive on every A-orbit")
+
+
+def _not_transitive(group_label: str, x, member: frozenset[int], orbit_size: int, b_size: int) -> Refutation:
+    """The refutation: the A-orbit of the image member splits into B-orbits."""
+    return Refutation(group_label, x, None, "B-not-transitive-on-orbit",
+                      {"orbit_size": orbit_size, "B_suborbit_size": b_size, "member": sorted(member)})
+
+
+def _pair_witness(group: PermutationGroup, x: frozenset[int], orbit_a: frozenset[int],
+                  orbit_b: frozenset[int], group_label: str, cap: int) -> Witness:
+    """(X, Omega + k*orbit_b - orbit_a), k = |orbit_a : orbit_b|, re-verified by verify_witness."""
+    n = group.degree
+    k = len(orbit_a) // len(orbit_b)
+    multiset = Multiset.uniform(n) + k * Multiset.indicator(orbit_b, n) - Multiset.indicator(orbit_a, n)
+    if multiset.cardinality != n:
+        raise VerificationInconsistency(f"witness multiset cardinality {multiset.cardinality} != domain size {n}")
+    result = verify_witness(group, x, multiset, group_label, cap)
+    if isinstance(result, Refutation):
+        raise VerificationInconsistency(f"constructed witness failed re-verification: {result.violation}")
+    return result
 
 
 def _normal_pair(table: GroupTable, a_sub, b_sub) -> tuple[Subgroup, Subgroup]:

@@ -4,10 +4,18 @@ from __future__ import annotations
 
 from spreadcheck.autos import Automorphism
 from spreadcheck.cyclotomic import CyclotomicValue
+from spreadcheck.diagonal import build_diagonal_group, right_translation
 from spreadcheck.errors import InvalidSubgroup
-from spreadcheck.perm import Permutation, PermutationGroup
+from spreadcheck.perm import DEFAULT_SET_ORBIT_CAP, Permutation, PermutationGroup
 from spreadcheck.tables import coset_space, normalizer, sylow_subgroup, validate_subgroup
-from spreadcheck.witness import Refutation, SupplementReport, Witness, image_weight
+from spreadcheck.witness import (
+    Multiset,
+    Refutation,
+    SupplementReport,
+    Witness,
+    image_weight,
+    verify_witness,
+)
 
 
 def naive_elements(generators, degree, cap=200_000):
@@ -183,6 +191,33 @@ def supplement_per_coset(table, a_set, b_set, scope="T", auts=None):
             if product_size(table, b_set, meet) != len(a_set):
                 return SupplementReport(False, scope, failing_element=t, failing_outer=outer)
     return SupplementReport(True, scope)
+
+
+def diagonal_witness_by_walk(table, auts, a_set, b_set, cap=DEFAULT_SET_ORBIT_CAP):
+    """diagonal_witness by set-orbit walks alone, for Subgroups B normal and
+    proper in A < T: walk the set orbit of A under diag(T), keep the images
+    meeting A, and walk the A- and B-set orbits of the first image, in BFS
+    order, of each A-orbit; refute at the first A-orbit that is not one
+    B-orbit, else verify (A, Omega + |A:B|*B - A) by verify_witness."""
+    diag = build_diagonal_group(table, auts)
+    n = diag.degree()
+    a_group, b_group = (PermutationGroup([right_translation(table, g) for g in h.gens], n)
+                        for h in (a_set, b_set))
+    delta = [y for y in diag.group.set_orbit(a_set, cap) if y & a_set]
+    remaining = set(delta)
+    for start in delta:
+        if start in remaining:
+            a_orbit = set(a_group.set_orbit(start, cap))
+            assert a_orbit <= remaining, "an A-orbit left the images meeting A"
+            remaining -= a_orbit
+            b_orbit = set(b_group.set_orbit(start, cap))
+            if b_orbit != a_orbit:
+                return Refutation(diag.label, a_set, None, "B-not-transitive-on-orbit",
+                                  {"orbit_size": len(a_orbit), "B_suborbit_size": len(b_orbit),
+                                   "member": sorted(start)})
+    k = len(a_set) // len(b_set)
+    multiset = Multiset.uniform(n) + k * Multiset.indicator(b_set, n) - Multiset.indicator(a_set, n)
+    return verify_witness(diag.group, a_set, multiset, diag.label, cap)
 
 
 def fixed_point_average(table, h, subgroup):

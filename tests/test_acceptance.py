@@ -270,13 +270,11 @@ def test_criterion_9_cross_validation_property_suite():
     # refutations carry counterexamples that re-check
     for name in ("A5", "A7"):
         table = catalog.load_group_table(name)
-        group = catalog.load_entry(name).group
         entry = catalog.load_entry(name)
         a_label, b_label = entry.supplement_pairs[0]
         a_set = catalog.resolve_subgroup(name, a_label)
         b_set = catalog.resolve_subgroup(name, b_label)
-        ref = witness_from_subgroup_pair(group, a_set, b_set, table.elements.__getitem__, 0,
-                                         group_label=name)
+        ref = witness_from_subgroup_pair(a_set, b_set, 0, group_label=name)
         assert isinstance(ref, Refutation)
         assert ref.violation == "k-too-small"
         recheck_refutation(ref)

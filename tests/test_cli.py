@@ -636,14 +636,15 @@ class TestErrorPaths:
 def test_resolved_subgroups_are_not_closed_again(capsys, monkeypatch, argv):
     """Once an entry has loaded its automorphisms and resolved its labels, a
     command closes no subgroup, except one image of A per non-identity
-    automorphism coset representative over Aut.  The order count of diag(T)
-    reuses the centralizers that loading the automorphisms closed."""
+    automorphism coset representative over Aut, which diagonal-witness decides
+    by.  The order count of diag(T) reuses the centralizers that loading the
+    automorphisms closed."""
     entry = catalog.load_entry(argv[3])
     for flag in ("--A", "--B"):
         if flag in argv:
             entry.subgroup(argv[argv.index(flag) + 1])
     reps = entry.automorphisms.coset_representatives
-    allowed = len(reps) - 1 if "Aut" in argv else 0
+    allowed = len(reps) - 1 if "Aut" in argv or "diagonal-witness" in argv else 0
     closures = 0
     closure = tables._closure
 
@@ -656,6 +657,29 @@ def test_resolved_subgroups_are_not_closed_again(capsys, monkeypatch, argv):
     assert main(argv) in (0, 1)
     capsys.readouterr()
     assert closures <= allowed
+
+
+@pytest.mark.parametrize("name,a_label,b_label,code", [("A7", "stab3", "stab3_even", 0),
+                                                       ("A5", "C5", "1", 1)])
+def test_diagonal_witness_walks_the_set_orbit_once(capsys, monkeypatch, name, a_label, b_label, code):
+    """diagonal-witness decides its pair by the supplement property over Aut,
+    so it walks one set orbit, of A under diag(T): verify_witness's walk for
+    a witness, the walk that locates the first failing image for a
+    refutation."""
+    entry = catalog.load_entry(name)
+    entry.automorphisms
+    degrees = []
+    set_orbit = perm.PermutationGroup.set_orbit
+
+    def counting(self, *args):
+        degrees.append(self.degree)
+        return set_orbit(self, *args)
+
+    monkeypatch.setattr(perm.PermutationGroup, "set_orbit", counting)
+    argv = ["spreading", "diagonal-witness", "--group", name, "--A", a_label, "--B", b_label, "--json"]
+    assert main(argv) == code
+    capsys.readouterr()
+    assert degrees == [len(entry.table)]
 
 
 @pytest.mark.parametrize("scope", ["T", "Aut"])

@@ -10,6 +10,7 @@ from spreadcheck.cyclotomic import (
     CyclotomicValue,
     cyclotomic_polynomial,
     from_coefficients,
+    _reduce,
     render_value,
     zeta,
 )
@@ -134,6 +135,15 @@ class TestCyclotomicValue:
         constant, equal = from_coefficients(order, [2] + [0] * (order - 1)), from_coefficients(order, [3] * order)
         assert (constant.order, constant.coeffs) == (1, (2,))
         assert (equal.order, equal.coeffs) == (1, (3,) if order == 1 else (0,))
+
+    @pytest.mark.parametrize("order", [1, 3, 4, 5, 7, 8, 9, 12, 15, 20])
+    def test_embedding_at_its_own_order_is_the_stored_vector(self, order):
+        """A value is stored reduced, so at its own order _embedded gives the
+        stored coefficients, which reducing them again leaves as they are."""
+        rng = random.Random(order)
+        for _ in range(5):
+            v = from_coefficients(order, [rng.randint(-3, 3) for _ in range(2 * order)])
+            assert v._embedded(v.order) == list(v.coeffs) == _reduce(list(v.coeffs), v.order)
 
     def test_unhashable_by_design(self):
         with pytest.raises(TypeError):

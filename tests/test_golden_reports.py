@@ -4,7 +4,9 @@ kept in tests/data/reports.json, apart from timing_ms.
 The reports pin the certificates of diagonal witnesses, supplement checks over
 T and Aut(T), orbit counts, two-point scans, subgroup-pair checks and class
 lists on A5, PSL(2,7) and A7, the error reports of bad pairs on both pair
-paths, and the report of a usage error under --json.  tests/data/coset_representatives.json pins, for
+paths, and the report of a usage error under --json.  tests/data/diagonal_certificates.json pins a
+sha256 over each certificate of DIAGONAL_COMMANDS (sorted-key JSON), witnesses
+too large to store.  tests/data/coset_representatives.json pins, for
 each base catalog group, a sha256 over the mappings of its automorphism coset
 representatives in order, so every route to Aut(T) must keep picking the same
 representatives.  tests/data/enumeration.json pins, for each base catalog
@@ -14,7 +16,7 @@ moves an index.  tests/data/character_tables.json pins, for each base catalog
 group, a sha256 over its Dixon character table's --json form (ct.to_json()
 with sorted keys), so no change to the class algebra moves a character value.
 After a change that is meant to alter a certificate, a representative, an
-index or a character table, regenerate the four files with
+index or a character table, regenerate the five files with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
@@ -34,6 +36,7 @@ from spreadcheck.chartab import dixon_character_table
 from spreadcheck.cli import main
 
 DATA = Path(__file__).resolve().parent / "data" / "reports.json"
+DIAGONAL = DATA.with_name("diagonal_certificates.json")
 REPS = DATA.with_name("coset_representatives.json")
 ENUMERATION = DATA.with_name("enumeration.json")
 CHARACTER_TABLES = DATA.with_name("character_tables.json")
@@ -42,6 +45,7 @@ BASE_GROUPS = [name for name in catalog.catalog_names() if not name.endswith("_3
 COMMANDS = [
     "spreading diagonal-witness --group A5 --A A4 --B V4",
     "spreading diagonal-witness --group PSL(2,7) --A F21 --B C7",
+    "spreading diagonal-witness --group A5 --A C5 --B 1",
     "spreading supplement --group A5 --A A4 --B V4",
     "spreading supplement --group A5 --A C5 --B 1 --scope Aut",
     "spreading supplement --group PSL(2,7) --A F21 --B C7 --scope Aut",
@@ -63,6 +67,12 @@ COMMANDS = [
     "group classes --group PSL(2,7)",
 ]
 
+DIAGONAL_COMMANDS = [
+    "spreading diagonal-witness --group A7 --A stab3 --B stab3_even",
+    "spreading diagonal-witness --group M11 --A M10 --B A6",
+    "spreading diagonal-witness --group A8 --A stab3 --B stab3_even",
+]
+
 
 def _run(command: str) -> dict:
     """Exit code and --json report of one command, without timing_ms."""
@@ -80,6 +90,12 @@ def _sha256_lines(rows) -> str:
     for row in rows:
         digest.update((",".join(map(str, row)) + "\n").encode())
     return digest.hexdigest()
+
+
+def _certificate_hash(command: str) -> str:
+    """sha256 over the command's --json certificate as sorted-key JSON."""
+    certificate = _run(command)["report"]["certificate"]
+    return hashlib.sha256(json.dumps(certificate, sort_keys=True).encode()).hexdigest()
 
 
 def _rep_hash(name: str) -> str:
@@ -117,6 +133,11 @@ def test_report_matches_stored(command):
     assert _run(command) == _stored()[command]
 
 
+@pytest.mark.parametrize("command", DIAGONAL_COMMANDS)
+def test_certificate_matches_stored_hash(command):
+    assert _certificate_hash(command) == json.loads(DIAGONAL.read_text(encoding="utf-8"))[command]
+
+
 @pytest.mark.parametrize("name", BASE_GROUPS)
 def test_coset_representatives_match_stored(name):
     assert _rep_hash(name) == json.loads(REPS.read_text(encoding="utf-8"))[name]
@@ -137,6 +158,9 @@ if __name__ == "__main__":
     DATA.write_text(json.dumps([_run(c) for c in COMMANDS], indent=1, sort_keys=True) + "\n",
                     encoding="utf-8")
     print(f"wrote {len(COMMANDS)} reports to {DATA}")
+    DIAGONAL.write_text(json.dumps({c: _certificate_hash(c) for c in DIAGONAL_COMMANDS}, indent=1)
+                        + "\n", encoding="utf-8")
+    print(f"wrote {len(DIAGONAL_COMMANDS)} certificate hashes to {DIAGONAL}")
     REPS.write_text(json.dumps({name: _rep_hash(name) for name in BASE_GROUPS}, indent=1)
                     + "\n", encoding="utf-8")
     print(f"wrote {len(BASE_GROUPS)} representative hashes to {REPS}")

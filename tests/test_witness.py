@@ -4,6 +4,7 @@ import pytest
 
 from helpers import (
     conjugate_subgroup,
+    diagonal_witness_by_walk,
     fixed_point_average,
     product_set,
     recheck_refutation,
@@ -124,34 +125,32 @@ def _c6_pair():
     """C6 on 6 points with A = {0, 2, 4} (the subgroup of order 3) and B = 1."""
     group = PermutationGroup([Permutation((1, 2, 3, 4, 5, 0))], 6)
     t = build_group_table(group, name="C6")
-    return group, validate_subgroup(t, {0, 2, 4}), frozenset({0}), t.elements.__getitem__
+    return validate_subgroup(t, {0, 2, 4}), frozenset({0})
 
 
 class TestSubgroupPairBuilder:
     def test_pair_witness_on_rotation_group(self):
-        group, a, b, image = _c6_pair()
-        w = witness_from_subgroup_pair(group, a, b, image, 0, {0, 2, 4}, group_label="C6")
+        a, b = _c6_pair()
+        w = witness_from_subgroup_pair(a, b, 0, {0, 2, 4}, group_label="C6")
         assert isinstance(w, Witness)
         assert w.constant == 3
         assert w.multiset.counts == (3, 1, 0, 1, 0, 1)
         recheck_witness(w, sweep_cap=10)
         # the point set defaults to the A-orbit of the base point
-        assert witness_from_subgroup_pair(group, a, b, image, 0, group_label="C6") == w
+        assert witness_from_subgroup_pair(a, b, 0, group_label="C6") == w
 
     def test_block_not_covered_by_b(self):
-        group, a, b, image = _c6_pair()
-        ref = witness_from_subgroup_pair(group, a, b, image, 0, {0, 1}, group_label="C6")
+        a, b = _c6_pair()
+        ref = witness_from_subgroup_pair(a, b, 0, {0, 1}, group_label="C6")
         assert isinstance(ref, Refutation)
         assert ref.violation == "B-not-transitive-on-orbit"
         recheck_refutation(ref)
 
     def test_orbit_split_too_small(self):
-        group = catalog.load_entry("A5").group
-        t = catalog.load_group_table("A5")
         # natural 5-point action: the V4 orbit of 0 already fills the A4 orbit
         a4 = catalog.resolve_subgroup("A5", "A4")
         v4 = catalog.resolve_subgroup("A5", "V4")
-        ref = witness_from_subgroup_pair(group, a4, v4, t.elements.__getitem__, 0, {0, 1, 3, 4})
+        ref = witness_from_subgroup_pair(a4, v4, 0, {0, 1, 3, 4})
         assert ref.violation == "k-too-small"
         assert ref.counterexample["k"] == 1
         recheck_refutation(ref)
@@ -159,7 +158,6 @@ class TestSubgroupPairBuilder:
     def test_structural_violations_raise(self):
         s4 = PermutationGroup([Permutation.from_cycles(4, [[0, 1, 2, 3]]), Permutation.from_cycles(4, [[0, 1]])], 4)
         t4 = build_group_table(s4, name="S4")
-        image = t4.elements.__getitem__
         s3 = validate_subgroup(t4, {i for i in range(24) if t4.elements[i](3) == 3})
         c2 = frozenset({0, t4.index[bytes(Permutation.from_cycles(4, [[0, 1]]).images)]})
         c2_other = frozenset({0, t4.index[bytes(Permutation.from_cycles(4, [[0, 3]]).images)]})
@@ -172,7 +170,7 @@ class TestSubgroupPairBuilder:
             (validate_subgroup(t4, range(24)), a4, "A must be a proper subgroup of T"),
         ]:
             with pytest.raises(InvalidSubgroup, match=message):
-                witness_from_subgroup_pair(s4, a, b, image, 0, {0, 1})
+                witness_from_subgroup_pair(a, b, 0, {0, 1})
 
 
 DIAGONAL_CASES = {
@@ -284,6 +282,21 @@ def test_supplement_matches_the_per_coset_route(name):
         for scope in ("T", "Aut"):
             expected = supplement_per_coset(t, a, b, scope, auts).to_json()
             assert supplement_property(t, a, b, scope, auts).to_json() == expected, (len(a), len(b))
+
+
+@pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "PSL(3,2)", "A6", "PSL(2,8)", "PSL(2,11)",
+                                  "PSL(2,13)"])
+def test_diagonal_witness_matches_the_set_orbit_walk(name):
+    """On every normal pair, diagonal_witness, which decides by the supplement
+    property over Aut and walks once, reports what the walk of every image's
+    A- and B-set orbits reports, and it verifies exactly when the property
+    holds."""
+    t = catalog.load_group_table(name)
+    auts = catalog.load_automorphisms(name)
+    for a, b in _normal_pairs(name):
+        result = diagonal_witness(t, auts, a, b)
+        assert result.to_json() == diagonal_witness_by_walk(t, auts, a, b).to_json(), (len(a), len(b))
+        assert isinstance(result, Witness) is supplement_property(t, a, b, "Aut", auts).holds
 
 
 @pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "A7", "M11"])
