@@ -98,9 +98,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return self.images == tuple(range(len(self.images)))
 
-    def moved_points(self) -> list[int]:
-        return [i for i, img in enumerate(self.images) if i != img]
-
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycle decomposition, each cycle (an orbit of <self>) led by its smallest point."""
         seen: set[int] = set()

@@ -20,9 +20,9 @@ conjugation arrays are built on them, with no product per element.  The walk
 records one conjugator per element, taking it to its class representative;
 centralizers are closed from its Schreier generators, and normalizers and point
 and setwise stabilizers from those of an orbit walk (perm.orbit_walk), not a
-scan of T.  A coset space fills each new coset H s in one pass of products
-h s, and orbit counts on cosets come from the permutation character, one
-class_of per member.
+scan of T.  A coset space reads each new coset H s g from its parent H s
+through the stored R_g, one gather per coset and no product, and orbit counts
+on cosets come from the permutation character, one gather of class ids.
 
 Subgroups are Subgroup values: frozensets of element indices that also hold
 their table and the generators kept for them.  Only _closure builds one, for
@@ -39,7 +39,7 @@ setwise stabilizers, and coset spaces.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
@@ -517,19 +517,21 @@ class CosetSpace:
 
 def coset_space(table: GroupTable, subgroup: Iterable[int]) -> CosetSpace:
     """Right cosets, numbered in BFS order over the table generators from the
-    identity.  A new coset H s is filled in one C-level pass of products h s."""
+    identity.  A new coset H s g is one C-level gather of R_g over H s."""
     point_of = [-1] * len(table)
     reps: list[int] = []
-    members = [table.images[h] for h in validate_subgroup(table, subgroup)]
     rights = [table.right_multiplication(g) for g in table.generator_indices]
-    found = [0]
-    for s in found:  # grows while it is walked; a coset counts from its first element
-        if point_of[s] < 0:
+    # (s, the members of a coset H p, R_g with s = p g); H itself is H read through R_1
+    found = deque([(0, tuple(validate_subgroup(table, subgroup)), range(len(table)))])
+    while found:
+        s, parent, right = found.popleft()
+        if point_of[s] < 0:  # a coset counts from its first element
+            members = compose_images(parent, right)
             cid = len(reps)
             reps.append(s)
-            for y in table._products(members, s):
+            for y in members:
                 point_of[y] = cid
-            found += [right[s] for right in rights]
+            found += [(r[s], members, r) for r in rights]
     return CosetSpace(table, tuple(reps), tuple(point_of))
 
 
@@ -543,10 +545,10 @@ def cauchy_frobenius_count(table: GroupTable, h: Iterable[int], subgroup: Iterab
     """Orbit count of a subgroup S on the right cosets of H by the permutation
     character: s fixes |C_T(s)| |s^T n H| / |H| cosets (Cauchy-Frobenius), so
     the count is sum over classes c of |S n c| |C_T(c)| |H n c| / (|H| |S|),
-    one class_of per member of H and S and no product."""
+    from one C-level gather of class ids over H and over S, with no product."""
     h, subgroup = validate_subgroup(table, h), validate_subgroup(table, subgroup)
-    in_h, in_s = Counter(map(table.class_of, h)), Counter(map(table.class_of, subgroup))
     sizes = [c.size for c in table.conjugacy_classes()]
+    in_h, in_s = (Counter(compose_images(x, table._class_of)) for x in (h, subgroup))
     total = sum(k * in_h[c] * (len(table) // sizes[c]) for c, k in in_s.items())
     count, rem = divmod(total, len(h) * len(subgroup))
     if rem:

@@ -35,6 +35,11 @@ def naive_elements(generators, degree, cap=200_000):
     return seen
 
 
+def moved_points(p):
+    """The points a permutation does not fix, in increasing order."""
+    return [i for i, img in enumerate(p.images) if i != img]
+
+
 def naive_orbit(generators, point):
     orbit = {point}
     frontier = [point]
@@ -153,6 +158,17 @@ def product_set(table, left, right):
     """The literal set {b s}; quadratic, for small inputs."""
     right = list(right)
     return frozenset(table.multiply(b, s) for b in left for s in right)
+
+
+def right_cosets(table, subgroup):
+    """The right cosets H s as the literal sets {h s}, one for each s in index
+    order that no earlier coset holds."""
+    cosets, covered = [], set()
+    for s in range(len(table)):
+        if s not in covered:
+            cosets.append(frozenset(table.multiply(h, s) for h in subgroup))
+            covered |= cosets[-1]
+    return cosets
 
 
 def conjugate_subgroup(table, subgroup, t):

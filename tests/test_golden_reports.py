@@ -15,8 +15,11 @@ inverse list and of its generator indices, so no change to the table's walk
 moves an index.  tests/data/character_tables.json pins, for each base catalog
 group, a sha256 over its Dixon character table's --json form (ct.to_json()
 with sorted keys), so no change to the class algebra moves a character value.
+tests/data/coset_spaces.json pins, for each labelled subgroup of each base
+catalog group, a sha256 over its coset space's representatives and point_of,
+so no change to the coset walk renumbers a coset.
 After a change that is meant to alter a certificate, a representative, an
-index or a character table, regenerate the five files with
+index, a character table or a coset numbering, regenerate the six files with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
@@ -34,12 +37,14 @@ import pytest
 from spreadcheck import catalog
 from spreadcheck.chartab import dixon_character_table
 from spreadcheck.cli import main
+from spreadcheck.tables import coset_space
 
 DATA = Path(__file__).resolve().parent / "data" / "reports.json"
 DIAGONAL = DATA.with_name("diagonal_certificates.json")
 REPS = DATA.with_name("coset_representatives.json")
 ENUMERATION = DATA.with_name("enumeration.json")
 CHARACTER_TABLES = DATA.with_name("character_tables.json")
+COSET_SPACES = DATA.with_name("coset_spaces.json")
 BASE_GROUPS = [name for name in catalog.catalog_names() if not name.endswith("_3sets")]
 
 COMMANDS = [
@@ -120,6 +125,14 @@ def _character_table_hash(name: str) -> str:
     return hashlib.sha256(json.dumps(ct.to_json(), sort_keys=True).encode()).hexdigest()
 
 
+def _coset_space_hashes(name: str) -> dict:
+    """For each labelled subgroup, sha256 over its coset space's
+    representatives and point_of, each in order."""
+    entry = catalog.load_entry(name)
+    spaces = {label: coset_space(entry.table, entry.subgroup(label)) for label in sorted(entry.subgroups)}
+    return {label: _sha256_lines([space.representatives, space.point_of]) for label, space in spaces.items()}
+
+
 def _stored() -> dict:
     return {case["command"]: case for case in json.loads(DATA.read_text(encoding="utf-8"))}
 
@@ -153,6 +166,11 @@ def test_character_table_matches_stored(name):
     assert _character_table_hash(name) == json.loads(CHARACTER_TABLES.read_text(encoding="utf-8"))[name]
 
 
+@pytest.mark.parametrize("name", BASE_GROUPS)
+def test_coset_spaces_match_stored(name):
+    assert _coset_space_hashes(name) == json.loads(COSET_SPACES.read_text(encoding="utf-8"))[name]
+
+
 if __name__ == "__main__":
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps([_run(c) for c in COMMANDS], indent=1, sort_keys=True) + "\n",
@@ -170,3 +188,6 @@ if __name__ == "__main__":
     CHARACTER_TABLES.write_text(json.dumps({name: _character_table_hash(name) for name in BASE_GROUPS},
                                            indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(BASE_GROUPS)} character table hashes to {CHARACTER_TABLES}")
+    COSET_SPACES.write_text(json.dumps({name: _coset_space_hashes(name) for name in BASE_GROUPS},
+                                       indent=1) + "\n", encoding="utf-8")
+    print(f"wrote coset space hashes of {len(BASE_GROUPS)} groups to {COSET_SPACES}")

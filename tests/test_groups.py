@@ -1,6 +1,7 @@
 """Multiplication tables, automorphism bookkeeping, and the two-sided action."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,7 @@ from helpers import (
     is_automorphism,
     product_set,
     product_size,
+    right_cosets,
     scan_normalizer,
     scan_setwise_stabilizer,
     sylow_normalizer,
@@ -341,6 +343,41 @@ class TestSubgroupHelpers:
         for sub, count in ((a4, 2), (v4, 2)):
             assert len(orbits_on_cosets(space, sub)) == count
             assert cauchy_frobenius_count(t, a4, sub) == count
+
+    @pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "A7", "M11"])
+    def test_coset_space_matches_the_product_sets(self, name):
+        """Each coset id holds exactly one set {h s}, and its representative."""
+        entry = catalog.load_entry(name)
+        for label in sorted(entry.subgroups):
+            h = entry.subgroup(label)
+            space = coset_space(entry.table, h)
+            members = [set() for _ in space.representatives]
+            for x, cid in enumerate(space.point_of):
+                members[cid].add(x)
+            assert all(rep in coset for rep, coset in zip(space.representatives, members))
+            assert sorted(map(sorted, members)) == sorted(map(sorted, right_cosets(entry.table, h)))
+
+    def test_cosets_and_class_counts_are_read_without_products(self, monkeypatch):
+        """A coset is gathered from its parent through the stored R_g, and the
+        class counts from one gather of class ids: no _products, no class_of."""
+        t = catalog.load_group_table("M12")
+        a, b = catalog.resolve_subgroup("M12", "2xS5"), catalog.resolve_subgroup("M12", "S5")
+        calls = Counter()
+
+        def counting(method):
+            original = getattr(tables.GroupTable, method)
+
+            def counted(self, *args):
+                calls[method] += 1
+                return original(self, *args)
+            return counted
+
+        for method in ("_products", "class_of"):
+            monkeypatch.setattr(tables.GroupTable, method, counting(method))
+        assert len(coset_space(t, a)) == 396
+        assert calls["_products"] == 0
+        assert cauchy_frobenius_count(t, a, b) == 10
+        assert calls["class_of"] == 0
 
 
 class TestAutomorphisms:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import naive_bfs_order, naive_elements, naive_orbit, sorted_tuple_set_orbit
+from helpers import moved_points, naive_bfs_order, naive_elements, naive_orbit, sorted_tuple_set_orbit
 from spreadcheck import catalog
 from spreadcheck.diagonal import build_diagonal_group
 from spreadcheck.errors import CapExceeded
@@ -73,7 +73,7 @@ class TestPermutation:
         p = cyc(6, [0, 3], [1, 4, 5])
         assert Permutation.from_cycles(6, p.cycles()) == p
         assert p.cycle_string() == "(0 3)(1 4 5)"
-        assert p.moved_points() == [0, 1, 3, 4, 5]
+        assert moved_points(p) == [0, 1, 3, 4, 5]
 
     def test_parse_permutation(self):
         assert parse_permutation([1, 0, 2], 3) == cyc(3, [0, 1])

@@ -317,10 +317,16 @@ COUNT_CASES = {
     ("A5", "A4", "V4"): (2, 2),
     ("A5", "D10", "C5"): (2, 2),
     ("A5", "C5", "1"): (4, 12),
+    ("A6", "F36", "E9"): (2, 2),
     ("A7", "stab3", "stab3_even"): (4, 4),
     ("A8", "stab3", "stab3_even"): (4, 4),
+    ("PSL(2,7)", "F21", "C7"): (2, 2),
+    ("PSL(3,2)", "F21", "C7"): (2, 2),
     ("PSL(2,8)", "F56", "E8"): (2, 2),
+    ("PSL(2,11)", "F55", "C11"): (2, 2),
+    ("PSL(2,13)", "F78", "C13"): (2, 2),
     ("M11", "M10", "A6"): (2, 2),
+    ("M12", "2xS5", "S5"): (10, 10),
 }
 
 
