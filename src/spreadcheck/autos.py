@@ -1,11 +1,15 @@
 """Automorphisms of a tabled group, found by search or built from images.
 
-An automorphism is stored as a permutation of element indices.  The central
-object is the list of coset representatives modulo inner automorphisms: the
-identity first, then one representative per nontrivial coset.  For a group
-with trivial center that list determines the automorphism group completely
-(the full group is the union of rep-then-conjugation maps), and its length
-times the group order is the automorphism group order.
+An automorphism is stored as a permutation of element indices.  The identity
+is the values of table.index in order, the table's own int objects, and the
+search, the closure and diag(T) read every other mapping from table arrays or
+compose it from such mappings, so a kept mapping adds |T| pointers and no
+ints.  The central object is the list of coset representatives modulo inner
+automorphisms: the identity first, then one representative per nontrivial
+coset.  For a group with trivial center that list determines the
+automorphism group completely (the full group is the union of
+rep-then-conjugation maps), and its length times the group order is the
+automorphism group order.
 
 An automorphism is pinned down by the images (x, y) of a generating pair
 (a, b), and conjugation by t moves them jointly to (x^t, y^t).  _InnerCosets,
@@ -61,7 +65,9 @@ class Automorphism:
 
 
 def identity_automorphism(table: GroupTable) -> Automorphism:
-    return Automorphism(table, tuple(range(len(table))))
+    """The identity, mapped onto the table's own index objects: the BFS set
+    table.index's values in index order, so they are 0, 1, 2, ... already."""
+    return Automorphism(table, tuple(table.index.values()))
 
 
 def center(table: GroupTable) -> frozenset[int]:
@@ -110,14 +116,16 @@ def automorphism_from_generator_images(table: GroupTable, images: Sequence[int])
 
 
 def as_automorphism(table: GroupTable, rights: Sequence, mapping: tuple[int, ...]) -> Automorphism | None:
-    """The map sigma of element indices as an Automorphism, or None: a bijection
-    with sigma R_g = R_sigma(g) sigma, i.e. sigma(x g) = sigma(x) sigma(g), for
-    each table generator g_k, compared as whole arrays with R_(g_k) = rights[k]."""
-    right = table.right_multiplication
-    if sorted(mapping) == list(range(len(table))) and all(
+    """The map sigma of element indices as an Automorphism, or None.  sigma
+    must take |T| indices into range and satisfy sigma R_g = R_sigma(g) sigma,
+    i.e. sigma(x g) = sigma(x) sigma(g), for each table generator g_k,
+    compared as whole arrays with R_(g_k) = rights[k].  That makes it a
+    homomorphism, and a bijection exactly when only the identity maps to 0."""
+    n, right = len(table), table.right_multiplication
+    if len(mapping) == n and 0 <= min(mapping) and max(mapping) < n and all(
         compose_images(r, mapping) == compose_images(mapping, right(mapping[g]))
         for g, r in zip(table.generator_indices, rights)
-    ):
+    ) and mapping.count(0) == 1:
         return Automorphism(table, tuple(mapping))
     return None
 

@@ -76,7 +76,7 @@ def _class_tensor(table: GroupTable) -> list[list[list[int]]]:
     tree, first = _word_tree(table)
     inverse = [table.inverse_class(i) for i in range(k)]
     a = [[[0] * k for _ in range(k)] for _ in range(k)]
-    pending = [(0, bytes(table._class_of))]  # (s, class_of(y s) for every y)
+    pending = [(0, table._class_of)]  # (s, class_of(y s) for every y), as bytes
     while pending:
         s, images = pending.pop()
         l = table.class_of(s)

@@ -17,7 +17,9 @@ looks up x g for every x and generator g, so it keeps R_g of each table
 generator (one |T|-long tuple per generator, about 1.5 MB on A9).  Class
 matrices, diagonal translations, automorphisms and the class walk's
 conjugation arrays are built on them, with no product per element.  The walk
-records one conjugator per element, taking it to its class representative;
+records one conjugator per element, taking it to its class representative,
+and the class ids are one bytes of |T| entries when there are at most 256
+classes (a list above that);
 centralizers are closed from its Schreier generators, and normalizers and point
 and setwise stabilizers from those of an orbit walk (perm.orbit_walk), not a
 scan of T.  A coset space reads each new coset H s g from its parent H s
@@ -122,7 +124,7 @@ class GroupTable:
         self._rights = {g: tuple(rights.pop(0)) for g in self.generator_indices}
         self._class_orders: list[int] | None = None
         self._classes: list[ConjClass] | None = None
-        self._class_of: list[int] | None = None
+        self._class_of: bytes | list[int] | None = None
         self._to_rep: list[int] | None = None
         self._class_names: list[str] | None = None
         self._pair: tuple[int, int] | None = None
@@ -223,22 +225,28 @@ class GroupTable:
         self._to_rep = to_rep
         raw.sort(key=lambda ms: (len(ms), ms[0]))
         self._classes = [ConjClass(ms[0], tuple(ms)) for ms in raw]
-        self._class_of = [0] * n
+        few = len(self._classes) <= 256  # each class id then fits in a byte
+        class_of = bytearray(n) if few else [0] * n
         for cid, cls in enumerate(self._classes):
             for m in cls.members:
-                self._class_of[m] = cid
+                class_of[m] = cid
+        self._class_of = bytes(class_of) if few else class_of
 
     def class_names(self) -> list[str]:
-        """Names like 5A, 5B: element order plus a letter following the canonical
-        class order.  Letters are an internal convention, not Atlas letters."""
+        """Names like 5A, 5B: element order plus letters following the canonical
+        class order, A to Z and then AA, AB, ... as spreadsheet columns run.
+        Letters are an internal convention, not Atlas letters."""
         if self._class_names is None:
             counts: dict[int, int] = {}
             names = []
             for cls in self.conjugacy_classes():
                 o = self.element_order(cls.representative)
-                letter = chr(ord("A") + counts.get(o, 0))
-                counts[o] = counts.get(o, 0) + 1
-                names.append(f"{o}{letter}")
+                counts[o] = k = counts.get(o, 0) + 1
+                letters = ""
+                while k:
+                    k, r = divmod(k - 1, 26)
+                    letters = chr(ord("A") + r) + letters
+                names.append(f"{o}{letters}")
             self._class_names = names
         return self._class_names
 

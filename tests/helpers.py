@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 from spreadcheck.autos import Automorphism
 from spreadcheck.cyclotomic import CyclotomicValue
 from spreadcheck.diagonal import build_diagonal_group, right_translation
@@ -318,3 +321,17 @@ def class_algebra_consistent(table, ct, triples):
         if s.as_int() * classes[c1].size * classes[c2].size != brute * n * n:
             return False
     return True
+
+
+def retained_bytes(fn):
+    """fn() and the bytes that it allocated and that are still held once it
+    has returned, as tracemalloc counts them, with fn's garbage collected."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return result, held

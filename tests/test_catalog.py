@@ -90,6 +90,15 @@ def test_group_orders(name):
     assert len(catalog.load_group_table(name)) == GROUP_ORDERS[name]
 
 
+@pytest.mark.parametrize("name", sorted(GROUP_ORDERS))
+def test_class_ids_are_bytes(name):
+    """Every catalog group has at most 256 classes (a _3sets entry has its
+    base group's), so the table keeps one byte per class id."""
+    table = catalog.load_group_table(name)
+    table.conjugacy_classes()
+    assert type(table._class_of) is bytes and len(table._class_of) == len(table)
+
+
 @pytest.mark.parametrize("name", sorted(SUBGROUP_ORDERS))
 def test_subgroup_orders(name):
     table = catalog.load_group_table(name)

@@ -291,7 +291,47 @@ class TestOrbitAndBaseCommands:
         assert report["certificate"]["found"] is False
 
 
+def _spreadsheet_letters(count: int) -> list[str]:
+    """A, ..., Z, AA, ..., AZ, BA, ...: the first count class letters."""
+    alphabet = [chr(c) for c in range(ord("A"), ord("Z") + 1)]
+    names = alphabet + [a + b for a in alphabet for b in alphabet]
+    assert count <= len(names)
+    return names[:count]
+
+
 class TestFileRoute:
+    @pytest.mark.parametrize(
+        "name,generators,degree,order,last",
+        [
+            ("C2^5", [[[2 * i, 2 * i + 1]] for i in range(5)], 10, 32, {2: "AE"}),
+            ("C4xC3xC25", [[[0, 1, 2, 3]], [[4, 5, 6]], [list(range(7, 32))]], 32, 300,
+             {300: "CB", 100: "AN", 75: "AN", 50: "T", 2: "A"}),
+        ],
+    )
+    def test_class_names_run_on_past_z(self, capsys, tmp_path, name, generators, degree, order, last):
+        """An abelian group has one class per element, so an element order can
+        have more than 26 classes: their letters run on as AA, AB, ..., and
+        every name leads class_by_name back to its class."""
+        path = tmp_path / "abelian.json"
+        path.write_text(json.dumps(
+            {"name": name, "degree": degree, "generators": generators, "known_order": order}
+        ))
+        code, report = run_json(capsys, "group", "classes", "--file", str(path))
+        assert code == 0
+        rows = report["certificate"]["classes"]
+        assert len(rows) == order
+        by_order: dict[int, list[str]] = {}
+        for row in rows:
+            by_order.setdefault(row["element_order"], []).append(row["name"])
+        for element_order, names in by_order.items():
+            letters = _spreadsheet_letters(len(names))
+            assert names == [f"{element_order}{x}" for x in letters]
+        assert {o: by_order[o][-1] for o in last} == {o: f"{o}{x}" for o, x in last.items()}
+        table = catalog.load_entry_file(path).table
+        assert [row["name"] for row in rows] == table.class_names()
+        for cid, class_name in enumerate(table.class_names()):
+            assert table.class_by_name(class_name) == cid
+
     def test_group_info_from_file(self, capsys, tmp_path):
         path = tmp_path / "D10ext.json"
         path.write_text(json.dumps(D10_JSON))

@@ -1,6 +1,7 @@
 """Multiplication tables, automorphism bookkeeping, and the two-sided action."""
 
 import random
+import struct
 from collections import Counter
 
 import pytest
@@ -8,11 +9,13 @@ import pytest
 from helpers import (
     coset_action,
     conjugate_subgroup,
+    fixed_point_average,
     inner_automorphism,
     inner_witness,
     is_automorphism,
     product_set,
     product_size,
+    retained_bytes,
     right_cosets,
     scan_normalizer,
     scan_setwise_stabilizer,
@@ -28,6 +31,7 @@ from spreadcheck.autos import (
     search_automorphism_group,
 )
 from spreadcheck import diagonal
+from spreadcheck.chartab import dixon_character_table
 from spreadcheck.diagonal import (
     build_diagonal_group,
     diagonal_order,
@@ -36,7 +40,7 @@ from spreadcheck.diagonal import (
     right_translation,
 )
 from spreadcheck.errors import CapExceeded, InvalidSubgroup, VerificationInconsistency
-from spreadcheck.perm import Permutation, PermutationGroup
+from spreadcheck.perm import Permutation, PermutationGroup, compose_images
 from spreadcheck.tables import (
     build_group_table,
     cauchy_frobenius_count,
@@ -139,6 +143,26 @@ class TestGroupTable:
             for x in cls.members:
                 assert t.class_of(x) == cid
         assert sum(c.size for c in classes) == 60
+
+    def test_more_than_256_classes_keep_class_ids_in_a_list(self):
+        """C4 x C3 x C25 has 300 classes, too many for one byte per class id:
+        the table keeps a list and answers as the byte form does, and the
+        Dixon table stops at its class cap."""
+        t = build_group_table(PermutationGroup(
+            [cyc(32, [0, 1, 2, 3]), cyc(32, [4, 5, 6]), cyc(32, list(range(7, 32)))]
+        ))
+        classes = t.conjugacy_classes()
+        assert len(classes) == 300 and type(t._class_of) is list
+        assert sorted(m for cls in classes for m in cls.members) == list(range(300))
+        for cid, cls in enumerate(classes):
+            assert [t.class_of(m) for m in cls.members] == [cid]
+        c4, c3 = close_subgroup(t, [t.generator_indices[0]]), close_subgroup(t, [t.generator_indices[1]])
+        # an abelian S has |T| / |S H| orbits on the cosets of H
+        assert cauchy_frobenius_count(t, c4, c3) == fixed_point_average(t, c4, c3) == 25
+        assert cauchy_frobenius_count(t, c3, range(300)) == 1
+        with pytest.raises(CapExceeded) as raised:
+            dixon_character_table(t)
+        assert (raised.value.what, raised.value.cap) == ("conjugacy classes", 60)
 
     def test_power_and_inverse_classes(self):
         t = catalog.load_group_table("A5")
@@ -480,6 +504,28 @@ class TestAutomorphisms:
         assert sorted(t.inverse) == list(range(len(t)))
         assert as_automorphism(t, rights, tuple(t.inverse)) is None
         assert as_automorphism(t, rights, tuple(range(len(t) - 1))) is None
+        assert as_automorphism(t, rights, tuple(range(1, len(t) + 1))) is None
+        assert as_automorphism(t, rights, tuple(range(-1, len(t) - 1))) is None
+        # the trivial map passes every array identity, as sigma R_g = sigma =
+        # R_1 sigma: only its kernel rejects it
+        trivial = (0,) * len(t)
+        assert all(compose_images(r, trivial) == trivial for r in rights)
+        assert as_automorphism(t, rights, trivial) is None
+
+    def test_automorphism_group_keeps_pointer_arrays_only(self):
+        """A8's automorphism group, built once the table's classes are known,
+        keeps its two coset representatives as |T|-long tuples of the table's
+        own int objects: the identity's entries are table.index's values
+        themselves, and nothing else of size |T| is kept."""
+        entry = catalog.load_entry.__wrapped__("A8")
+        t = entry.table
+        t.conjugacy_classes()
+        auts, held = retained_bytes(lambda: entry.automorphisms)
+        assert auts.outer_order == 2
+        assert held <= 2 * struct.calcsize("P") * len(t) + 32 * 1024
+        identity = auts.coset_representatives[0].mapping
+        assert identity == tuple(range(len(t)))
+        assert all(x is y for x, y in zip(identity, t.index.values()))
 
     def test_class_walk_conjugators_and_centralizers(self):
         for name in ("A5", "PSL(2,7)", "A7"):
