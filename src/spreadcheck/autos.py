@@ -1,15 +1,16 @@
 """Automorphisms of a tabled group, found by search or built from images.
 
-An automorphism is stored as a permutation of element indices.  The identity
-is the values of table.index in order, the table's own int objects, and the
-search, the closure and diag(T) read every other mapping from table arrays or
-compose it from such mappings, so a kept mapping adds |T| pointers and no
-ints.  The central object is the list of coset representatives modulo inner
-automorphisms: the identity first, then one representative per nontrivial
-coset.  For a group with trivial center that list determines the
-automorphism group completely (the full group is the union of
-rep-then-conjugation maps), and its length times the group order is the
-automorphism group order.
+An automorphism phi is kept as the images of a generating set of T: the table
+generators, or the generating pair, which the search and every product use.
+Its graph D = <(g, phi(g))>, on 2 * degree points, projects onto T, so the map
+extends to an automorphism exactly when |D| = |T| and the phi(g) generate T.
+One Schreier-Sims run decides it, and D's chain, whose base points all lie in
+the first block, then sifts (x^-1, 1) to (1, phi(x)).  The |T|-long mapping is
+walked only when read, by diag(T) and by checks, and kept and read when
+as_automorphism is handed one.  The central object is the list of coset
+representatives modulo inner automorphisms: the identity first, then one per
+nontrivial coset.  For a centerless T that list determines Aut(T), the union
+of its rep-then-conjugation maps, and |Aut(T)| is its length times |T|.
 
 An automorphism is pinned down by the images (x, y) of a generating pair
 (a, b), and conjugation by t moves them jointly to (x^t, y^t).  _InnerCosets,
@@ -21,53 +22,84 @@ close_modulo_inner, offers it each product of a representative with a
 supplied automorphism; diag(T) uses the same closure, with a flag for
 inversion, to count its point stabiliser modulo Inn.  The search tries x
 among class representatives only, skips marked pairs, and pre-filters by
-element order, class size and the orders of a few fixed words in the pair.
-Cayley walks read x g from arrays R_g made once per route, and the image side
-is one translate per edge by the image generator's table, so a failing
-candidate stops at its first edge.
+element order, class size and the orders of a few fixed words in the pair;
+a candidate's Cayley walk over at most 256 vertices comes before its check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 from typing import Sequence
 
 from .errors import CapExceeded
-from .perm import compose_images, inverse_images
-from .tables import GroupTable, centralizer
+from .perm import Permutation, PermutationGroup, _StabilizerChain, compose_images
+from .tables import GroupTable, Subgroup, centralizer, close_subgroup
 
 DEFAULT_AUT_CAP = 10**4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Automorphism:
-    """A bijection of element indices respecting multiplication."""
+    """The automorphism of table's group sending gens, which generate it, to
+    images; two are equal when they agree on the table generators."""
 
     table: GroupTable
-    mapping: tuple[int, ...]
+    gens: tuple[int, ...]
+    images: tuple[int, ...]
 
     def __mul__(self, other: "Automorphism") -> "Automorphism":
         # self acts first, matching the permutation convention in this package
         if other.table is not self.table:
             raise ValueError("automorphisms belong to different tables")
-        return Automorphism(self.table, compose_images(self.mapping, other.mapping))
+        if self.is_identity:
+            return other
+        a, b = self.table.generating_pair()  # where _InnerCosets and the next product read it
+        return Automorphism(self.table, (a, b), (other(self(a)), other(self(b))))
 
-    def inverse(self) -> "Automorphism":
-        return Automorphism(self.table, inverse_images(self.mapping))
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Automorphism) and other.table is self.table and all(
+            self(g) == other(g) for g in self.table.generator_indices)
+
+    def __hash__(self) -> int:
+        return hash(tuple(map(self, self.table.generator_indices)))
+
+    def __call__(self, x: int) -> int:
+        """phi(x), read off images or a mapping already known, else sifted."""
+        if x in self.gens:
+            return self.images[self.gens.index(x)]
+        if self.is_identity:
+            return x
+        if "mapping" in vars(self):
+            return self.mapping[x]
+        table, n = self.table, self.table.group.degree
+        residue = self._graph_chain.sift((*table.images[table.inverse[x]], *range(n, 2 * n)))
+        return table.index[bytes(p - n for p in residue[n:])]
+
+    @cached_property
+    def _graph_chain(self) -> _StabilizerChain:
+        images, n = self.table.images, self.table.group.degree
+        return _StabilizerChain([Permutation._unchecked((*images[g], *(p + n for p in images[y])))
+                                 for g, y in zip(self.gens, self.images)], 2 * n)
+
+    @cached_property
+    def mapping(self) -> tuple[int, ...]:
+        """phi at every index in index order, walked when first read."""
+        return tuple(_cayley_walk(self.table, list(map(self.table.right_multiplication, self.gens)), self.images))
 
     @property
     def is_identity(self) -> bool:
-        """Whether it fixes every table generator, which pins an automorphism down."""
-        return all(self.mapping[g] == g for g in self.table.generator_indices)
+        """Whether it fixes each of its generators, which pins it down."""
+        return self.images == self.gens
 
-    def apply_to_set(self, subset) -> frozenset[int]:
-        return frozenset(compose_images(subset, self.mapping))
+    def apply_to_set(self, subgroup: Subgroup) -> Subgroup:
+        """The image of a Subgroup, closed from the images of its generators."""
+        return close_subgroup(self.table, map(self, subgroup.gens), cap=len(subgroup))
 
 
 def identity_automorphism(table: GroupTable) -> Automorphism:
-    """The identity, mapped onto the table's own index objects: the BFS set
-    table.index's values in index order, so they are 0, 1, 2, ... already."""
-    return Automorphism(table, tuple(table.index.values()))
+    return Automorphism(table, tuple(table.generator_indices), tuple(table.generator_indices))
 
 
 def center(table: GroupTable) -> frozenset[int]:
@@ -75,22 +107,16 @@ def center(table: GroupTable) -> frozenset[int]:
     return frozenset(c.representative for c in table.conjugacy_classes() if c.size == 1)
 
 
-def _extend_images(table: GroupTable, rights: Sequence, images: Sequence[int]) -> Automorphism | None:
-    """The automorphism sending the g_k with rights[k] = R_(g_k) to images[k],
-    or None.  One Cayley walk from the identity: a new vertex x g, read from
-    the array, takes the image phi(x) phi(g), and every other edge must satisfy
-    phi(x g) = phi(x) phi(g), so the walk stops at the first edge that fails.
-    A map that passes every edge and reaches every element is a homomorphism
-    of T, and an automorphism exactly when its kernel is trivial: only the
-    identity maps to the identity.
-    """
-    n = len(table)
+def _cayley_walk(table: GroupTable, rights: Sequence, images: Sequence[int], limit=None) -> list[int] | None:
+    """phi sending the g_k with rights[k] = R_(g_k) to images[k], on the first
+    limit vertices of a Cayley walk from 1 (-1 elsewhere), or None: a new
+    vertex x g takes phi(x) phi(g), and the walk stops at the first other edge
+    failing phi(x g) = phi(x) phi(g)."""
     bytes_of, index = table.images, table.index
     image_tables = [table.translate_table(mg) for mg in images]
-    mapping = [-1] * n
-    mapping[0] = 0
+    mapping = [0] + [-1] * (len(table) - 1)
     order = [0]
-    for x in order:  # grows while it is walked
+    for x in islice(order, limit):  # order grows while it is walked
         mx = bytes_of[mapping[x]]
         for right, t in zip(rights, image_tables):
             y, my = right[x], index[mx.translate(t)]
@@ -99,9 +125,14 @@ def _extend_images(table: GroupTable, rights: Sequence, images: Sequence[int]) -
                 order.append(y)
             elif mapping[y] != my:
                 return None
-    if len(order) < n or mapping.count(0) != 1:
-        return None
-    return Automorphism(table, tuple(mapping))
+    return mapping
+
+
+def _graph_automorphism(table: GroupTable, gens: Sequence[int], images: Sequence[int]) -> Automorphism | None:
+    """gens -> images as an Automorphism, or None (see the module docstring)."""
+    aut, n = Automorphism(table, tuple(gens), tuple(images)), len(table)
+    image = PermutationGroup([table.elements[y] for y in images], table.group.degree)
+    return aut if aut._graph_chain.order() == n and image.order() == n else None
 
 
 def automorphism_from_generator_images(table: GroupTable, images: Sequence[int]) -> Automorphism:
@@ -109,7 +140,7 @@ def automorphism_from_generator_images(table: GroupTable, images: Sequence[int])
     gens = table.generator_indices
     if len(images) != len(gens):
         raise ValueError(f"need {len(gens)} generator images, got {len(images)}")
-    aut = _extend_images(table, [table.right_multiplication(g) for g in gens], images)
+    aut = _graph_automorphism(table, gens, images)
     if aut is None:
         raise ValueError("generator images do not define an automorphism")
     return aut
@@ -121,12 +152,14 @@ def as_automorphism(table: GroupTable, rights: Sequence, mapping: tuple[int, ...
     i.e. sigma(x g) = sigma(x) sigma(g), for each table generator g_k,
     compared as whole arrays with R_(g_k) = rights[k].  That makes it a
     homomorphism, and a bijection exactly when only the identity maps to 0."""
-    n, right = len(table), table.right_multiplication
+    n, right, gens = len(table), table.right_multiplication, table.generator_indices
     if len(mapping) == n and 0 <= min(mapping) and max(mapping) < n and all(
         compose_images(r, mapping) == compose_images(mapping, right(mapping[g]))
-        for g, r in zip(table.generator_indices, rights)
+        for g, r in zip(gens, rights)
     ) and mapping.count(0) == 1:
-        return Automorphism(table, tuple(mapping))
+        aut = Automorphism(table, tuple(gens), compose_images(gens, mapping))
+        vars(aut)["mapping"] = tuple(mapping)  # seeds the cached walk: read, not sifted
+        return aut
     return None
 
 
@@ -151,7 +184,7 @@ class AutomorphismGroup:
         representatives alone reach them all."""
         table = self.table
         rep = table.conjugacy_classes()[cid].representative
-        return frozenset(table.class_of(aut.mapping[rep]) for aut in self.coset_representatives)
+        return frozenset(table.class_of(aut(rep)) for aut in self.coset_representatives)
 
 
 class _InnerCosets:
@@ -173,9 +206,9 @@ class _InnerCosets:
         entry is r.
         """
         table = self.table
-        x = aut.mapping[self.a]
+        x = aut(self.a)
         r = table.conjugacy_classes()[table.class_of(x)].representative
-        y = table.conjugate(aut.mapping[self.b], table.to_representative(x))
+        y = table.conjugate(aut(self.b), table.to_representative(x))
         if (r, y) in self.marked:
             return False
         if len(self.reps) >= DEFAULT_AUT_CAP:
@@ -247,7 +280,7 @@ def search_automorphism_group(table: GroupTable) -> AutomorphismGroup:
         for y in y_candidates:
             if (x, y) in cosets.marked or fingerprint(x, y) != target:
                 continue
-            aut = _extend_images(table, rights, (x, y))
-            if aut is not None:
+            if _cayley_walk(table, rights, (x, y), limit=256) is not None and (
+                    aut := _graph_automorphism(table, (a, b), (x, y))) is not None:
                 cosets.add(aut)
     return AutomorphismGroup(table, tuple(cosets.reps))

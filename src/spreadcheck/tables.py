@@ -1,11 +1,12 @@
 """Indexed finite groups backed by a faithful permutation representation.
 
 A GroupTable is the one enumeration of a small group T: a BFS from the identity
-in generator order fills its elements and their index together, so index 0 is
-the identity and indices are reproducible.  An element is stored as one bytes
-of its point images (table.images, so the degree is at most 256), table.index
-is keyed by those bytes, and table.elements is a read-only view making a
-Permutation on access.  The one composition kernel is bytes.translate: x t is
+in generator order, in C-level passes over runs of at most 4096 elements,
+fills its elements and their index together, so index 0 is the identity and
+indices are reproducible.  An element is stored as one bytes of its point
+images (table.images, so the degree is at most 256), table.index is keyed by
+those bytes, and table.elements is a read-only view making a Permutation on
+access.  The one composition kernel is bytes.translate: x t is
 x.translate(translate_table(t)), t's images padded to 256 entries, one C call
 whose result caches its hash for the index lookup; inverses come from
 bytes.maketrans(x, identity).  No |T| x |T| table is ever stored, which keeps
@@ -15,16 +16,16 @@ the indices of x t for all x (map translates every element, map looks them
 up), and left_multiplication(t) = inverse, R_(t^-1), inverse.  The BFS already
 looks up x g for every x and generator g, so it keeps R_g of each table
 generator (one |T|-long tuple per generator, about 1.5 MB on A9).  Class
-matrices, diagonal translations, automorphisms and the class walk's
-conjugation arrays are built on them, with no product per element.  The walk
-records one conjugator per element, taking it to its class representative,
-and the class ids are one bytes of |T| entries when there are at most 256
-classes (a list above that);
-centralizers are closed from its Schreier generators, and normalizers and point
-and setwise stabilizers from those of an orbit walk (perm.orbit_walk), not a
-scan of T.  A coset space reads each new coset H s g from its parent H s
-through the stored R_g, one gather per coset and no product, and orbit counts
-on cosets come from the permutation character, one gather of class ids.
+matrices, diagonal translations and the class walk read them with no product
+per element; the walk steps by x^g = R_g[(x^-1 g)^-1] and records, in the list
+marking what it has reached, a conjugator taking each element to its class
+representative.  Class ids are one bytes of |T| entries when there are at
+most 256 classes (a list above that); centralizers are closed from the walk's
+Schreier generators, and normalizers and point and setwise stabilizers from
+those of an orbit walk (perm.orbit_walk), not a scan of T.  A coset space
+reads each new coset H s g from its parent H s through the stored R_g, one
+gather per coset and no product, and orbit counts on cosets come from the
+permutation character, one gather of class ids.
 
 Subgroups are Subgroup values: frozensets of element indices that also hold
 their table and the generators kept for them.  Only _closure builds one, for
@@ -44,7 +45,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, count, filterfalse, repeat
 from typing import Callable, Iterable, Iterator
 
 from .errors import CapExceeded, InvalidSubgroup, VerificationInconsistency
@@ -107,16 +108,18 @@ class GroupTable:
         gens = [bytes(g.images) for g in group.generators]
         gen_tables = [g + self._pad for g in gens]
         rights: list[list[int]] = [[] for _ in gens]
-        images, setdefault = self.images, self.index.setdefault
-        for x in images:  # reaches the elements it appends: a BFS
-            for t, right in zip(gen_tables, rights):
-                y = x.translate(t)
-                k = setdefault(y, len(images))
-                if k == len(images):
-                    if k >= cap:
-                        raise CapExceeded("element enumeration", cap)
-                    images.append(y)
-                right.append(k)
+        images, index = self.images, self.index
+        done = 0  # a run's products, x by x and g by g, number new elements by first appearance
+        while run := images[done:done + 4096]:  # which bounds the lists of one pass
+            done += len(run)
+            products = [list(map(bytes.translate, run, repeat(t))) for t in gen_tables]
+            new = list(filterfalse(index.__contains__, dict.fromkeys(chain.from_iterable(zip(*products)))))
+            if len(images) + len(new) > cap:
+                raise CapExceeded("element enumeration", cap)
+            index.update(zip(new, count(len(images))))
+            images += new
+            for right, ys in zip(rights, products):
+                right += map(index.__getitem__, ys)
         inverses = map(identity.translate, map(bytes.maketrans, images, repeat(identity)))
         self.inverse: list[int] = list(map(self.index.__getitem__, inverses))
         self.generator_indices: list[int] = [self.index[g] for g in gens]
@@ -210,18 +213,21 @@ class GroupTable:
         return self._to_rep[y]
 
     def _compute_classes(self) -> None:
-        """Walk each class from its smallest member by generator conjugation:
-        y = x^g = R_g[L[x]], L = L_(g^-1), has y^L[u] = start if x^u = start."""
-        n = len(self.images)
+        """Walk each class from its smallest member by x -> x^g = R_g[(x^-1 g)^-1];
+        y = x^g gets to_rep g^-1 u_x, as y^(g^-1 u_x) = x^(u_x) = start."""
+        n, inverse, rights = len(self.images), self.inverse, list(self._rights.values())
         to_rep = [-1] * n
         raw: list[list[int]] = []
-        steps = [(conj.__getitem__, left.__getitem__) for conj, left in self.conjugations()]
         for start in range(n):
             if to_rep[start] < 0:
-                walk = orbit_walk(start, steps, 0)
-                for y, u in walk.items():
-                    to_rep[y] = u
-                raw.append(sorted(walk))
+                to_rep[start], members = 0, [start]
+                for x in members:  # grows while it is walked
+                    for right in rights:
+                        y = right[inverse[right[inverse[x]]]]
+                        if to_rep[y] < 0:
+                            to_rep[y] = inverse[right[inverse[to_rep[x]]]]
+                            members.append(y)
+                raw.append(sorted(members))
         self._to_rep = to_rep
         raw.sort(key=lambda ms: (len(ms), ms[0]))
         self._classes = [ConjClass(ms[0], tuple(ms)) for ms in raw]

@@ -5,11 +5,11 @@ from __future__ import annotations
 import gc
 import tracemalloc
 
-from spreadcheck.autos import Automorphism
+from spreadcheck.autos import Automorphism, _cayley_walk
 from spreadcheck.cyclotomic import CyclotomicValue
 from spreadcheck.diagonal import build_diagonal_group, right_translation
 from spreadcheck.errors import InvalidSubgroup
-from spreadcheck.perm import DEFAULT_SET_ORBIT_CAP, Permutation, PermutationGroup
+from spreadcheck.perm import DEFAULT_SET_ORBIT_CAP, Permutation, PermutationGroup, orbit_walk
 from spreadcheck.tables import coset_space, normalizer, sylow_subgroup, validate_subgroup
 from spreadcheck.witness import (
     Multiset,
@@ -276,15 +276,49 @@ def is_automorphism(table, mapping):
     return True
 
 
+def extend_images(table, rights, images):
+    """The map of indices sending the g_k with rights[k] = R_(g_k) to images[k]
+    if it is an automorphism, else None: a Cayley walk that passes every edge
+    to every element is a homomorphism, and an automorphism when only the
+    identity maps to the identity."""
+    mapping = _cayley_walk(table, rights, images)
+    return None if mapping is None or -1 in mapping or mapping.count(0) != 1 else tuple(mapping)
+
+
+def classes_by_orbit_walk(table):
+    """The class walk as orbit_walk does it over the arrays of
+    GroupTable.conjugations, one dict per class: the conjugator taking each
+    element to its class's smallest member, and the classes as (smallest
+    member, members), sorted by (size, smallest member)."""
+    to_rep = [-1] * len(table)
+    raw = []
+    steps = [(conj.__getitem__, left.__getitem__) for conj, left in table.conjugations()]
+    for start in range(len(table)):
+        if to_rep[start] < 0:
+            walk = orbit_walk(start, steps, 0)
+            for y, u in walk.items():
+                to_rep[y] = u
+            raw.append(sorted(walk))
+    raw.sort(key=lambda ms: (len(ms), ms[0]))
+    return to_rep, [(ms[0], tuple(ms)) for ms in raw]
+
+
 def inner_automorphism(table, t):
     """Conjugation x -> t^-1 x t as an automorphism."""
-    return Automorphism(table, tuple(table.conjugate(x, t) for x in range(len(table))))
+    gens = tuple(table.generator_indices)
+    return Automorphism(table, gens, tuple(table.conjugate(g, t) for g in gens))
+
+
+def inverse_automorphism(aut):
+    """phi^-1, which sends each image phi(g) of a generator back to g; the
+    images generate T, so they are its generators."""
+    return Automorphism(aut.table, aut.images, aut.gens)
 
 
 def inner_witness(table, aut):
     """An element t with conjugation by t equal to aut, or None if aut is outer."""
     a, b = table.generating_pair()
-    ia, ib = aut.mapping[a], aut.mapping[b]
+    ia, ib = aut(a), aut(b)
     for t in range(len(table)):
         if table.conjugate(a, t) == ia and table.conjugate(b, t) == ib:
             # agreeing on a generating pair forces agreement everywhere

@@ -169,8 +169,10 @@ def test_sylow_recipes_grow_each_sylow_subgroup_once(monkeypatch):
     """A sylow and a sylow_normalizer recipe of one prime share one growth,
     and every Sylow growth and normalizer of an entry shares one set of
     conjugation arrays.  Set up as the benchmark's witnesses workload does,
-    fresh entries make 18 conjugations() calls: one per class walk and one
-    per entry with Sylow recipes (25 when each recipe grew its own)."""
+    fresh entries make 7 conjugations() calls, one per entry with Sylow
+    recipes: the class walk reads the stored R_g arrays and builds none (18
+    calls when each class walk built its own, 25 when each recipe also grew
+    its own Sylow subgroup)."""
     calls = {"conjugations": 0, "growths": []}
     conjugations, grow = tables.GroupTable.conjugations, catalog.sylow_subgroup
 
@@ -193,7 +195,7 @@ def test_sylow_recipes_grow_each_sylow_subgroup_once(monkeypatch):
             entry.automorphisms
         for label in entry.subgroups:
             entry.subgroup(label)
-    assert calls["conjugations"] == 18
+    assert calls["conjugations"] == 7
     assert sorted(calls["growths"]) == [("A5", 2), ("A5", 5), ("A6", 3), ("PSL(2,11)", 11), ("PSL(2,13)", 13),
                                         ("PSL(2,7)", 7), ("PSL(2,8)", 2), ("PSL(3,2)", 7)]
     monkeypatch.undo()

@@ -7,11 +7,14 @@ from collections import Counter
 import pytest
 
 from helpers import (
+    classes_by_orbit_walk,
     coset_action,
     conjugate_subgroup,
+    extend_images,
     fixed_point_average,
     inner_automorphism,
     inner_witness,
+    inverse_automorphism,
     is_automorphism,
     product_set,
     product_size,
@@ -23,6 +26,7 @@ from helpers import (
 )
 from spreadcheck import autos, catalog, tables
 from spreadcheck.autos import (
+    Automorphism,
     as_automorphism,
     automorphism_from_generator_images,
     automorphism_group_from_supplied,
@@ -31,7 +35,7 @@ from spreadcheck.autos import (
     search_automorphism_group,
 )
 from spreadcheck import diagonal
-from spreadcheck.chartab import dixon_character_table
+from spreadcheck.chartab import class_orbit_partition, dixon_character_table
 from spreadcheck.diagonal import (
     build_diagonal_group,
     diagonal_order,
@@ -404,6 +408,22 @@ class TestSubgroupHelpers:
         assert calls["class_of"] == 0
 
 
+AUT_ORDERS = {
+    "A5": (120, 2),
+    "A6": (1440, 4),
+    "A7": (5040, 2),
+    "A8": (40320, 2),
+    "A9": (362880, 2),
+    "PSL(2,7)": (336, 2),
+    "PSL(3,2)": (336, 2),
+    "PSL(2,8)": (1512, 3),
+    "PSL(2,11)": (1320, 2),
+    "PSL(2,13)": (2184, 2),
+    "M11": (7920, 1),
+    "M12": (190080, 2),
+}
+
+
 class TestAutomorphisms:
     def test_center(self):
         assert center(_s3_table()) == frozenset({0})
@@ -436,10 +456,11 @@ class TestAutomorphisms:
         # no homomorphism sends both generators to one element of order > 1, so
         # an edge fails; one generator's walk misses most of T
         rights = [t.right_multiplication(g) for g in gens]
-        assert autos._extend_images(t, rights, [gens[0], gens[0]]) is None
-        assert autos._extend_images(t, rights[:1], gens[:1]) is None
+        assert autos._cayley_walk(t, rights, [gens[0], gens[0]]) is None
+        assert -1 in autos._cayley_walk(t, rights[:1], gens[:1])
         # the trivial map passes every edge, but its kernel is all of T
-        assert autos._extend_images(t, rights, [0, 0]) is None
+        assert autos._cayley_walk(t, rights, [0, 0]) == [0] * 60
+        assert extend_images(t, rights, [0, 0]) is None
 
     def test_search_requires_trivial_center(self):
         c3 = build_group_table(PermutationGroup([cyc(3, [0, 1, 2])]), name="C3")
@@ -465,9 +486,11 @@ class TestAutomorphisms:
         """Once the classes are built, the supplied route (A8) and the search
         (PSL(2,13), M11) stay within bound*|T| products: the coset bookkeeping
         stores nothing of size |T| and finds centralizers from the class walk,
-        the Cayley walk reads x g from right multiplication arrays, and a
-        search candidate that is no automorphism (10 of M11's 11) stops at the
-        first edge of the Cayley graph that it fails."""
+        each automorphism is checked once by a stabilizer chain of its graph
+        on T x T and read at single points by sifting through it, and a search
+        candidate is first walked over at most 256 vertices of the Cayley
+        graph, reading x g from right multiplication arrays, so one that is
+        no automorphism (all 11 of M11's) stops at its first failing edge."""
         entry = catalog.load_entry.__wrapped__(name)
         t = entry.table
         t.conjugacy_classes()
@@ -488,9 +511,11 @@ class TestAutomorphisms:
         t, auts = catalog.load_group_table(name), catalog.load_automorphisms(name)
         rights = [t.right_multiplication(g) for g in t.generator_indices]
         for rep in auts.coset_representatives:
-            assert as_automorphism(t, rights, rep.mapping) == rep
+            phi = as_automorphism(t, rights, rep.mapping)
+            assert phi == rep and hash(phi) == hash(rep)
         inner = inner_automorphism(t, len(t) // 2)
         assert as_automorphism(t, rights, inner.mapping) == inner
+        assert inner != auts.coset_representatives[0]
 
     @pytest.mark.parametrize("name", ["A5", "PSL(2,7)"])
     def test_as_automorphism_rejects_non_automorphisms(self, name):
@@ -512,20 +537,117 @@ class TestAutomorphisms:
         assert all(compose_images(r, trivial) == trivial for r in rights)
         assert as_automorphism(t, rights, trivial) is None
 
+    @pytest.mark.parametrize("name,kept,refused", [("A5", 1, 0), ("PSL(2,8)", 2, 0), ("M11", 0, 11)])
+    def test_graph_check_agrees_with_the_walk_on_search_candidates(self, monkeypatch, name, kept, refused):
+        """Each candidate pair that the search screens gets one verdict from
+        the full Cayley walk and from the check on T x T."""
+        t = catalog.load_entry.__wrapped__(name).table
+        a, b = t.generating_pair()
+        verdicts = []
+        walk = autos._cayley_walk
+
+        def both(table, rights, images, limit):
+            verdicts.append((extend_images(table, rights, images) is not None,
+                             autos._graph_automorphism(table, (a, b), images) is not None))
+            return walk(table, rights, images, limit)
+
+        monkeypatch.setattr(autos, "_cayley_walk", both)
+        search_automorphism_group(t)
+        assert all(walked == checked for walked, checked in verdicts)
+        assert Counter(walked for walked, _ in verdicts) == Counter({True: kept, False: refused})
+
+    @pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "M11"])
+    def test_graph_check_refuses_non_automorphisms(self, name):
+        t = catalog.load_group_table(name)
+        g, h = t.generator_indices
+        rights = [t.right_multiplication(x) for x in (g, h)]
+
+        def generates(images):
+            return PermutationGroup([t.elements[y] for y in images], t.group.degree).order() == len(t)
+
+        # swapped images generate T, but g and h differ in order
+        assert t.element_order(g) != t.element_order(h) and generates((h, g))
+        assert autos._graph_automorphism(t, (g, h), (h, g)) is None
+        # a non-homomorphism whose images generate T: its graph is larger than T
+        images = (g, t.multiply(h, g))
+        assert generates(images) and extend_images(t, rights, images) is None
+        assert Automorphism(t, (g, h), images)._graph_chain.order() > len(t)
+        assert autos._graph_automorphism(t, (g, h), images) is None
+        with pytest.raises(ValueError, match="do not define an automorphism"):
+            automorphism_from_generator_images(t, images)
+
+    def test_graph_check_refuses_images_generating_a_proper_subgroup(self):
+        """The sign map of S3 onto <(0 1)> is a homomorphism, so its graph
+        has order |S3|, but its images generate a proper subgroup."""
+        t = _s3_table()
+        g, h = t.generator_indices  # a 3-cycle and a transposition
+        sign = (0, h)
+        assert Automorphism(t, (g, h), sign)._graph_chain.order() == len(t)
+        assert autos._graph_automorphism(t, (g, h), sign) is None
+        assert autos._graph_automorphism(t, (g, h), (0, 0)) is None
+        with pytest.raises(ValueError, match="do not define an automorphism"):
+            automorphism_from_generator_images(t, sign)
+        assert autos._graph_automorphism(t, (g, h), (g, t.conjugate(h, g))) is not None
+
+    @pytest.mark.parametrize("name", sorted(AUT_ORDERS))
+    def test_sifted_images_equal_the_walked_mapping(self, name):
+        """Every supplied and searched coset representative passes both the
+        check on T x T and the full Cayley walk of its generator images, and
+        phi sifted through its graph's chain agrees with that walk: at every
+        element of A5, PSL(2,7), A7 and M11, with an inner automorphism too,
+        and at every class representative of the other base groups."""
+        t, auts = catalog.load_group_table(name), catalog.load_automorphisms(name)
+        phis = list(auts.coset_representatives)
+        if name in ("A5", "PSL(2,7)", "A7", "M11"):
+            points = range(len(t))
+            phis.append(inner_automorphism(t, len(t) // 2))
+        else:
+            points = [c.representative for c in t.conjugacy_classes()]
+        for phi in phis:
+            assert autos._graph_automorphism(t, phi.gens, phi.images) is not None
+            walked = extend_images(t, [t.right_multiplication(g) for g in phi.gens], phi.images)
+            assert walked is not None
+            assert [phi(x) for x in points] == [walked[x] for x in points]
+
+    def test_set_up_walks_no_mapping(self):
+        """Loading the automorphisms and their class orbits reads each one at
+        single points, and no automorphism walks its |T|-long mapping; diag(T)
+        does read the mapping of each non-identity representative."""
+        for name in ("A8", "A9", "M12"):
+            entry = catalog.load_entry.__wrapped__(name)
+            auts = entry.automorphisms
+            class_orbit_partition(entry.table, auts)
+            assert not any("mapping" in vars(phi) for phi in auts.coset_representatives)
+            if name == "A8":
+                build_diagonal_group(entry.table, auts)
+                assert all("mapping" in vars(phi) for phi in auts.coset_representatives
+                           if not phi.is_identity)
+
     def test_automorphism_group_keeps_pointer_arrays_only(self):
         """A8's automorphism group, built once the table's classes are known,
-        keeps its two coset representatives as |T|-long tuples of the table's
-        own int objects: the identity's entries are table.index's values
-        themselves, and nothing else of size |T| is kept."""
+        keeps nothing of size |T|: each coset representative holds its
+        generator images and the chain of its graph on 16 points, about 20 KB
+        in all, where one |T|-long tuple would take 161 KB.  A mapping walked
+        later holds the table's own int objects, table.index's values."""
         entry = catalog.load_entry.__wrapped__("A8")
         t = entry.table
         t.conjugacy_classes()
         auts, held = retained_bytes(lambda: entry.automorphisms)
         assert auts.outer_order == 2
-        assert held <= 2 * struct.calcsize("P") * len(t) + 32 * 1024
+        assert held <= 32 * 1024 < struct.calcsize("P") * len(t)
         identity = auts.coset_representatives[0].mapping
         assert identity == tuple(range(len(t)))
         assert all(x is y for x, y in zip(identity, t.index.values()))
+
+    @pytest.mark.parametrize("name", ["A5", "A6", "A7", "A8", "PSL(2,7)", "PSL(3,2)", "PSL(2,8)",
+                                      "PSL(2,11)", "PSL(2,13)", "M11"])
+    def test_class_walk_matches_the_orbit_walk(self, name):
+        """The class walk on the R_g arrays records the conjugators and
+        classes that orbit_walk finds over the conjugation arrays."""
+        t = catalog.load_group_table(name)
+        to_rep, classes = classes_by_orbit_walk(t)
+        assert [t.to_representative(y) for y in range(len(t))] == to_rep
+        assert [(c.representative, c.members) for c in t.conjugacy_classes()] == classes
 
     def test_class_walk_conjugators_and_centralizers(self):
         for name in ("A5", "PSL(2,7)", "A7"):
@@ -557,7 +679,7 @@ class TestAutomorphisms:
         auts = catalog.load_automorphisms("A5")
         for rep in auts.coset_representatives:
             assert is_automorphism(auts.table, rep.mapping)
-            assert (rep * rep.inverse()).is_identity
+            assert (rep * inverse_automorphism(rep)).is_identity
 
     def test_class_fusion(self):
         t = catalog.load_group_table("A5")
@@ -580,7 +702,8 @@ class TestAutomorphisms:
         assert searched.outer_order == supplied.outer_order == 2
         for s in searched.coset_representatives:
             assert sum(
-                inner_witness(t, s * r.inverse()) is not None for r in supplied.coset_representatives
+                inner_witness(t, s * inverse_automorphism(r)) is not None
+                for r in supplied.coset_representatives
             ) == 1
 
 
@@ -605,22 +728,6 @@ def _count_products(monkeypatch, table):
 
     monkeypatch.setattr(table, "multiply", counting)
     return counter
-
-
-AUT_ORDERS = {
-    "A5": (120, 2),
-    "A6": (1440, 4),
-    "A7": (5040, 2),
-    "A8": (40320, 2),
-    "A9": (362880, 2),
-    "PSL(2,7)": (336, 2),
-    "PSL(3,2)": (336, 2),
-    "PSL(2,8)": (1512, 3),
-    "PSL(2,11)": (1320, 2),
-    "PSL(2,13)": (2184, 2),
-    "M11": (7920, 1),
-    "M12": (190080, 2),
-}
 
 
 @pytest.mark.parametrize("name", sorted(AUT_ORDERS))
