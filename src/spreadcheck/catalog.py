@@ -91,17 +91,11 @@ class CatalogEntry:
                 ) from None
         return automorphism_group_from_supplied(table, supplied)
 
-    @functools.cached_property
-    def _conjugations(self) -> list:
-        """The table's conjugation arrays, built once for every Sylow growth
-        and normalizer of the entry's recipes."""
-        return self.table.conjugations()
-
     def _sylow_of(self, p: int) -> Subgroup:
         """A Sylow p-subgroup, grown once per prime for the sylow and
         sylow_normalizer recipes alike."""
         if p not in self._sylow:
-            self._sylow[p] = sylow_subgroup(self.table, p, lambda: self._conjugations)
+            self._sylow[p] = sylow_subgroup(self.table, p)
         return self._sylow[p]
 
     def subgroup(self, label: str) -> Subgroup:
@@ -433,7 +427,7 @@ def _resolve_recipe(entry: CatalogEntry, recipe: tuple) -> frozenset[int]:
     if kind == "sylow":
         return entry._sylow_of(recipe[1])
     if kind == "sylow_normalizer":
-        return normalizer(table, entry._sylow_of(recipe[1]), entry._conjugations)
+        return normalizer(table, entry._sylow_of(recipe[1]))
     if kind == "point_stabilizer":
         return point_stabilizer(table, recipe[1])
     if kind == "setwise_stabilizer":

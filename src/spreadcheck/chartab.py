@@ -28,7 +28,7 @@ from .perm import compose_images
 from .tables import GroupTable
 from .witness import Multiset, Witness, verify_witness
 
-DEFAULT_CLASS_CAP = 60
+DEFAULT_CLASS_CAP = 60  # at most 256: _class_tensor counts class ids as bytes
 
 
 # --- class algebra ---------------------------------------------------------
@@ -282,12 +282,11 @@ class CharacterTable:
         )
 
 
-def dixon_character_table(table: GroupTable, class_cap: int = DEFAULT_CLASS_CAP) -> CharacterTable:
+def dixon_character_table(table: GroupTable) -> CharacterTable:
     classes = table.conjugacy_classes()
     k = len(classes)
-    class_cap = min(class_cap, 256)  # _class_tensor counts class ids as bytes
-    if k > class_cap:
-        raise CapExceeded("conjugacy classes", class_cap)
+    if k > DEFAULT_CLASS_CAP:
+        raise CapExceeded("conjugacy classes", DEFAULT_CLASS_CAP)
     n = len(table.elements)
     sizes = [c.size for c in classes]
     p = dixon_prime(table.exponent(), n, k)

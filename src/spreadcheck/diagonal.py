@@ -25,8 +25,10 @@ def right_translation(table: GroupTable, t: int) -> Permutation:
 
 
 def left_translation(table: GroupTable, t: int) -> Permutation:
-    """The permutation x -> t^-1 x of element indices."""
-    return Permutation._unchecked(table.left_multiplication(table.inverse[t]))
+    """The permutation x -> t^-1 x of element indices, read from R_t as
+    t^-1 x = (x^-1 t)^-1."""
+    return Permutation._unchecked(
+        compose_images(compose_images(table.inverse, table.right_multiplication(t)), table.inverse))
 
 
 def inversion_map(table: GroupTable) -> Permutation:

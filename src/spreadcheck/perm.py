@@ -8,8 +8,8 @@ A PermutationGroup keeps its generators and gives Schreier-Sims order and
 membership, point orbits and set orbits; it enumerates no elements (a GroupTable
 does).  Chain base points are the smallest moved points, and transversals and
 orbits are filled by BFS in generator order, so all of it is reproducible.
-Cycles, point and set orbits, the point stabilizer, and the class walk and
-normalizers of tables all take one breadth-first walk with a transversal, ``orbit_walk``.
+Cycles, point and set orbits, and the normalizers and point and setwise
+stabilizers of tables all take one breadth-first walk with a transversal, ``orbit_walk``.
 
 Every composition of image tuples goes through one kernel, ``compose_images``,
 which does the per-point lookups in C through ``operator.itemgetter``.  The
@@ -324,9 +324,6 @@ class _StabilizerChain:
     def contains(self, g: Permutation) -> bool:
         return self.sift(g.images) == self.identity
 
-    def base(self) -> list[int]:
-        return [level.base for level in self.levels]
-
 
 # --- permutation groups ----------------------------------------------------
 
@@ -359,9 +356,6 @@ class PermutationGroup:
     def order(self) -> int:
         return self._get_chain().order()
 
-    def base(self) -> list[int]:
-        return self._get_chain().base()
-
     def contains(self, p: Permutation) -> bool:
         if p.degree != self.degree:
             raise ValueError(f"degree mismatch: {p.degree} vs {self.degree}")
@@ -385,18 +379,6 @@ class PermutationGroup:
 
     def is_transitive(self) -> bool:
         return self.degree > 0 and len(self.orbit(0)) == self.degree
-
-    def stabilizer(self, point: int) -> "PermutationGroup":
-        """Point stabilizer, generated by the Schreier generators of the orbit."""
-        steps = [(g.images.__getitem__, lambda u, g=g: u * g) for g in self.generators]
-        trans = orbit_walk(point, steps, Permutation.identity(self.degree))
-        gens: dict[tuple[int, ...], Permutation] = {}
-        for beta in sorted(trans):
-            for s in self.generators:
-                schreier = trans[beta] * s * trans[s(beta)].inverse()
-                if not schreier.is_identity:
-                    gens.setdefault(schreier.images, schreier)
-        return PermutationGroup(list(gens.values()), self.degree)
 
     def set_orbit(self, points: Iterable[int], cap: int = DEFAULT_SET_ORBIT_CAP) -> list[frozenset[int]]:
         """Orbit of a point set under the setwise action, in BFS discovery order."""

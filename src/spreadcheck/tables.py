@@ -10,19 +10,20 @@ access.  The one composition kernel is bytes.translate: x t is
 x.translate(translate_table(t)), t's images padded to 256 entries, one C call
 whose result caches its hash for the index lookup; inverses come from
 bytes.maketrans(x, identity).  No |T| x |T| table is ever stored, which keeps
-groups up to a few hundred thousand elements workable.  Two whole-table
-kernels give a product per element with no multiply: right_multiplication(t),
-the indices of x t for all x (map translates every element, map looks them
-up), and left_multiplication(t) = inverse, R_(t^-1), inverse.  The BFS already
-looks up x g for every x and generator g, so it keeps R_g of each table
-generator (one |T|-long tuple per generator, about 1.5 MB on A9).  Class
-matrices, diagonal translations and the class walk read them with no product
-per element; the walk steps by x^g = R_g[(x^-1 g)^-1] and records, in the list
-marking what it has reached, a conjugator taking each element to its class
-representative.  Class ids are one bytes of |T| entries when there are at
-most 256 classes (a list above that); centralizers are closed from the walk's
-Schreier generators, and normalizers and point and setwise stabilizers from
-those of an orbit walk (perm.orbit_walk), not a scan of T.  A coset space
+groups up to a few hundred thousand elements workable.  One whole-table
+kernel gives a product per element with no multiply: right_multiplication(t),
+R_t, the indices of x t for all x (map translates every element, map looks
+them up).  The BFS already looks up x g for every x and generator g, so it
+keeps R_g of each table generator (one |T|-long tuple per generator, about
+1.5 MB on A9).  Class matrices, diagonal translations, the class walk and
+normalizers read them with no product per element: g^-1 x = (x^-1 g)^-1 and
+x^g = R_g[(x^-1 g)^-1], gathers through R_g and inverse over only the
+elements at hand.  The class walk records, in the list marking what it has
+reached, a conjugator taking each element to its class representative.
+Class ids are one bytes of |T| entries when there are at most 256 classes (a
+list above that); centralizers are closed from the walk's Schreier
+generators, and normalizers and point and setwise stabilizers from those of
+an orbit walk (perm.orbit_walk), not a scan of T.  A coset space
 reads each new coset H s g from its parent H s through the stored R_g, one
 gather per coset and no product, and orbit counts on cosets come from the
 permutation character, one gather of class ids.
@@ -45,8 +46,9 @@ from __future__ import annotations
 from collections import Counter, deque
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, count, filterfalse, repeat
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import CapExceeded, InvalidSubgroup, VerificationInconsistency
 from .perm import Permutation, PermutationGroup, compose_images, orbit_walk
@@ -154,20 +156,6 @@ class GroupTable:
         if t in self._rights:
             return self._rights[t]
         return tuple(self._products(self.images, t))
-
-    def left_multiplication(self, t: int) -> tuple[int, ...]:
-        """The indices of t x for every x in index order, as t x = (x^-1 t^-1)^-1."""
-        right = self.right_multiplication(self.inverse[t])
-        return compose_images(compose_images(self.inverse, right), self.inverse)
-
-    def conjugations(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """For each generator g, the indices of x^g and of g^-1 x for every x in
-        index order, from R_g: g^-1 x = (x^-1 g)^-1 and x^g = (g^-1 x) g."""
-        out = []
-        for g in self.generator_indices:
-            left = self.left_multiplication(self.inverse[g])
-            out.append((compose_images(left, self.right_multiplication(g)), left))
-        return out
 
     def conjugate(self, x: int, t: int) -> int:
         """Index of t^-1 x t."""
@@ -437,14 +425,13 @@ def centralizer(table: GroupTable, x: int) -> frozenset[int]:
     return frozenset(table.conjugate(c, back) for c in c_r) if back else c_r
 
 
-def normalizer(table: GroupTable, subgroup: Iterable[int], conjugations: list | None = None) -> frozenset[int]:
-    """N_T(H), the stabiliser of H under conjugation (see _stabilizer), on the
-    arrays of GroupTable.conjugations: the caller's, or built here."""
-    if conjugations is None:
-        conjugations = table.conjugations()
-    steps = [(lambda p, c=conj: frozenset(compose_images(p, c)), left.__getitem__)
-             for conj, left in conjugations]
-    return _stabilizer(table, frozenset(validate_subgroup(table, subgroup)), steps)
+def normalizer(table: GroupTable, subgroup: Iterable[int]) -> frozenset[int]:
+    """N_T(H), the stabiliser of H under conjugation (see _stabilizer).  A
+    generator g sends H's members to x^g = R_g[(x^-1 g)^-1] as the class walk
+    sends one element: four C-level gathers over |H|, no |T|-long array."""
+    inverse, rights = table.inverse, map(table.right_multiplication, table.generator_indices)
+    acts = [lambda h, r=r: frozenset(reduce(compose_images, (inverse, r, inverse, r), h)) for r in rights]
+    return _stabilizer(table, frozenset(validate_subgroup(table, subgroup)), acts)
 
 
 def point_stabilizer(table: GroupTable, point: int) -> frozenset[int]:
@@ -453,29 +440,27 @@ def point_stabilizer(table: GroupTable, point: int) -> frozenset[int]:
 
 def setwise_stabilizer(table: GroupTable, points: Iterable[int]) -> frozenset[int]:
     """The elements mapping the point set to itself (see _stabilizer)."""
-    multiply = table.multiply
-    steps = [(lambda p, g=table.elements[g].images: frozenset(compose_images(p, g)),
-              lambda u, h=table.inverse[g]: multiply(h, u)) for g in table.generator_indices]
-    return _stabilizer(table, frozenset(points), steps)
+    acts = [lambda p, g=table.elements[g].images: frozenset(compose_images(p, g))
+            for g in table.generator_indices]
+    return _stabilizer(table, frozenset(points), acts)
 
 
-def _stabilizer(table: GroupTable, start, steps: list) -> frozenset[int]:
-    """Orbit-stabiliser, with no scan of T: steps[k] = (act on points, carry
-    u -> g^-1 u) for the k-th table generator g.  The walk gives each point p
-    a u_p with p^(u_p) = start, and the Schreier generators (g^-1 u_p)^-1
-    u_(p^g) are closed once with cap |T| / |orbit|."""
+def _stabilizer(table: GroupTable, start, acts: list) -> frozenset[int]:
+    """Orbit-stabiliser, with no scan of T: acts[k] acts on points as the k-th
+    table generator g, and the walk carries u -> g^-1 u = (u^-1 g)^-1, read
+    from R_g.  So it gives each point p a u_p with p^(u_p) = start, and the
+    Schreier generators (g^-1 u_p)^-1 u_(p^g) are closed once with cap
+    |T| / |orbit|."""
+    inverse, rights = table.inverse, map(table.right_multiplication, table.generator_indices)
+    steps = [(act, lambda u, r=r: inverse[r[inverse[u]]]) for act, r in zip(acts, rights)]
     walk = orbit_walk(start, steps, 0)
-    inverse, multiply = table.inverse, table.multiply
-    schreier = {multiply(inverse[carry(u)], walk[act(p)]) for p, u in walk.items() for act, carry in steps}
+    schreier = {table.multiply(inverse[carry(u)], walk[act(p)]) for p, u in walk.items() for act, carry in steps}
     return frozenset(_closure(table, schreier, len(table) // len(walk)))
 
 
-def sylow_subgroup(table: GroupTable, p: int, get_conjugations: Callable[[], list] | None = None) -> Subgroup:
+def sylow_subgroup(table: GroupTable, p: int) -> Subgroup:
     """A Sylow p-subgroup: start from an element of maximal p-power order and
-    grow by p-elements of the normalizer until the full p-part is reached.
-    The normalizers take the arrays of GroupTable.conjugations, got once, and
-    only if the start is short of the p-part, from get_conjugations() when
-    the caller shares them."""
+    grow by p-elements of the normalizer until the full p-part is reached."""
     n = len(table)
     p_part = 1
     while n % (p_part * p) == 0:
@@ -489,9 +474,8 @@ def sylow_subgroup(table: GroupTable, p: int, get_conjugations: Callable[[], lis
         if o > best_order and _is_p_power(o, p):
             best, best_order = cls.representative, o
     current = close_subgroup(table, [best], cap=p_part)
-    arrays = (get_conjugations or table.conjugations)() if len(current) < p_part else []
     while len(current) < p_part:
-        norm = normalizer(table, current, arrays)
+        norm = normalizer(table, current)
         for t in sorted(norm - current):
             if _is_p_power(table.element_order(t), p):
                 current = close_subgroup(table, sorted(current | {t}), cap=p_part)

@@ -43,6 +43,20 @@ def moved_points(p):
     return [i for i, img in enumerate(p.images) if i != img]
 
 
+def point_stabilizer_group(group, point):
+    """The stabilizer of a point in a PermutationGroup, generated by the
+    Schreier generators of the point's orbit."""
+    steps = [(g.images.__getitem__, lambda u, g=g: u * g) for g in group.generators]
+    trans = orbit_walk(point, steps, Permutation.identity(group.degree))
+    gens: dict[tuple[int, ...], Permutation] = {}
+    for beta in sorted(trans):
+        for s in group.generators:
+            schreier = trans[beta] * s * trans[s(beta)].inverse()
+            if not schreier.is_identity:
+                gens.setdefault(schreier.images, schreier)
+    return PermutationGroup(list(gens.values()), group.degree)
+
+
 def naive_orbit(generators, point):
     orbit = {point}
     frontier = [point]
@@ -286,13 +300,17 @@ def extend_images(table, rights, images):
 
 
 def classes_by_orbit_walk(table):
-    """The class walk as orbit_walk does it over the arrays of
-    GroupTable.conjugations, one dict per class: the conjugator taking each
-    element to its class's smallest member, and the classes as (smallest
-    member, members), sorted by (size, smallest member)."""
+    """The class walk as orbit_walk does it over whole-table conjugation
+    arrays, built product by product: for each generator g, x -> x^g acts
+    and u -> g^-1 u carries.  One dict per class gives the conjugator taking
+    each element to its class's smallest member, and the classes come as
+    (smallest member, members), sorted by (size, smallest member)."""
     to_rep = [-1] * len(table)
     raw = []
-    steps = [(conj.__getitem__, left.__getitem__) for conj, left in table.conjugations()]
+    steps = []
+    for g in table.generator_indices:
+        left = tuple(table.multiply(table.inverse[g], x) for x in range(len(table)))
+        steps.append((tuple(table.multiply(y, g) for y in left).__getitem__, left.__getitem__))
     for start in range(len(table)):
         if to_rep[start] < 0:
             walk = orbit_walk(start, steps, 0)

@@ -7,6 +7,7 @@ from helpers import (
     class_algebra_consistent,
     conjugate_subgroup,
     naive_orbit,
+    point_stabilizer_group,
     recheck_refutation,
     recheck_witness,
     sorted_tuple_set_orbit,
@@ -105,7 +106,7 @@ def test_criterion_3_a7_on_three_subsets():
     threes = catalog.load_entry("A7_3sets").group
     assert threes.degree == 35
     assert threes.is_transitive()
-    assert threes.stabilizer(0).order() == len(a)
+    assert point_stabilizer_group(threes, 0).order() == len(a)
     _finish(3, started, 5.0, "A7 on 35 triples: counts (4,4) both ways, supplement holds")
 
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from helpers import sylow_normalizer
+from helpers import point_stabilizer_group, sylow_normalizer
 from spreadcheck import catalog, tables
 from spreadcheck.errors import InvalidSubgroup, VerificationInconsistency
 from spreadcheck.perm import Permutation
@@ -139,7 +139,7 @@ def test_three_subset_actions(name):
 
 def test_three_subset_stabilizer_order():
     group = catalog.load_entry("A7_3sets").group
-    assert group.stabilizer(0).order() == 2520 // 35
+    assert point_stabilizer_group(group, 0).order() == 2520 // 35
 
 
 def test_unknown_names_and_labels():
@@ -167,24 +167,25 @@ def test_entry_owns_its_derived_objects_until_caches_are_cleared():
 
 def test_sylow_recipes_grow_each_sylow_subgroup_once(monkeypatch):
     """A sylow and a sylow_normalizer recipe of one prime share one growth,
-    and every Sylow growth and normalizer of an entry shares one set of
-    conjugation arrays.  Set up as the benchmark's witnesses workload does,
-    fresh entries make 7 conjugations() calls, one per entry with Sylow
-    recipes: the class walk reads the stored R_g arrays and builds none (18
-    calls when each class walk built its own, 25 when each recipe also grew
-    its own Sylow subgroup)."""
-    calls = {"conjugations": 0, "growths": []}
-    conjugations, grow = tables.GroupTable.conjugations, catalog.sylow_subgroup
+    and no Sylow growth or normalizer builds an array over all of T.  Set up
+    as the benchmark's witnesses workload does, resolving the fresh entries'
+    recipes makes no tables.compose_images call over |T| points: a
+    normalizer conjugates a subgroup's members through R_g and inverse, so
+    its gathers run over |H| points."""
+    calls = {"whole_table": [], "growths": []}
+    compose_images, grow = tables.compose_images, catalog.sylow_subgroup
+    order = {"T": float("inf")}  # |T| while an entry resolves its recipes
 
-    def counting_conjugations(self):
-        calls["conjugations"] += 1
-        return conjugations(self)
+    def counting_compose(p, q):
+        if len(p) >= order["T"]:
+            calls["whole_table"].append(len(p))
+        return compose_images(p, q)
 
     def counting_growth(table, p, *args):
         calls["growths"].append((table.name, p))
         return grow(table, p, *args)
 
-    monkeypatch.setattr(tables.GroupTable, "conjugations", counting_conjugations)
+    monkeypatch.setattr(tables, "compose_images", counting_compose)
     monkeypatch.setattr(catalog, "sylow_subgroup", counting_growth)
     entries = [catalog._entry_from_builtin(name) for name in (
         "A5", "A6", "A7", "PSL(2,7)", "PSL(3,2)", "PSL(2,8)", "PSL(2,11)", "PSL(2,13)",
@@ -193,9 +194,11 @@ def test_sylow_recipes_grow_each_sylow_subgroup_once(monkeypatch):
         entry.table.conjugacy_classes()
         if entry.name != "A7" and not entry.name.endswith("_3sets"):
             entry.automorphisms
+        order["T"] = len(entry.table)
         for label in entry.subgroups:
             entry.subgroup(label)
-    assert calls["conjugations"] == 7
+        order["T"] = float("inf")
+    assert calls["whole_table"] == []
     assert sorted(calls["growths"]) == [("A5", 2), ("A5", 5), ("A6", 3), ("PSL(2,11)", 11), ("PSL(2,13)", 13),
                                         ("PSL(2,7)", 7), ("PSL(2,8)", 2), ("PSL(3,2)", 7)]
     monkeypatch.undo()

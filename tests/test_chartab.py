@@ -23,7 +23,7 @@ from spreadcheck.chartab import (
 )
 from spreadcheck.cyclotomic import CyclotomicValue, zeta
 from spreadcheck.diagonal import build_diagonal_group
-from spreadcheck.errors import CapExceeded, VerificationInconsistency
+from spreadcheck.errors import VerificationInconsistency
 from spreadcheck.perm import Permutation, PermutationGroup
 from spreadcheck.tables import GroupTable, build_group_table
 
@@ -78,10 +78,6 @@ class TestSmallTables:
             assert len(hits) == 1
             matched.append(hits[0])
         assert sorted(matched) == [0, 1, 2]
-
-    def test_class_cap(self):
-        with pytest.raises(CapExceeded):
-            dixon_character_table(_c3_table(), class_cap=2)
 
 
 FROZEN_TABLES = {
