@@ -5,9 +5,9 @@ generators, or the generating pair, which the search and every product use.
 Its graph D = <(g, phi(g))>, on 2 * degree points, projects onto T, so the map
 extends to an automorphism exactly when |D| = |T| and the phi(g) generate T.
 One Schreier-Sims run decides it, and D's chain, whose base points all lie in
-the first block, then sifts (x^-1, 1) to (1, phi(x)).  The |T|-long mapping is
-walked only when read, by diag(T) and by checks, and kept and read when
-as_automorphism is handed one.  The central object is the list of coset
+the first block, then sifts (x^-1, 1) to (1, phi(x)), the one way to
+evaluate phi off its generators.  The |T|-long mapping is walked only when
+read, by diag(T) and by checks.  The central object is the list of coset
 representatives modulo inner automorphisms: the identity first, then one per
 nontrivial coset.  For a centerless T that list determines Aut(T), the union
 of its rep-then-conjugation maps, and |Aut(T)| is its length times |T|.
@@ -19,11 +19,12 @@ the conjugator the class walk recorded, and marks a coset's |C(r)| pairs
 (r, y^c), c in the centralizer of r, when it keeps the coset's first
 automorphism; nothing of size |T| is stored.  The closure,
 close_modulo_inner, offers it each product of a representative with a
-supplied automorphism; diag(T) uses the same closure, with a flag for
-inversion, to count its point stabiliser modulo Inn.  The search tries x
-among class representatives only, skips marked pairs, and pre-filters by
-element order, class size and the orders of a few fixed words in the pair;
-a candidate's Cayley walk over at most 256 vertices comes before its check.
+part, any automorphism as a map of indices; diag(T) uses the same closure on
+its checked arrays, with a flag for inversion, to count its point stabiliser
+modulo Inn.  The search tries x among class representatives only, skips
+marked pairs, and pre-filters by element order, class size and the orders of
+a few fixed words in the pair, compared one word at a time; a candidate's
+Cayley walk over at most 256 vertices comes before its check.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import CapExceeded
 from .perm import Permutation, PermutationGroup, _StabilizerChain, compose_images
@@ -49,15 +50,6 @@ class Automorphism:
     gens: tuple[int, ...]
     images: tuple[int, ...]
 
-    def __mul__(self, other: "Automorphism") -> "Automorphism":
-        # self acts first, matching the permutation convention in this package
-        if other.table is not self.table:
-            raise ValueError("automorphisms belong to different tables")
-        if self.is_identity:
-            return other
-        a, b = self.table.generating_pair()  # where _InnerCosets and the next product read it
-        return Automorphism(self.table, (a, b), (other(self(a)), other(self(b))))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Automorphism) and other.table is self.table and all(
             self(g) == other(g) for g in self.table.generator_indices)
@@ -66,13 +58,11 @@ class Automorphism:
         return hash(tuple(map(self, self.table.generator_indices)))
 
     def __call__(self, x: int) -> int:
-        """phi(x), read off images or a mapping already known, else sifted."""
+        """phi(x), read off images, else sifted."""
         if x in self.gens:
             return self.images[self.gens.index(x)]
         if self.is_identity:
             return x
-        if "mapping" in vars(self):
-            return self.mapping[x]
         table, n = self.table, self.table.group.degree
         residue = self._graph_chain.sift((*table.images[table.inverse[x]], *range(n, 2 * n)))
         return table.index[bytes(p - n for p in residue[n:])]
@@ -146,21 +136,17 @@ def automorphism_from_generator_images(table: GroupTable, images: Sequence[int])
     return aut
 
 
-def as_automorphism(table: GroupTable, rights: Sequence, mapping: tuple[int, ...]) -> Automorphism | None:
-    """The map sigma of element indices as an Automorphism, or None.  sigma
-    must take |T| indices into range and satisfy sigma R_g = R_sigma(g) sigma,
-    i.e. sigma(x g) = sigma(x) sigma(g), for each table generator g_k,
+def is_automorphism(table: GroupTable, rights: Sequence, mapping: Sequence[int]) -> bool:
+    """Whether mapping, a map sigma of element indices, is an automorphism.
+    sigma must take |T| indices into range and satisfy sigma R_g = R_sigma(g)
+    sigma, i.e. sigma(x g) = sigma(x) sigma(g), for each table generator g_k,
     compared as whole arrays with R_(g_k) = rights[k].  That makes it a
     homomorphism, and a bijection exactly when only the identity maps to 0."""
-    n, right, gens = len(table), table.right_multiplication, table.generator_indices
-    if len(mapping) == n and 0 <= min(mapping) and max(mapping) < n and all(
+    n, right = len(table), table.right_multiplication
+    return len(mapping) == n and 0 <= min(mapping) and max(mapping) < n and all(
         compose_images(r, mapping) == compose_images(mapping, right(mapping[g]))
-        for g, r in zip(gens, rights)
-    ) and mapping.count(0) == 1:
-        aut = Automorphism(table, tuple(gens), compose_images(gens, mapping))
-        vars(aut)["mapping"] = tuple(mapping)  # seeds the cached walk: read, not sifted
-        return aut
-    return None
+        for g, r in zip(table.generator_indices, rights)
+    ) and mapping.count(0) == 1
 
 
 @dataclass(frozen=True)
@@ -195,10 +181,10 @@ class _InnerCosets:
             raise ValueError("automorphism bookkeeping here requires a trivial center")
         self.table = table
         self.a, self.b = table.generating_pair()
-        self.reps: list[Automorphism] = []
+        self.reps: list[Callable[[int], int]] = []
         self.marked: set[tuple[int, int]] = set()
 
-    def add(self, aut: Automorphism) -> bool:
+    def add(self, aut: Callable[[int], int]) -> bool:
         """Keep aut unless its coset is marked already; whether it was kept.
 
         The trivial center makes the conjugates of (a, b) distinct, so the
@@ -219,26 +205,30 @@ class _InnerCosets:
 
 
 def close_modulo_inner(
-    table: GroupTable, parts: Sequence[tuple[Automorphism, int]]
-) -> list[tuple[Automorphism, int]]:
+    table: GroupTable, parts: Sequence[tuple[Callable[[int], int], int]]
+) -> list[tuple[Callable[[int], int], int]]:
     """One pair (phi, e) per coset modulo Inn(T) of the group generated by
     Inn(T) and the parts, the identity (identity, 0) first.
 
-    A pair (phi, e) stands for phi followed by e inversions x -> x^-1.
+    A pair (phi, e) stands for phi, any automorphism as a map of indices
+    (an array's __getitem__ will do), followed by e inversions x -> x^-1.
     Inversion commutes with every automorphism, so pairs multiply as
-    (psi, e)(phi, f) = (psi phi, e + f mod 2), and the cosets of each e keep
-    their own _InnerCosets.  Products are walked in the order found, so the
-    identity's coset comes first and the result has at most 2 |Out(T)| pairs.
+    (psi, e)(phi, f) = (psi phi, e + f mod 2): phi itself when psi = 1, else
+    the Automorphism sending (a, b) to (phi(psi(a)), phi(psi(b))).  The
+    cosets of each e keep their own _InnerCosets.  Products are walked in the
+    order found, so the identity's coset comes first and the result has at
+    most 2 |Out(T)| pairs.
     """
     cosets = (_InnerCosets(table), _InnerCosets(table))
+    a, b = table.generating_pair()
     identity = identity_automorphism(table)
     cosets[0].add(identity)
-    walked = [(identity, 0)]
+    walked: list[tuple[Callable[[int], int], int]] = [(identity, 0)]
     for psi, e in walked:  # grows while it is walked
         for phi, f in parts:
-            product, g = psi * phi, e ^ f
-            if cosets[g].add(product):
-                walked.append((product, g))
+            product = phi if psi is identity else Automorphism(table, (a, b), (phi(psi(a)), phi(psi(b))))
+            if cosets[e ^ f].add(product):
+                walked.append((product, e ^ f))
     return walked
 
 
@@ -260,25 +250,23 @@ def search_automorphism_group(table: GroupTable) -> AutomorphismGroup:
     def profile(x: int) -> tuple[int, int]:
         return table.element_order(x), classes[table.class_of(x)].size
 
-    def fingerprint(x: int, y: int) -> tuple[int, ...]:
+    def word_orders(x: int, y: int) -> Iterator[int]:
+        """The orders of xy, xy^2, xy xy^2 and [x, y], one at a time."""
         xy = table.multiply(x, y)
+        yield table.element_order(xy)
         xyy = table.multiply(xy, y)
-        comm = table.commutator(x, y)
-        return (
-            table.element_order(xy),
-            table.element_order(xyy),
-            table.element_order(table.multiply(xy, xyy)),
-            table.element_order(comm),
-        )
+        yield table.element_order(xyy)
+        yield table.element_order(table.multiply(xy, xyy))
+        yield table.element_order(table.commutator(x, y))
 
     prof_a, prof_b = profile(a), profile(b)
-    target = fingerprint(a, b)
+    target = tuple(word_orders(a, b))
     x_candidates = [c.representative for c in classes if profile(c.representative) == prof_a]
     y_candidates = [m for c in classes if profile(c.representative) == prof_b for m in c.members]
     rights = (table.right_multiplication(a), table.right_multiplication(b))
     for x in x_candidates:
         for y in y_candidates:
-            if (x, y) in cosets.marked or fingerprint(x, y) != target:
+            if (x, y) in cosets.marked or any(o != t for o, t in zip(word_orders(x, y), target)):
                 continue
             if _cayley_walk(table, rights, (x, y), limit=256) is not None and (
                     aut := _graph_automorphism(table, (a, b), (x, y))) is not None:

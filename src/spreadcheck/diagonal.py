@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .autos import AutomorphismGroup, as_automorphism, close_modulo_inner
+from .autos import AutomorphismGroup, close_modulo_inner, is_automorphism
 from .errors import VerificationInconsistency
 from .perm import Permutation, PermutationGroup, compose_images
 from .tables import GroupTable
@@ -106,7 +106,8 @@ def diagonal_order(table: GroupTable, group: PermutationGroup) -> int:
       G, so G = N H and |G| = |N| |H| / |N cap H| = |T|^2 [H : Inn(T)].
 
     [H : Inn(T)] is the number of cosets that close_modulo_inner finds from
-    the sigma_s, at most 2 |Out(T)|.  Nothing of size |T|^2 is stored.
+    the checked arrays sigma_s or sigma_s iota, at most 2 |Out(T)|; no
+    stabilizer chain is built and nothing of size |T|^2 is stored.
     """
     n = len(table)
     identity = tuple(range(n))
@@ -121,19 +122,18 @@ def diagonal_order(table: GroupTable, group: PermutationGroup) -> int:
         if sigma == identity:
             right.append(s)
             continue
-        phi = as_automorphism(table, rights, sigma)
-        if phi is not None:
+        if is_automorphism(table, rights, sigma):
             if all(sigma[g] == table.conjugate(g, w_inv) for g in table.generator_indices):
                 left.append(s)
             else:
-                parts.append((phi, 0))
+                parts.append((sigma.__getitem__, 0))
             continue
-        phi = as_automorphism(table, rights, compose_images(sigma, table.inverse))
-        if phi is None:
+        sigma = compose_images(sigma, table.inverse)
+        if not is_automorphism(table, rights, sigma):
             raise VerificationInconsistency(
                 f"diagonal generator {k} is no translation times an automorphism or its inversion"
             )
-        parts.append((phi, 1))
+        parts.append((sigma.__getitem__, 1))
     for side, translations in (("right", right), ("left", left)):
         if not PermutationGroup(translations, n).is_transitive():
             raise VerificationInconsistency(

@@ -333,6 +333,13 @@ def inverse_automorphism(aut):
     return Automorphism(aut.table, aut.images, aut.gens)
 
 
+def compose(first, then):
+    """first followed by then, matching the permutation convention in this
+    package, as the images of the generating pair."""
+    a, b = first.table.generating_pair()
+    return Automorphism(first.table, (a, b), (then(first(a)), then(first(b))))
+
+
 def inner_witness(table, aut):
     """An element t with conjugation by t equal to aut, or None if aut is outer."""
     a, b = table.generating_pair()

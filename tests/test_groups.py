@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     classes_by_orbit_walk,
+    compose,
     coset_action,
     conjugate_subgroup,
     extend_images,
@@ -27,7 +28,6 @@ from helpers import (
 from spreadcheck import autos, catalog, tables
 from spreadcheck.autos import (
     Automorphism,
-    as_automorphism,
     automorphism_from_generator_images,
     automorphism_group_from_supplied,
     center,
@@ -509,12 +509,17 @@ class TestAutomorphisms:
     @pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "M11"])
     def test_as_automorphism_accepts_automorphisms(self, name):
         t, auts = catalog.load_group_table(name), catalog.load_automorphisms(name)
-        rights = [t.right_multiplication(g) for g in t.generator_indices]
+        gens = tuple(t.generator_indices)
+        rights = [t.right_multiplication(g) for g in gens]
         for rep in auts.coset_representatives:
-            phi = as_automorphism(t, rights, rep.mapping)
+            assert autos.is_automorphism(t, rights, rep.mapping)
+            # equal, and hashed alike, on the table generators' images
+            phi = Automorphism(t, gens, compose_images(gens, rep.mapping))
             assert phi == rep and hash(phi) == hash(rep)
+            # followed by inversion, an anti-automorphism of a nonabelian T
+            assert not autos.is_automorphism(t, rights, compose_images(rep.mapping, t.inverse))
         inner = inner_automorphism(t, len(t) // 2)
-        assert as_automorphism(t, rights, inner.mapping) == inner
+        assert autos.is_automorphism(t, rights, inner.mapping)
         assert inner != auts.coset_representatives[0]
 
     @pytest.mark.parametrize("name", ["A5", "PSL(2,7)"])
@@ -523,19 +528,19 @@ class TestAutomorphisms:
         rights = [t.right_multiplication(g) for g in t.generator_indices]
         swapped = list(range(len(t)))
         swapped[3], swapped[7] = swapped[7], swapped[3]
-        assert as_automorphism(t, rights, tuple(swapped)) is None
+        assert not autos.is_automorphism(t, rights, tuple(swapped))
         # inversion is a bijective anti-automorphism of a nonabelian T: only
         # the commuting check with the right multiplications can reject it
         assert sorted(t.inverse) == list(range(len(t)))
-        assert as_automorphism(t, rights, tuple(t.inverse)) is None
-        assert as_automorphism(t, rights, tuple(range(len(t) - 1))) is None
-        assert as_automorphism(t, rights, tuple(range(1, len(t) + 1))) is None
-        assert as_automorphism(t, rights, tuple(range(-1, len(t) - 1))) is None
+        assert not autos.is_automorphism(t, rights, tuple(t.inverse))
+        assert not autos.is_automorphism(t, rights, tuple(range(len(t) - 1)))
+        assert not autos.is_automorphism(t, rights, tuple(range(1, len(t) + 1)))
+        assert not autos.is_automorphism(t, rights, tuple(range(-1, len(t) - 1)))
         # the trivial map passes every array identity, as sigma R_g = sigma =
         # R_1 sigma: only its kernel rejects it
         trivial = (0,) * len(t)
         assert all(compose_images(r, trivial) == trivial for r in rights)
-        assert as_automorphism(t, rights, trivial) is None
+        assert not autos.is_automorphism(t, rights, trivial)
 
     @pytest.mark.parametrize("name,kept,refused", [("A5", 1, 0), ("PSL(2,8)", 2, 0), ("M11", 0, 11)])
     def test_graph_check_agrees_with_the_walk_on_search_candidates(self, monkeypatch, name, kept, refused):
@@ -623,6 +628,36 @@ class TestAutomorphisms:
                 assert all("mapping" in vars(phi) for phi in auts.coset_representatives
                            if not phi.is_identity)
 
+    def test_evaluation_reads_no_cached_mapping(self):
+        """Once build_diagonal_group has walked the mappings of A8's
+        representatives, each one's value off its generators still comes from
+        its graph's chain: a wrong cached mapping goes unread."""
+        entry = catalog.load_entry.__wrapped__("A8")
+        t, auts = entry.table, entry.automorphisms
+        build_diagonal_group(t, auts)
+        points = [c.representative for c in t.conjugacy_classes()]
+        for rep in auts.coset_representatives[1:]:
+            walked = extend_images(t, [t.right_multiplication(g) for g in rep.gens], rep.images)
+            vars(rep)["mapping"] = (0,) * len(t)
+            assert [rep(x) for x in points] == [walked[x] for x in points]
+
+    @pytest.mark.parametrize("name", ["A5", "A6", "PSL(2,8)", "A7", "A8"])
+    def test_closure_accepts_plain_index_maps(self, name):
+        """close_modulo_inner only calls its parts, so the representatives'
+        arrays, read by __getitem__, close to the cosets the Automorphisms
+        close to: with the identity map flagged as inversion, 2 |Out| pairs
+        that agree at the generating pair and in their flags."""
+        t, auts = catalog.load_group_table(name), catalog.load_automorphisms(name)
+        outer = auts.coset_representatives[1:]
+        a, b = t.generating_pair()
+        closed = [
+            [(phi(a), phi(b), e) for phi, e in autos.close_modulo_inner(t, parts)]
+            for parts in ([(rep, 0) for rep in outer] + [(identity_automorphism(t), 1)],
+                          [(rep.mapping.__getitem__, 0) for rep in outer] + [(range(len(t)).__getitem__, 1)])
+        ]
+        assert closed[0] == closed[1]
+        assert len(closed[0]) == 2 * auts.outer_order
+
     def test_automorphism_group_keeps_pointer_arrays_only(self):
         """A8's automorphism group, built once the table's classes are known,
         keeps nothing of size |T|: each coset representative holds its
@@ -679,7 +714,7 @@ class TestAutomorphisms:
         auts = catalog.load_automorphisms("A5")
         for rep in auts.coset_representatives:
             assert is_automorphism(auts.table, rep.mapping)
-            assert (rep * inverse_automorphism(rep)).is_identity
+            assert compose(rep, inverse_automorphism(rep)).is_identity
 
     def test_class_fusion(self):
         t = catalog.load_group_table("A5")
@@ -702,7 +737,7 @@ class TestAutomorphisms:
         assert searched.outer_order == supplied.outer_order == 2
         for s in searched.coset_representatives:
             assert sum(
-                inner_witness(t, s * inverse_automorphism(r)) is not None
+                inner_witness(t, compose(s, inverse_automorphism(r))) is not None
                 for r in supplied.coset_representatives
             ) == 1
 
@@ -768,7 +803,7 @@ class TestDiagonalAction:
 
     def test_diagonal_build_makes_each_generator_array_once(self, monkeypatch):
         """diagonal_order builds R_g for T's generators once and passes them to
-        every as_automorphism call: 21 arrays on A5, not 28, two of them the
+        every is_automorphism call: 21 arrays on A5, not 28, two of them the
         R_t that left_translation reads for the left translations."""
         t, auts = catalog.load_group_table("A5"), catalog.load_automorphisms("A5")
         t.conjugacy_classes()
@@ -810,7 +845,7 @@ class TestDiagonalAction:
         for rep in auts.coset_representatives:
             assert diag.group.contains(Permutation(rep.mapping))
 
-    @pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "PSL(3,2)", "A6"])
+    @pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "PSL(3,2)", "A6", "PSL(2,8)"])
     def test_order_count_matches_schreier_sims(self, name):
         t, auts = catalog.load_group_table(name), catalog.load_automorphisms(name)
         diag = build_diagonal_group(t, auts)
