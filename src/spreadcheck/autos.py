@@ -15,7 +15,7 @@ of its rep-then-conjugation maps, and |Aut(T)| is its length times |T|.
 An automorphism is pinned down by the images (x, y) of a generating pair
 (a, b), and conjugation by t moves them jointly to (x^t, y^t).  _InnerCosets,
 the one bookkeeping of both routes, moves x to its class representative r by
-the conjugator the class walk recorded, and marks a coset's |C(r)| pairs
+the conjugator x's class walk gives, and marks a coset's |C(r)| pairs
 (r, y^c), c in the centralizer of r, when it keeps the coset's first
 automorphism; nothing of size |T| is stored.  The closure,
 close_modulo_inner, offers it each product of a representative with a

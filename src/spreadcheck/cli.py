@@ -212,11 +212,6 @@ def _cmd_chartab_compute(args):
 
 def _cmd_verify_witness(args):
     entry = _entry(args)
-    if args.diagonal:
-        diag = build_diagonal_group(entry.table, entry.automorphisms)
-        group, label = diag.group, diag.label
-    else:
-        group, label = entry.group, entry.name
     data = catalog.read_json(args.witness)
     if not isinstance(data, dict):
         raise ValueError(f"witness file must hold a JSON object, got {type(data).__name__}")
@@ -224,7 +219,13 @@ def _cmd_verify_witness(args):
     if not isinstance(points, list) or any(type(x) is not int for x in points):
         raise ValueError(f"witness 'set' must be a list of JSON integers, got {points!r}")
     points = catalog.distinct(points, "witness 'set' point")
-    multiset = Multiset.from_json(data["multiset"], group.degree)
+    # diag(T) acts on the |T| indices of T: the witness is read before it is built
+    multiset = Multiset.from_json(data["multiset"], len(entry.table) if args.diagonal else entry.degree)
+    if args.diagonal:
+        diag = build_diagonal_group(entry.table, entry.automorphisms)
+        group, label = diag.group, diag.label
+    else:
+        group, label = entry.group, entry.name
     result = verify_witness(group, points, multiset, group_label=label, **_cap_kw(args))
     verdict, cert, code = _outcome(result)
     return verdict, cert, code, [_witness_line(result)]

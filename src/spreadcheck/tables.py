@@ -15,15 +15,15 @@ kernel gives a product per element with no multiply: right_multiplication(t),
 R_t, the indices of x t for all x (map translates every element, map looks
 them up).  The BFS already looks up x g for every x and generator g, so it
 keeps R_g of each table generator (one |T|-long tuple per generator, about
-1.5 MB on A9).  Class matrices, diagonal translations, the class walk and
+1.5 MB on A9).  Class matrices, diagonal translations, the class split and
 normalizers read them with no product per element: g^-1 x = (x^-1 g)^-1 and
-x^g = R_g[(x^-1 g)^-1], gathers through R_g and inverse over only the
-elements at hand.  The class walk records, in the list marking what it has
-reached, a conjugator taking each element to its class representative.
-Class ids are one bytes of |T| entries when there are at most 256 classes (a
-list above that); centralizers are closed from the walk's Schreier
-generators, and normalizers and point and setwise stabilizers from those of
-an orbit walk (perm.orbit_walk), not a scan of T.  A coset space
+x^g = R_g[(x^-1 g)^-1], gathers through R_g and inverse.  The class split
+grows each class a BFS level at a time through transient arrays x -> x^g
+and keeps the sorted members and class ids, one bytes of |T| entries when
+there are at most 256 classes (a list above that).  Conjugators to class
+representatives are walked class by class on first use.  Centralizers,
+normalizers and point and setwise stabilizers are closed from the Schreier
+generators of an orbit walk (perm.orbit_walk), not a scan of T.  A coset space
 reads each new coset H s g from its parent H s through the stored R_g, one
 gather per coset and no product, and orbit counts on cosets come from the
 permutation character, one gather of class ids.
@@ -44,10 +44,11 @@ setwise stabilizers, and coset spaces.
 from __future__ import annotations
 
 from collections import Counter, deque
-from collections.abc import Sequence
+from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, count, filterfalse, repeat
+from operator import itemgetter, setitem
 from typing import Iterable, Iterator
 
 from .errors import CapExceeded, InvalidSubgroup, VerificationInconsistency
@@ -130,7 +131,7 @@ class GroupTable:
         self._class_orders: list[int] | None = None
         self._classes: list[ConjClass] | None = None
         self._class_of: bytes | list[int] | None = None
-        self._to_rep: list[int] | None = None
+        self._walks: dict[int, dict[int, int]] = {}
         self._class_names: list[str] | None = None
         self._pair: tuple[int, int] | None = None
         self._centralizers: dict[int, frozenset[int]] = {}
@@ -194,36 +195,56 @@ class GroupTable:
         return self._class_of[i]
 
     def to_representative(self, y: int) -> int:
-        """An element t with y^t = t^-1 y t the representative of y's class
-        (0 when y is the representative), recorded by the class walk."""
-        if self._to_rep is None:
-            self._compute_classes()
-        return self._to_rep[y]
+        """An element t with y^t = t^-1 y t the representative of y's class (0
+        for the representative).  Only the classes asked for are walked, from
+        their representatives, on first use (see _class_steps)."""
+        cid = self.class_of(y)
+        if cid not in self._walks:
+            start = self.conjugacy_classes()[cid].representative
+            self._walks[cid] = orbit_walk(start, self._class_steps(cid), 0)
+        return self._walks[cid][y]
+
+    def _class_steps(self, cid: int) -> list:
+        """_steps on class cid, x -> x^g read from a dict made by one
+        conjugates pass over the class."""
+        members = self.conjugacy_classes()[cid].members
+        return self._steps([dict(zip(members, self.conjugates(members, g))).__getitem__
+                            for g in self.generator_indices])
+
+    def conjugates(self, xs: Collection[int], g: int) -> tuple[int, ...]:
+        """The x^g = R_g[(x^-1 g)^-1] of the x in xs, for a table generator g:
+        four C-level gathers through inverse and the stored R_g."""
+        inverse, r = self.inverse, self._rights[g]
+        return reduce(compose_images, (inverse, r, inverse, r), xs)
+
+    def _steps(self, acts: list) -> list:
+        """orbit_walk steps in which acts[k] acts as the k-th table generator g
+        and u -> g^-1 u = (u^-1 g)^-1 carries, read from R_g."""
+        inverse = self.inverse
+        return [(act, lambda u, r=self._rights[g]: inverse[r[inverse[u]]])
+                for act, g in zip(acts, self.generator_indices)]
 
     def _compute_classes(self) -> None:
-        """Walk each class from its smallest member by x -> x^g = R_g[(x^-1 g)^-1];
-        y = x^g gets to_rep g^-1 u_x, as y^(g^-1 u_x) = x^(u_x) = start."""
-        n, inverse, rights = len(self.images), self.inverse, list(self._rights.values())
-        to_rep = [-1] * n
-        raw: list[list[int]] = []
-        for start in range(n):
-            if to_rep[start] < 0:
-                to_rep[start], members = 0, [start]
-                for x in members:  # grows while it is walked
-                    for right in rights:
-                        y = right[inverse[right[inverse[x]]]]
-                        if to_rep[y] < 0:
-                            to_rep[y] = inverse[right[inverse[to_rep[x]]]]
-                            members.append(y)
-                raw.append(sorted(members))
-        self._to_rep = to_rep
-        raw.sort(key=lambda ms: (len(ms), ms[0]))
-        self._classes = [ConjClass(ms[0], tuple(ms)) for ms in raw]
-        few = len(self._classes) <= 256  # each class id then fits in a byte
+        """Split T into classes in C-level passes: each grows from the smallest
+        index in no class yet, a BFS level at a time, through the whole-table
+        arrays x -> x^g = q(q(x)), q: x -> x^-1 g = R_g[x^-1], of the generators."""
+        n = len(self.images)
+        conjugations = [compose_images(q, q) for q in map(compose_images, repeat(self.inverse), self._rights.values())]
+        marked, raw, start = bytearray(n), [], 0
+        while start >= 0:
+            members = frontier = {start}
+            while frontier:  # start pads the frontier so that itemgetter returns tuples
+                frontier = set(chain.from_iterable(map(itemgetter(start, *frontier), conjugations))) - members
+                members |= frontier
+            deque(map(setitem, repeat(marked), members, repeat(1)), 0)  # marks them, in one C-level pass
+            raw.append(tuple(sorted(members)))
+            start = marked.find(0, start)
+        raw.sort(key=len)  # stable, and raw runs by smallest member
+        self._classes = [ConjClass(ms[0], ms) for ms in raw]
+        few = len(raw) <= 256  # each class id then fits in a byte
         class_of = bytearray(n) if few else [0] * n
-        for cid, cls in enumerate(self._classes):
-            for m in cls.members:
-                class_of[m] = cid
+        for cid, ms in enumerate(raw):
+            deque(map(setitem, repeat(class_of), ms, repeat(cid)), 0)
         self._class_of = bytes(class_of) if few else class_of
 
     def class_names(self) -> list[str]:
@@ -406,22 +427,14 @@ def derived_subgroup(table: GroupTable, subgroup: Iterable[int]) -> Subgroup:
 
 
 def centralizer(table: GroupTable, x: int) -> frozenset[int]:
-    """C_T(x).  With u_y taking y to its class representative r, the steps
-    y -> y^g of the class walk give u_y^-1 g u_(y^g), which generate C_T(r)
-    (orbit-stabiliser); C_T(r) is closed once per class and kept on the
-    table, and C_T(x) is C_T(r) conjugated by u_x^-1."""
-    cid = table.class_of(x)
-    to_rep, inverse, multiply = table.to_representative, table.inverse, table.multiply
+    """C_T(x).  C_T(r) of x's class representative r is closed from the
+    Schreier generators of the class walk (see _schreier_closure), once per
+    class, and kept on the table; C_T(x) is C_T(r) conjugated by u_x^-1, with
+    u_x = to_representative(x)."""
+    cid, back = table.class_of(x), table.inverse[table.to_representative(x)]  # walks x's class
     c_r = table._centralizers.get(cid)
     if c_r is None:
-        cls = table.conjugacy_classes()[cid]
-        schreier = {
-            multiply(multiply(inverse[to_rep(y)], g), to_rep(table.conjugate(y, g)))
-            for y in cls.members
-            for g in table.generator_indices
-        }
-        c_r = table._centralizers[cid] = frozenset(_closure(table, schreier, len(table) // cls.size))
-    back = inverse[to_rep(x)]
+        c_r = table._centralizers[cid] = _schreier_closure(table, table._walks[cid], table._class_steps(cid))
     return frozenset(table.conjugate(c, back) for c in c_r) if back else c_r
 
 
@@ -429,8 +442,7 @@ def normalizer(table: GroupTable, subgroup: Iterable[int]) -> frozenset[int]:
     """N_T(H), the stabiliser of H under conjugation (see _stabilizer).  A
     generator g sends H's members to x^g = R_g[(x^-1 g)^-1] as the class walk
     sends one element: four C-level gathers over |H|, no |T|-long array."""
-    inverse, rights = table.inverse, map(table.right_multiplication, table.generator_indices)
-    acts = [lambda h, r=r: frozenset(reduce(compose_images, (inverse, r, inverse, r), h)) for r in rights]
+    acts = [lambda h, g=g: frozenset(table.conjugates(h, g)) for g in table.generator_indices]
     return _stabilizer(table, frozenset(validate_subgroup(table, subgroup)), acts)
 
 
@@ -447,14 +459,16 @@ def setwise_stabilizer(table: GroupTable, points: Iterable[int]) -> frozenset[in
 
 def _stabilizer(table: GroupTable, start, acts: list) -> frozenset[int]:
     """Orbit-stabiliser, with no scan of T: acts[k] acts on points as the k-th
-    table generator g, and the walk carries u -> g^-1 u = (u^-1 g)^-1, read
-    from R_g.  So it gives each point p a u_p with p^(u_p) = start, and the
-    Schreier generators (g^-1 u_p)^-1 u_(p^g) are closed once with cap
-    |T| / |orbit|."""
-    inverse, rights = table.inverse, map(table.right_multiplication, table.generator_indices)
-    steps = [(act, lambda u, r=r: inverse[r[inverse[u]]]) for act, r in zip(acts, rights)]
-    walk = orbit_walk(start, steps, 0)
-    schreier = {table.multiply(inverse[carry(u)], walk[act(p)]) for p, u in walk.items() for act, carry in steps}
+    table generator g, and the walk carries u -> g^-1 u (see GroupTable._steps)."""
+    steps = table._steps(acts)
+    return _schreier_closure(table, orbit_walk(start, steps, 0), steps)
+
+
+def _schreier_closure(table: GroupTable, walk: dict, steps: list) -> frozenset[int]:
+    """The stabiliser of the start of an orbit walk that gives each point p a
+    u_p with p^(u_p) = start: its Schreier generators (g^-1 u_p)^-1 u_(p^g),
+    closed once with cap |T| / |orbit|."""
+    schreier = {table.multiply(table.inverse[carry(u)], walk[act(p)]) for p, u in walk.items() for act, carry in steps}
     return frozenset(_closure(table, schreier, len(table) // len(walk)))
 
 

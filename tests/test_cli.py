@@ -422,6 +422,26 @@ class TestFileRoute:
         assert (code, report["verdict"]) == (2, "error")
         assert report["certificate"]["error"] == "InvalidSubgroup"
 
+    @pytest.mark.parametrize("multiset,message", [
+        ({"60": 1, "0": 1}, "multiset point '60' outside 0..59"),
+        ({"01": 1, "0": 1}, "multiset point '01' is not a canonical integer"),
+    ], ids=["key-past-T", "key-leading-zero"])
+    def test_diagonal_witness_is_read_before_diag_is_built(self, capsys, tmp_path, monkeypatch,
+                                                           multiset, message):
+        """verify-witness --diagonal checks its witness against the |T|
+        points of diag(T) before it builds diag(T), so a malformed file is
+        reported without the build."""
+        def no_build(*args):
+            raise AssertionError("diag(T) built for a malformed witness")
+
+        monkeypatch.setattr(cli, "build_diagonal_group", no_build)
+        witness = tmp_path / "w.json"
+        witness.write_text(json.dumps({"set": [0, 1], "multiset": multiset}))
+        code, report = run_json(capsys, "spreading", "verify-witness", "--group", "A5", "--diagonal",
+                                "--witness", str(witness))
+        assert code == 2
+        assert report["certificate"] == {"error": "ValueError", "message": message}
+
 
 class TestErrorPaths:
     def test_unknown_group(self, capsys):

@@ -500,7 +500,7 @@ class TestAutomorphisms:
 
     @pytest.mark.parametrize("name", ["A7", "A8"])
     def test_class_walk_makes_no_product(self, monkeypatch, name):
-        """The class walk reads conjugation arrays built from the kernels."""
+        """The class split reads conjugation arrays built from the kernels."""
         t = catalog.load_entry.__wrapped__(name).table
         counter = _count_products(monkeypatch, t)
         assert len(t.conjugacy_classes()) == {"A7": 9, "A8": 14}[name]
@@ -683,6 +683,26 @@ class TestAutomorphisms:
         to_rep, classes = classes_by_orbit_walk(t)
         assert [t.to_representative(y) for y in range(len(t))] == to_rep
         assert [(c.representative, c.members) for c in t.conjugacy_classes()] == classes
+
+    def test_classes_keep_members_and_a_class_id_byte_per_element(self):
+        """The class split keeps the sorted members, one pointer each, and
+        one class-id byte per element, with a few KB for the class objects:
+        about 9 bytes per element, where a walk that also kept a conjugator
+        per element held about 17."""
+        t = catalog.load_entry.__wrapped__("A8").table
+        classes, held = retained_bytes(lambda: t.conjugacy_classes())
+        assert len(classes) == 14 and type(t._class_of) is bytes
+        assert held <= (struct.calcsize("P") + 1) * len(t) + 8 * 1024
+
+    def test_conjugators_are_walked_for_the_class_asked_for(self):
+        """to_representative walks only the class of the element asked for
+        and keeps that class's conjugators."""
+        t = catalog.load_entry.__wrapped__("PSL(2,7)").table
+        cls = t.conjugacy_classes()[3]
+        assert t._walks == {}
+        y = cls.members[-1]
+        assert t.conjugate(y, t.to_representative(y)) == cls.representative
+        assert list(t._walks) == [3] and sorted(t._walks[3]) == list(cls.members)
 
     def test_class_walk_conjugators_and_centralizers(self):
         for name in ("A5", "PSL(2,7)", "A7"):
