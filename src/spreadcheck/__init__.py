@@ -24,7 +24,7 @@ from .chartab import (
     dixon_character_table,
     validate_character_witness,
 )
-from .cyclotomic import CyclotomicValue, cyclotomic_polynomial, zeta
+from .cyclotomic import CyclotomicValue, cyclotomic_polynomial
 from .diagonal import DiagonalGroup, build_diagonal_group
 from .errors import CapExceeded, InvalidSubgroup, VerificationInconsistency
 from .perm import Permutation, PermutationGroup, compose, parse_permutation
@@ -35,7 +35,6 @@ from .witness import (
     SupplementReport,
     Witness,
     diagonal_witness,
-    orbit_bound_holds,
     orbit_count_pair,
     supplement_property,
     two_point_stabilizer_trivial,
@@ -77,7 +76,6 @@ __all__ = [
     "diagonal_witness",
     "dixon_character_table",
     "load_entry",
-    "orbit_bound_holds",
     "orbit_count_pair",
     "parse_permutation",
     "search_automorphism_group",
@@ -86,6 +84,5 @@ __all__ = [
     "validate_character_witness",
     "verify_witness",
     "witness_from_subgroup_pair",
-    "zeta",
     "__version__",
 ]

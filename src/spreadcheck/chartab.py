@@ -9,8 +9,9 @@ prime field F_p whose multiplicative group contains all needed roots of unity,
 starting from one fixed integer combination of them, read off each character
 modulo p, then lift every entry to an exact cyclotomic integer through the
 root-of-unity correspondence, one reduction modulo the cyclotomic polynomial
-per entry.  The finished table is self-checked (orthogonality, with rational
-terms summed as integers, and degree sum) before it is returned, so
+per entry.  The finished table is self-checked before it is returned (row and
+column orthogonality, each sum with its rational terms added as integers and
+the rest through one cyclotomic sum of products, and the degree sum), so
 downstream zero/equality tests never rest on an unverified computation.
 """
 
@@ -21,7 +22,7 @@ from math import isqrt
 from operator import mul
 
 from .autos import AutomorphismGroup
-from .cyclotomic import CyclotomicValue, from_coefficients, render_value
+from .cyclotomic import CyclotomicValue, from_coefficients, render_value, sum_of_products
 from .diagonal import DiagonalGroup
 from .errors import CapExceeded, VerificationInconsistency
 from .perm import compose_images
@@ -413,29 +414,22 @@ def dixon_character_table(table: GroupTable) -> CharacterTable:
     return result
 
 
-def _split(values) -> tuple[list[int], dict[int, CyclotomicValue]]:
-    """Character values as plain ints at the rational entries (0 at the
-    others) and the irrational entries by position."""
-    return ([v.as_int() if v.is_rational else 0 for v in values],
-            {l: v for l, v in enumerate(values) if not v.is_rational})
-
-
 def _orthogonal(vectors, weights, norm) -> bool:
     """Whether sum_l weights[l] u[l] conj(v[l]) is norm(i) for u = v the i-th
-    vector and 0 for two different vectors.  Each vector is read once by
-    _split and conjugated once; the terms with both factors rational are
-    summed as ints, only the others in cyclotomic arithmetic, and the two
-    partial sums are compared exactly."""
-    split = [_split(u) for u in vectors]
-    conjugates = [_split([x.conjugate() for x in u]) for u in vectors]
-    for i, (u_ints, u_irr) in enumerate(split):
+    vector and 0 for two different vectors.  Each vector is conjugated once.
+    The terms with both factors rational are summed as ints; the others, and
+    that partial sum less the expected value as a term with no factors, go
+    through one sum_of_products, which must give 0."""
+    ints = [[v.as_int() if v.is_rational else 0 for v in u] for u in vectors]
+    irrational = [{l for l, v in enumerate(u) if not v.is_rational} for u in vectors]
+    conjugates = [[v.conjugate() for v in u] for u in vectors]
+    for i, u in enumerate(vectors):
         for j in range(i, len(vectors)):
-            v_ints, v_irr = conjugates[j]
-            rational = sum(map(mul, weights, map(mul, u_ints, v_ints)))
-            irrational = 0
-            for l in u_irr.keys() | v_irr.keys():
-                irrational = irrational + weights[l] * u_irr.get(l, u_ints[l]) * v_irr.get(l, v_ints[l])
-            if irrational != (norm(i) if i == j else 0) - rational:
+            v = conjugates[j]
+            rational = sum(map(mul, weights, map(mul, ints[i], ints[j])))
+            terms = [(weights[l], (u[l], v[l])) for l in irrational[i] | irrational[j]]
+            terms.append((rational - (norm(i) if i == j else 0), ()))
+            if not sum_of_products(terms).is_zero:
                 return False
     return True
 
@@ -480,17 +474,6 @@ class CharWitnessSpec:
     r_class: int
     s1_class: int
     s2_class: int
-    size_equal: bool
-    vanishing: bool
-
-    def to_json(self) -> dict:
-        return {
-            "r": self.r_class,
-            "s1": self.s1_class,
-            "s2": self.s2_class,
-            "size_equal": self.size_equal,
-            "vanishing": self.vanishing,
-        }
 
 
 @dataclass(frozen=True)
@@ -500,15 +483,6 @@ class CharTripleRefutation:
     s2_class: int
     violation: str
     detail: dict
-
-    def to_json(self) -> dict:
-        return {
-            "r": self.r_class,
-            "s1": self.s1_class,
-            "s2": self.s2_class,
-            "violation": self.violation,
-            "detail": self.detail,
-        }
 
 
 def character_triple_check(
@@ -544,7 +518,7 @@ def character_triple_check(
                         "value": render_value(ct.rows[i][cid]),
                     },
                 )
-    return CharWitnessSpec(r, s1, s2, size_equal=True, vanishing=True)
+    return CharWitnessSpec(r, s1, s2)
 
 
 def character_triple_search(

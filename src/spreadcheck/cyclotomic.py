@@ -1,19 +1,22 @@
-"""Exact arithmetic with roots of unity.
+"""Exact values in cyclotomic integers, and one kernel that sums their products.
 
 A :class:`CyclotomicValue` is an element of the ring Z[x]/(Phi_n(x)), with x
-standing for a primitive n-th root of unity.  This is just enough field
-arithmetic for exact character work: add, multiply, complex-conjugate, and
-decide equality across different root orders.  No floating point anywhere, so
-"this value is zero" and "these two values differ" are exact decisions.
+standing for a primitive n-th root of unity.  Values are kept reduced modulo
+the cyclotomic polynomial.  A value whose reduced form is a plain integer is
+collapsed to order 1, so rational integers have a single canonical
+representation.  Values can be complex-conjugated and compared exactly across
+different root orders, by embedding both into the compositum (the lcm order).
 
-Values are kept reduced modulo the cyclotomic polynomial.  A value whose
-reduced form is a plain integer is collapsed to order 1, so rational integers
-have a single canonical representation.  Values of different orders are
-compared by embedding both into the compositum (the lcm order).
+Values have no operators.  The one computation on them, a sum of weighted
+products such as an orthogonality sum of character values, is
+:func:`sum_of_products`: it adds every product into one coefficient list and
+reduces that list once.  No floating point anywhere, so "this value is zero"
+and "these two values differ" are exact decisions.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
@@ -116,51 +119,6 @@ class CyclotomicValue:
             out[j * step] = c
         return _reduce(out, n)
 
-    def __add__(self, other: "CyclotomicValue | int") -> "CyclotomicValue":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.order == other.order == 1:  # integers: what the general path gives
-            return CyclotomicValue(1, (self.coeffs[0] + other.coeffs[0],))
-        n = lcm(self.order, other.order)
-        a, b = self._embedded(n), other._embedded(n)
-        return from_coefficients(n, [x + y for x, y in zip(a, b)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "CyclotomicValue | int") -> "CyclotomicValue":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other: "CyclotomicValue | int") -> "CyclotomicValue":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
-
-    def __neg__(self) -> "CyclotomicValue":
-        return CyclotomicValue(self.order, tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other: "CyclotomicValue | int") -> "CyclotomicValue":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if self.order == other.order == 1:
-            return CyclotomicValue(1, (self.coeffs[0] * other.coeffs[0],))
-        n = lcm(self.order, other.order)
-        a, b = self._embedded(n), other._embedded(n)
-        prod = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        return from_coefficients(n, prod)
-
-    __rmul__ = __mul__
-
     def conjugate(self) -> "CyclotomicValue":
         """Complex conjugation, zeta -> zeta^(-1)."""
         if self.order == 1:
@@ -171,8 +129,7 @@ class CyclotomicValue:
         return from_coefficients(self.order, out)
 
     def __eq__(self, other: object) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, CyclotomicValue):
             return NotImplemented
         n = lcm(self.order, other.order)
         return self._embedded(n) == other._embedded(n)
@@ -190,33 +147,34 @@ class CyclotomicValue:
             return self.coeffs[0]
         return {"order": self.order, "coeffs": list(self.coeffs)}
 
-    @staticmethod
-    def from_json(data: object) -> "CyclotomicValue":
-        if isinstance(data, int):
-            return CyclotomicValue.from_int(data)
-        if isinstance(data, dict):
-            return from_coefficients(int(data["order"]), [int(c) for c in data["coeffs"]])
-        raise ValueError(f"bad cyclotomic value payload: {data!r}")
 
+def sum_of_products(
+    terms: Iterable[tuple[int, Sequence[CyclotomicValue]]],
+) -> CyclotomicValue:
+    """The value of the sum of w v_1 ... v_r over the terms (w, (v_1, ..., v_r)).
 
-def _coerce(v: object) -> "CyclotomicValue":
-    if isinstance(v, CyclotomicValue):
-        return v
-    if isinstance(v, int):
-        return CyclotomicValue.from_int(v)
-    return NotImplemented
-
-
-def zeta(order: int, power: int = 1) -> CyclotomicValue:
-    """The root of unity zeta_order ** power."""
-    if order < 1:
-        raise ValueError("root order must be positive")
-    power %= order
-    return from_coefficients(order, [0] * power + [1])
-
-
-ZERO = CyclotomicValue.from_int(0)
-ONE = CyclotomicValue.from_int(1)
+    Every factor is read as a polynomial in one primitive n-th root of unity,
+    n the lcm of all the factors' orders, and every product is added into one
+    coefficient list of length n: exponents are taken modulo n, as x^n - 1 is
+    a multiple of Phi_n.  That list is reduced modulo Phi_n once.  An empty
+    sum is 0, and a term with no factors adds its weight.
+    """
+    terms = list(terms)
+    n = lcm(*(v.order for _, factors in terms for v in factors))
+    total = [0] * n
+    for weight, factors in terms:
+        product = {0: weight}
+        for v in factors:
+            step, grown = n // v.order, {}
+            for e, a in product.items():
+                for j, c in enumerate(v.coeffs):
+                    if c:
+                        k = (e + j * step) % n
+                        grown[k] = grown.get(k, 0) + a * c
+            product = grown
+        for e, a in product.items():
+            total[e] += a
+    return from_coefficients(n, total)
 
 
 def render_value(v: CyclotomicValue) -> str:

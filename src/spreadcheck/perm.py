@@ -4,9 +4,9 @@ Composition convention, used everywhere in this package: ``p * q`` (equivalently
 ``compose(p, q)``) is the permutation sending i to q(p(i)), i.e. the LEFT factor
 acts first.  This matches exponent notation for group actions: x^(pq) = (x^p)^q.
 
-A PermutationGroup keeps its generators and gives Schreier-Sims order and
-membership, point orbits and set orbits; it enumerates no elements (a GroupTable
-does).  Chain base points are the smallest moved points, and transversals and
+A PermutationGroup keeps its generators and gives its Schreier-Sims order,
+point orbits and set orbits; it enumerates no elements (a GroupTable does).
+Chain base points are the smallest moved points, and transversals and
 orbits are filled by BFS in generator order, so all of it is reproducible.
 Cycles, point and set orbits, and the normalizers and point and setwise
 stabilizers of tables all take one breadth-first walk with a transversal, ``orbit_walk``.
@@ -81,18 +81,6 @@ class Permutation:
 
     def inverse(self) -> "Permutation":
         return Permutation._unchecked(inverse_images(self.images))
-
-    def __pow__(self, exponent: int) -> "Permutation":
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = Permutation.identity(self.degree)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
 
     @property
     def is_identity(self) -> bool:
@@ -321,9 +309,6 @@ class _StabilizerChain:
             n *= len(level.inv_transversal)
         return n
 
-    def contains(self, g: Permutation) -> bool:
-        return self.sift(g.images) == self.identity
-
 
 # --- permutation groups ----------------------------------------------------
 
@@ -344,10 +329,6 @@ class PermutationGroup:
         self.generators = generators
         self._chain: _StabilizerChain | None = None
 
-    @classmethod
-    def trivial(cls, degree: int) -> "PermutationGroup":
-        return cls((), degree)
-
     def _get_chain(self) -> _StabilizerChain:
         if self._chain is None:
             self._chain = _StabilizerChain(self.generators, self.degree)
@@ -355,11 +336,6 @@ class PermutationGroup:
 
     def order(self) -> int:
         return self._get_chain().order()
-
-    def contains(self, p: Permutation) -> bool:
-        if p.degree != self.degree:
-            raise ValueError(f"degree mismatch: {p.degree} vs {self.degree}")
-        return self._get_chain().contains(p)
 
     def orbit(self, point: int) -> set[int]:
         if not 0 <= point < self.degree:

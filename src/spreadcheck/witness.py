@@ -17,8 +17,7 @@ diagonal_witness decides by it and walks the set orbit of A once, to verify
 The remaining operations quantify the supplement condition A = B(A cap A^t)
 and its relatives: orbit counts of A and B on cosets, by the permutation
 character (a coset space is built only to locate a failure, and as the second
-route of orbit_count_pair), the two-point screen for a regular A-orbit, and
-the orbit-count lower bound for base size at least three.
+route of orbit_count_pair) and the two-point screen for a regular A-orbit.
 """
 
 from __future__ import annotations
@@ -441,17 +440,3 @@ def two_point_stabilizer_trivial(table: GroupTable, a_set: Iterable[int]) -> int
     space = coset_space(table, a_set)
     sizes = _orbit_sizes(space, a_set)
     return next((t for t, cid in enumerate(space.point_of) if sizes[cid] == len(a_set)), None)
-
-
-def orbit_bound_holds(table: GroupTable, a_set: Iterable[int]) -> bool:
-    """Whether c|A|/2 >= |T:A| for c = number of A-orbits on cosets of A,
-    counted by the permutation character.
-
-    The bound is necessary for all two-point stabilizers to be nontrivial, so
-    a False here certifies that some A cap A^t is trivial.
-    """
-    a_set = validate_subgroup(table, a_set)
-    if len(a_set) >= len(table):
-        raise InvalidSubgroup("A must be a proper subgroup of T")
-    c = cauchy_frobenius_count(table, a_set, a_set)
-    return c * len(a_set) >= 2 * (len(table) // len(a_set))

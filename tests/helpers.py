@@ -6,11 +6,11 @@ import gc
 import tracemalloc
 
 from spreadcheck.autos import Automorphism, _cayley_walk
-from spreadcheck.cyclotomic import CyclotomicValue
+from spreadcheck.cyclotomic import sum_of_products
 from spreadcheck.diagonal import build_diagonal_group, right_translation
 from spreadcheck.errors import InvalidSubgroup
 from spreadcheck.perm import DEFAULT_SET_ORBIT_CAP, Permutation, PermutationGroup, orbit_walk
-from spreadcheck.tables import coset_space, normalizer, sylow_subgroup, validate_subgroup
+from spreadcheck.tables import cauchy_frobenius_count, coset_space, normalizer, sylow_subgroup, validate_subgroup
 from spreadcheck.witness import (
     Multiset,
     Refutation,
@@ -36,6 +36,27 @@ def naive_elements(generators, degree, cap=200_000):
                     nxt.append(q)
         frontier = nxt
     return seen
+
+
+def power(p, exponent):
+    """p to the given power by repeated squaring; a negative power is a
+    power of the inverse."""
+    if exponent < 0:
+        return power(p.inverse(), -exponent)
+    result, base = Permutation.identity(p.degree), p
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        base = base * base
+        exponent >>= 1
+    return result
+
+
+def group_contains(group, p):
+    """Membership of p in a PermutationGroup: p sifts to the identity through
+    the group's stabilizer chain."""
+    chain = group._get_chain()
+    return chain.sift(p.images) == chain.identity
 
 
 def moved_points(p):
@@ -253,6 +274,20 @@ def diagonal_witness_by_walk(table, auts, a_set, b_set, cap=DEFAULT_SET_ORBIT_CA
     return verify_witness(diag.group, a_set, multiset, diag.label, cap)
 
 
+def orbit_bound_holds(table, a_set):
+    """Whether c|A|/2 >= |T:A| for c = number of A-orbits on cosets of A,
+    counted by the permutation character.
+
+    The bound is necessary for all two-point stabilizers to be nontrivial, so
+    a False here certifies that some A cap A^t is trivial.
+    """
+    a_set = validate_subgroup(table, a_set)
+    if len(a_set) >= len(table):
+        raise InvalidSubgroup("A must be a proper subgroup of T")
+    c = cauchy_frobenius_count(table, a_set, a_set)
+    return c * len(a_set) >= 2 * (len(table) // len(a_set))
+
+
 def fixed_point_average(table, h, subgroup):
     """Orbit count of a subgroup on the cosets of H: the average number of
     cosets each member fixes, read from action_of."""
@@ -371,9 +406,8 @@ def class_algebra_consistent(table, ct, triples):
     n = ct.group_order
     classes = table.conjugacy_classes()
     for c1, c2, c3 in triples:
-        s = CyclotomicValue.from_int(0)
-        for degree, row in zip(ct.degrees, ct.rows):
-            s = s + (n // degree) * row[c1] * row[c2] * row[c3].conjugate()
+        s = sum_of_products((n // degree, (row[c1], row[c2], row[c3].conjugate()))
+                            for degree, row in zip(ct.degrees, ct.rows))
         if not s.is_rational:
             return False
         brute = class_mult_coefficient(table, c1, c2, classes[c3].representative)

@@ -21,7 +21,7 @@ from spreadcheck.chartab import (
     row_orthogonality_holds,
     validate_character_witness,
 )
-from spreadcheck.cyclotomic import CyclotomicValue, zeta
+from spreadcheck.cyclotomic import CyclotomicValue, from_coefficients, sum_of_products
 from spreadcheck.diagonal import build_diagonal_group
 from spreadcheck.errors import VerificationInconsistency
 from spreadcheck.perm import Permutation, PermutationGroup
@@ -70,8 +70,8 @@ class TestSmallTables:
         assert ct.degrees == (1, 1, 1)
         assert ct.class_names == ("1A", "3A", "3B")
         one = CyclotomicValue.from_int(1)
-        z = zeta(3)
-        expected = [(one, one, one), (one, z, z * z), (one, z * z, z)]
+        z, z2 = from_coefficients(3, [0, 1]), from_coefficients(3, [0, 0, 1])
+        expected = [(one, one, one), (one, z, z2), (one, z2, z)]
         matched = []
         for row in ct.rows:
             hits = [i for i, exp in enumerate(expected) if all(a == b for a, b in zip(row, exp))]
@@ -138,9 +138,28 @@ def test_column_orthogonality_rejects_a_tampered_rational_entry():
     c3a = 4
     row = list(ct.rows[3])
     assert all(r[c3a].is_rational for r in ct.rows)
-    row[c3a] = row[c3a] + 1
+    row[c3a] = CyclotomicValue.from_int(row[c3a].as_int() + 1)
     tampered = dataclasses.replace(ct, rows=ct.rows[:3] + (tuple(row),) + ct.rows[4:])
     assert not column_orthogonality_holds(tampered)
+
+
+@pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "PSL(2,8)", "PSL(2,13)", "M11"])
+def test_orthogonality_checkers_reject_every_raised_coefficient(name):
+    """Every table made by raising one stored coefficient of one entry by one
+    fails both the row and the column check."""
+    ct = _ct(name)
+    tampered = 0
+    for i, row in enumerate(ct.rows):
+        for l, v in enumerate(row):
+            for t in range(len(v.coeffs)):
+                raised = list(v.coeffs)
+                raised[t] += 1
+                new_row = row[:l] + (from_coefficients(v.order, raised),) + row[l + 1:]
+                table = dataclasses.replace(ct, rows=ct.rows[:i] + (new_row,) + ct.rows[i + 1:])
+                assert not row_orthogonality_holds(table), (i, l, t)
+                assert not column_orthogonality_holds(table), (i, l, t)
+                tampered += 1
+    assert tampered >= ct.num_classes ** 2
 
 
 @pytest.mark.parametrize("name", ["A5", "PSL(2,7)"])
@@ -159,8 +178,8 @@ class TestKnownIrrationalities:
         for row in (1, 2):  # the two degree-3 characters
             v, w = ct.value(row, c5a), ct.value(row, c5b)
             assert not v.is_rational
-            assert v + w == CyclotomicValue.from_int(1)
-            assert v * w == CyclotomicValue.from_int(-1)
+            assert sum_of_products([(1, (v,)), (1, (w,))]) == CyclotomicValue.from_int(1)
+            assert sum_of_products([(1, (v, w))]) == CyclotomicValue.from_int(-1)
         # and they vanish on the order-3 class
         c3a = 4
         assert ct.value(1, c3a).is_zero
@@ -173,8 +192,8 @@ class TestKnownIrrationalities:
             v, w = ct.value(row, c7a), ct.value(row, c7b)
             assert not v.is_rational
             assert v.conjugate() == w
-            assert v + w == CyclotomicValue.from_int(-1)
-            assert v * w == CyclotomicValue.from_int(2)
+            assert sum_of_products([(1, (v,)), (1, (w,))]) == CyclotomicValue.from_int(-1)
+            assert sum_of_products([(1, (v, w))]) == CyclotomicValue.from_int(2)
 
     def test_centralizer_orders(self):
         ct = _ct("A5")
@@ -371,7 +390,10 @@ def test_search_results(name):
     found = character_triple_search(t, ct, part)
     assert _named(t, found) == SEARCH_EXPECTATIONS[name]
     for spec in found:
-        assert spec.size_equal and spec.vanishing
+        r, s1, s2 = spec.r_class, spec.s1_class, spec.s2_class
+        assert ct.class_sizes[s1] == ct.class_sizes[s2]
+        orbit = next(block for block in part if r in block)
+        assert all(row[c].is_zero for row in ct.rows if row[s1] != row[s2] for c in orbit)
 
 
 def test_search_psl28_families():

@@ -35,6 +35,16 @@ A5_COPY = {
 }
 
 
+def test_every_exported_name_imports_once():
+    """Each name in the package's __all__ appears there once, and a star
+    import gives every one of them."""
+    names = spreadcheck.__all__
+    assert len(names) == len(set(names))
+    namespace = {}
+    exec("from spreadcheck import *", namespace)
+    assert set(names) <= namespace.keys()
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out

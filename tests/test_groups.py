@@ -13,6 +13,7 @@ from helpers import (
     conjugate_subgroup,
     extend_images,
     fixed_point_average,
+    group_contains,
     inner_automorphism,
     inner_witness,
     inverse_automorphism,
@@ -859,11 +860,11 @@ class TestDiagonalAction:
         assert diag.group.order() == 60 * 60 * 2 * 2
         assert diag.group.is_transitive()
         for s in (0, 9, 44):
-            assert diag.group.contains(right_translation(t, s))
-            assert diag.group.contains(left_translation(t, s))
-        assert diag.group.contains(inversion_map(t))
+            assert group_contains(diag.group, right_translation(t, s))
+            assert group_contains(diag.group, left_translation(t, s))
+        assert group_contains(diag.group, inversion_map(t))
         for rep in auts.coset_representatives:
-            assert diag.group.contains(Permutation(rep.mapping))
+            assert group_contains(diag.group, Permutation(rep.mapping))
 
     @pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "PSL(3,2)", "A6", "PSL(2,8)"])
     def test_order_count_matches_schreier_sims(self, name):
@@ -912,4 +913,4 @@ class TestDiagonalAction:
         right = PermutationGroup([right_translation(t, g) for g in a4.gens], diag.degree())
         assert right.order() == 12
         assert right.orbit(0) == set(a4)
-        assert all(right.contains(right_translation(t, a)) for a in a4)
+        assert all(group_contains(right, right_translation(t, a)) for a in a4)

@@ -3,11 +3,13 @@
 import pytest
 
 from helpers import (
+    group_contains,
     moved_points,
     naive_bfs_order,
     naive_elements,
     naive_orbit,
     point_stabilizer_group,
+    power,
     sorted_tuple_set_orbit,
 )
 from spreadcheck import catalog
@@ -72,8 +74,8 @@ class TestPermutation:
     def test_inverse_and_pow(self):
         p = cyc(7, [0, 1, 2, 3, 4], [5, 6])
         assert p * p.inverse() == Permutation.identity(7)
-        assert p**10 == (p**5) * (p**5)
-        assert p**-3 == p.inverse() ** 3
+        assert power(p, 10) == power(p, 5) * power(p, 5)
+        assert power(p, -3) == power(p.inverse(), 3)
         assert p.order() == 10
 
     def test_cycle_roundtrip(self):
@@ -115,12 +117,12 @@ class TestPermutationGroup:
         group = PermutationGroup(perms, degree)
         closure = naive_elements(perms, degree)
         assert group.order() == len(closure) == order
-        assert all(group.contains(p) for p in closure)
+        assert all(group_contains(group, p) for p in closure)
 
     def test_membership_rejects_outsiders(self):
         a5 = _a5()
-        assert not a5.contains(cyc(5, [0, 1]))
-        assert a5.contains(cyc(5, [0, 1], [2, 3]))
+        assert not group_contains(a5, cyc(5, [0, 1]))
+        assert group_contains(a5, cyc(5, [0, 1], [2, 3]))
 
     def test_orbits_and_transitivity(self):
         split = PermutationGroup([cyc(4, [0, 1]), cyc(4, [2, 3])], 4)
@@ -159,7 +161,7 @@ class TestPermutationGroup:
             _a5().set_orbit({0, 1}, cap=3)
 
     def test_trivial_group(self):
-        t = PermutationGroup.trivial(6)
+        t = PermutationGroup((), 6)
         assert t.order() == 1
         assert t.orbit(3) == {3}
 
@@ -244,7 +246,7 @@ class TestDiagonalChains:
 
     def test_contains(self):
         diag = build_diagonal_group(catalog.load_group_table("A5"), catalog.load_automorphisms("A5"))
-        assert all(diag.group.contains(g) for g in diag.group.generators)
-        assert diag.group.contains(diag.group.generators[0] * diag.group.generators[-1])
+        assert all(group_contains(diag.group, g) for g in diag.group.generators)
+        assert group_contains(diag.group, diag.group.generators[0] * diag.group.generators[-1])
         # diag(A5) is primitive and not the full symmetric group, so it holds no transposition
-        assert not diag.group.contains(Permutation.from_cycles(60, [[1, 2]]))
+        assert not group_contains(diag.group, Permutation.from_cycles(60, [[1, 2]]))

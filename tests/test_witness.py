@@ -6,6 +6,7 @@ from helpers import (
     conjugate_subgroup,
     diagonal_witness_by_walk,
     fixed_point_average,
+    orbit_bound_holds,
     product_set,
     recheck_refutation,
     recheck_witness,
@@ -28,7 +29,6 @@ from spreadcheck.witness import (
     Witness,
     diagonal_witness,
     image_weight,
-    orbit_bound_holds,
     orbit_count_pair,
     supplement_property,
     two_point_stabilizer_trivial,
