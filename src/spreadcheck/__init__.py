@@ -13,7 +13,7 @@ from .autos import (
     automorphism_group_from_supplied,
     search_automorphism_group,
 )
-from .catalog import CatalogEntry, catalog_names, load_entry
+from .catalog import CatalogEntry, catalog_names, load_entry, parse_permutation
 from .chartab import (
     CharacterTable,
     CharTripleRefutation,
@@ -27,7 +27,7 @@ from .chartab import (
 from .cyclotomic import CyclotomicValue, cyclotomic_polynomial
 from .diagonal import DiagonalGroup, build_diagonal_group
 from .errors import CapExceeded, InvalidSubgroup, VerificationInconsistency
-from .perm import Permutation, PermutationGroup, compose, parse_permutation
+from .perm import Permutation, PermutationGroup
 from .tables import ConjClass, GroupTable, build_group_table
 from .witness import (
     Multiset,
@@ -71,7 +71,6 @@ __all__ = [
     "character_triple_check",
     "character_triple_search",
     "class_orbit_partition",
-    "compose",
     "cyclotomic_polynomial",
     "diagonal_witness",
     "dixon_character_table",

@@ -1,4 +1,4 @@
-"""Built-in group catalog plus JSON ingestion of user-supplied groups.
+"""Built-in group catalog, and the one reader of input from outside the program.
 
 Each entry carries verified generators (the constructed order is checked
 against the recorded one on every load), optional supplied automorphism
@@ -11,13 +11,22 @@ the natural generators.
 
 load_entry caches entries by name, and each entry keeps what it derives
 (see CatalogEntry), so clear_caches forgets both.
+
+Group files (entry_from_json), witness files (read_witness) and the numbers
+of the command line are parsed and checked here and nowhere else: JSON types
+by one exact rule (expect: a bool is no int), integers written as text by
+another (integer: "01", "+1" and "1_0" are refused).  Malformed input raises
+ValueError naming what is wrong, or KeyError for a missing key.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import math
 import os
+import reprlib
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -29,7 +38,7 @@ from .autos import (
     search_automorphism_group,
 )
 from .errors import InvalidSubgroup, VerificationInconsistency
-from .perm import Permutation, PermutationGroup, parse_permutation
+from .perm import Permutation, PermutationGroup
 from .tables import (
     GroupTable,
     Subgroup,
@@ -43,6 +52,7 @@ from .tables import (
     sylow_subgroup,
     validate_subgroup,
 )
+from .witness import Multiset
 
 ENV_CATALOG_DIR = "SPREADCHECK_CATALOG"
 
@@ -297,88 +307,6 @@ def _entry_from_builtin(name: str) -> CatalogEntry:
     )
 
 
-def _json_count(data: dict, key: str) -> int:
-    value = data[key]
-    if type(value) is not int or value < 0:
-        raise ValueError(f"{key!r} must be a nonnegative integer, got {value!r}")
-    return value
-
-
-def _json_list(value, what: str) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"{what} must be a JSON list, got {type(value).__name__}")
-    return value
-
-
-def _json_labels(value, what: str) -> list:
-    labels = _json_list(value, what)
-    if not all(isinstance(label, str) for label in labels):
-        raise ValueError(f"{what} must hold string labels, got {labels!r}")
-    return labels
-
-
-def entry_from_json(data: dict) -> CatalogEntry:
-    """Parse a group description; malformed data raises ValueError or KeyError."""
-    if not isinstance(data, dict):
-        raise ValueError(f"group description must be a JSON object, got {type(data).__name__}")
-    name = data["name"]
-    if not isinstance(name, str):
-        raise ValueError(f"'name' must be a JSON string, got {name!r}")
-    degree = _json_count(data, "degree")
-    gens = tuple(parse_permutation(g, degree) for g in _json_list(data["generators"], "'generators'"))
-    aut = data.get("aut_generators")
-    if aut is not None:
-        aut = [_json_list(imgs, "an 'aut_generators' entry")
-               for imgs in _json_list(aut, "'aut_generators'")]
-    subgroups = data.get("subgroups", {})
-    if not isinstance(subgroups, dict):
-        raise ValueError(f"'subgroups' must be a JSON object, got {type(subgroups).__name__}")
-    subgroups = {
-        label: ("generated", tuple(
-            parse_permutation(g, degree) for g in _json_list(gen_list, f"subgroup {label!r}")
-        ))
-        for label, gen_list in subgroups.items()
-    }
-    pairs = [_json_labels(pair, "a 'supplement_pairs' entry")
-             for pair in _json_list(data.get("supplement_pairs", []), "'supplement_pairs'")]
-    if any(len(pair) != 2 for pair in pairs):
-        raise ValueError(f"each 'supplement_pairs' entry must be a list of two labels, got {pairs!r}")
-    entry = CatalogEntry(
-        name=name,
-        degree=degree,
-        generators=gens,
-        known_order=_json_count(data, "known_order"),
-        aut_images=(
-            tuple(tuple(parse_permutation(g, degree) for g in imgs) for imgs in aut)
-            if aut
-            else None
-        ),
-        subgroups=subgroups,
-        supplement_pairs=tuple((a, b) for a, b in pairs),
-        two_point_labels=tuple(_json_labels(data.get("two_point_labels", []), "'two_point_labels'")),
-    )
-    validate_entry(entry)
-    return entry
-
-
-def distinct(items: list, what: str) -> frozenset:
-    """The items as a set; a repeated item raises ValueError naming it."""
-    repeated = [item for item, count in Counter(items).items() if count > 1]
-    if repeated:
-        raise ValueError(f"repeated {what} {repeated[0]!r}")
-    return frozenset(items)
-
-
-def read_json(path: str | Path):
-    """The JSON document in a group or witness file; a repeated key raises
-    ValueError, where json.load would keep only its last value."""
-    def unique_keys(pairs: list) -> dict:
-        distinct([key for key, _ in pairs], "JSON key")
-        return dict(pairs)
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh, object_pairs_hook=unique_keys)
-
-
 def load_entry_file(path: str | Path) -> CatalogEntry:
     return entry_from_json(read_json(path))
 
@@ -477,3 +405,137 @@ def clear_caches() -> None:
     """Forget every loaded entry, and with it every table, automorphism group
     and subgroup derived from one."""
     load_entry.cache_clear()
+
+
+# --- the input boundary -------------------------------------------------------
+
+GROUP_KEYS = ("name", "degree", "generators", "known_order", "aut_generators", "subgroups",
+              "supplement_pairs", "two_point_labels")
+_JSON_KINDS = {dict: "a JSON object", list: "a JSON list", str: "a JSON string", int: "a JSON integer"}
+
+
+def expect(value, kind: type, what: str, items: type | None = None):
+    """value, when its type is kind and, given items, the type of each of its
+    members is items; types match exactly, so a bool is no int.  Anything else
+    raises ValueError naming what."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be {_JSON_KINDS[kind]}, got {type(value).__name__}")
+    if items and any(type(item) is not items for item in value):
+        raise ValueError(f"{what} must be {_JSON_KINDS[kind]} of {_JSON_KINDS[items][2:]}s, "
+                         f"got {reprlib.repr(value)}")
+    return value
+
+
+def integer(text: str, what: str) -> int:
+    """text as an integer in canonical decimal, as str(int) writes it: "01",
+    "+1", " 1", "1_0", "a", "" and more digits than int() reads
+    (sys.get_int_max_str_digits) raise ValueError naming what."""
+    digits = text.removeprefix("-")
+    limit = sys.get_int_max_str_digits() or len(digits)  # 0 means no limit
+    value = int(text) if text.isascii() and digits.isdigit() and len(digits) <= limit else None
+    if value is None or str(value) != text:
+        raise ValueError(f"{what} {reprlib.repr(text)} is not a canonical integer")
+    return value
+
+
+def decimal(text: str) -> int:
+    """An integer in canonical decimal; argparse exits 2 on "01", "+1", " 1", "1_0"."""
+    return integer(text, "decimal")
+
+
+def nonnegative(text: str) -> int:
+    """A canonical decimal that is not negative, a point of an unbounded
+    range; argparse exits 2 on "-1" too."""
+    return parse_point(text, math.inf, "nonnegative")
+
+
+def parse_point(text: str, degree: int, what: str) -> int:
+    """A point in canonical decimal and in 0..degree-1, else ValueError naming it."""
+    point = integer(text, what)
+    if not 0 <= point < degree:
+        raise ValueError(f"{what} {reprlib.repr(text)} outside 0..{degree - 1}")
+    return point
+
+
+def parse_permutation(data, degree: int) -> Permutation:
+    """JSON permutation data: a list of cycles, or an image list of length
+    degree, every point a JSON integer; [] is the identity.  Anything else, a
+    mix of cycles and images included, raises ValueError."""
+    if all(type(cycle) is list for cycle in expect(data, list, "permutation")):
+        return Permutation.from_cycles(degree, [expect(cycle, list, "cycle", int) for cycle in data])
+    if len(expect(data, list, "image list", int)) != degree:
+        raise ValueError(f"image list has length {len(data)}, expected {degree}")
+    return Permutation(data)
+
+
+def entry_from_json(data) -> CatalogEntry:
+    """The entry of a group file, a JSON object with the keys GROUP_KEYS, of
+    which subgroups, supplement_pairs, two_point_labels and aut_generators
+    may be left out.  Malformed data or an unknown key raises ValueError, a
+    missing key KeyError, and an order other than known_order
+    VerificationInconsistency."""
+    unknown = [key for key in expect(data, dict, "group file") if key not in GROUP_KEYS]
+    if unknown:
+        raise ValueError(f"unknown group file key {unknown[0]!r}; known keys: {', '.join(GROUP_KEYS)}")
+    name = expect(data["name"], str, "'name'")
+    degree, known_order = (expect(data[key], int, repr(key)) for key in ("degree", "known_order"))
+    if min(degree, known_order) < 0:
+        raise ValueError(f"'degree' and 'known_order' must be nonnegative, got {degree} and {known_order}")
+
+    def permutations(value, what: str) -> tuple[Permutation, ...]:
+        return tuple(parse_permutation(g, degree) for g in expect(value, list, what))
+
+    generators = permutations(data["generators"], "'generators'")
+    aut = data.get("aut_generators")
+    aut_images = () if aut is None else tuple(
+        permutations(images, "an 'aut_generators' entry") for images in expect(aut, list, "'aut_generators'"))
+    subgroups = {label: ("generated", permutations(gens, f"subgroup {label!r}"))
+                 for label, gens in expect(data.get("subgroups", {}), dict, "'subgroups'").items()}
+    pairs = [tuple(expect(pair, list, "a 'supplement_pairs' entry", str))
+             for pair in expect(data.get("supplement_pairs", []), list, "'supplement_pairs'")]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ValueError(f"each 'supplement_pairs' entry must be a list of two labels, got {pairs!r}")
+    entry = CatalogEntry(
+        name=name,
+        degree=degree,
+        generators=generators,
+        known_order=known_order,
+        aut_images=aut_images or None,
+        subgroups=subgroups,
+        supplement_pairs=tuple(pairs),
+        two_point_labels=tuple(expect(data.get("two_point_labels", []), list, "'two_point_labels'", str)),
+    )
+    validate_entry(entry)
+    return entry
+
+
+def read_witness(path: str | Path, n: int) -> tuple[frozenset[int], Multiset]:
+    """The point set X and multiset J of a witness file over n points.  Its
+    "set" is a list of distinct JSON integers, and its "multiset" maps each
+    point, written as Multiset.to_json writes it (canonical decimal, in
+    0..n-1), to a JSON integer.  Other keys, such as a certificate's
+    "constant", "group" and "verified", are not read."""
+    data = expect(read_json(path), dict, "witness file")
+    points = distinct(expect(data["set"], list, "witness 'set'", int), "witness 'set' point")
+    counts = [0] * n
+    for key, mult in expect(data["multiset"], dict, "multiset").items():
+        counts[parse_point(key, n, "multiset point")] = expect(mult, int, f"multiplicity of point {key!r}")
+    return points, Multiset(tuple(counts))
+
+
+def distinct(items: list, what: str) -> frozenset:
+    """The items as a set; a repeated item raises ValueError naming it."""
+    repeated = [item for item, count in Counter(items).items() if count > 1]
+    if repeated:
+        raise ValueError(f"repeated {what} {repeated[0]!r}")
+    return frozenset(items)
+
+
+def read_json(path: str | Path):
+    """The JSON document in a group or witness file; a repeated key raises
+    ValueError, where json.load would keep only its last value."""
+    def unique_keys(pairs: list) -> dict:
+        distinct([key for key, _ in pairs], "JSON key")
+        return dict(pairs)
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, object_pairs_hook=unique_keys)

@@ -254,9 +254,6 @@ class CharacterTable:
     def centralizer_order(self, cid: int) -> int:
         return self.group_order // self.class_sizes[cid]
 
-    def value(self, row: int, cid: int) -> CyclotomicValue:
-        return self.rows[row][cid]
-
     def to_json(self) -> dict:
         return {
             "group": self.group_label,

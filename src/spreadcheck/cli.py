@@ -2,8 +2,13 @@
 
 Every command prints a run report (JSON with --json, otherwise a short human
 summary) and exits 0 when the requested property was verified, 1 when it was
-refuted or nothing was found, and 2 on usage or internal errors.  Reports for
-identical inputs are identical byte for byte apart from the timing field.
+refuted or nothing was found, and 2 on usage or internal errors, and also
+when the reader closes the output early.  Reports for identical inputs are
+identical byte for byte apart from the timing field.
+
+main resolves the group of --group or --file once and hands its catalog entry
+to the command's handler.  Every file and number the user gives is parsed and
+checked in catalog.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -25,9 +31,7 @@ from .chartab import (
 )
 from .diagonal import build_diagonal_group
 from .errors import CapExceeded, InvalidSubgroup, VerificationInconsistency
-from .perm import parse_point
 from .witness import (
-    Multiset,
     Witness,
     diagonal_witness,
     orbit_count_pair,
@@ -39,7 +43,20 @@ from .witness import (
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    try:
+        code = _run(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the output; what is still buffered goes to devnull,
+        # so the flush at interpreter exit fails no more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 2
+    return code
+
+
+def _run(argv: list[str]) -> int:
     start = time.perf_counter()
     try:
         args = _build_parser().parse_args(argv)
@@ -52,7 +69,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        verdict, certificate, code, lines = args.handler(args)
+        entry = catalog.load_entry_file(args.file) if args.file else catalog.load_entry(args.group)
+        verdict, certificate, code, lines = args.handler(entry, args)
     except (
         ValueError,
         KeyError,
@@ -121,42 +139,24 @@ class _Parser(argparse.ArgumentParser):
         return known
 
 
-# --- group resolution helpers ----------------------------------------------
-
-def _entry(args) -> catalog.CatalogEntry:
-    if args.file:
-        return catalog.load_entry_file(args.file)
-    return catalog.load_entry(args.group)
-
-
-def decimal(text: str) -> int:
-    """An integer in canonical decimal; argparse exits 2 on "01", "+1", " 1", "1_0"."""
-    if str(int(text)) != text:
-        raise ValueError(text)
-    return int(text)
-
-
-def nonnegative(text: str) -> int:
-    """A canonical decimal that is not negative; argparse exits 2 on "-1" too."""
-    if text.startswith("-"):
-        raise ValueError(text)
-    return decimal(text)
-
-
 def _cap_kw(args) -> dict:
     return {} if args.cap is None else {"cap": args.cap}
 
 
-def _outcome(result) -> tuple[str, dict, int]:
+def _outcome(result) -> tuple[str, dict, int, list[str]]:
+    """Verdict, certificate, exit code and summary line of a Witness or Refutation."""
     if isinstance(result, Witness):
-        return "verified", result.to_json(), 0
-    return "refuted", result.to_json(), 1
+        return "verified", result.to_json(), 0, [
+            f"witness over {result.group_label}: |X| = {len(result.points)}, "
+            f"|J| = {result.multiset.cardinality}, constant = {result.constant}"
+        ]
+    detail = f" {result.counterexample}" if result.counterexample else ""
+    return "refuted", result.to_json(), 1, [f"refuted: {result.violation}{detail}"]
 
 
 # --- handlers ---------------------------------------------------------------
 
-def _cmd_group_info(args):
-    entry = _entry(args)
+def _cmd_group_info(entry, args):
     group = entry.group
     cert = {
         "name": entry.name,
@@ -172,8 +172,7 @@ def _cmd_group_info(args):
     ]
 
 
-def _cmd_group_classes(args):
-    entry = _entry(args)
+def _cmd_group_classes(entry, args):
     table = entry.table
     rows = [
         {
@@ -191,8 +190,7 @@ def _cmd_group_classes(args):
     return "verified", {"group": entry.name, "classes": rows}, 0, lines
 
 
-def _cmd_group_aut(args):
-    entry = _entry(args)
+def _cmd_group_aut(entry, args):
     auts = entry.automorphisms
     cert = {
         "group": entry.name,
@@ -205,53 +203,35 @@ def _cmd_group_aut(args):
     ]
 
 
-def _cmd_chartab_compute(args):
-    ct = dixon_character_table(_entry(args).table)
+def _cmd_chartab_compute(entry, args):
+    ct = dixon_character_table(entry.table)
     return "verified", ct.to_json(), 0, ct.to_text().splitlines()
 
 
-def _cmd_verify_witness(args):
-    entry = _entry(args)
-    data = catalog.read_json(args.witness)
-    if not isinstance(data, dict):
-        raise ValueError(f"witness file must hold a JSON object, got {type(data).__name__}")
-    points = data["set"]
-    if not isinstance(points, list) or any(type(x) is not int for x in points):
-        raise ValueError(f"witness 'set' must be a list of JSON integers, got {points!r}")
-    points = catalog.distinct(points, "witness 'set' point")
+def _cmd_verify_witness(entry, args):
     # diag(T) acts on the |T| indices of T: the witness is read before it is built
-    multiset = Multiset.from_json(data["multiset"], len(entry.table) if args.diagonal else entry.degree)
+    points, multiset = catalog.read_witness(args.witness, len(entry.table) if args.diagonal else entry.degree)
     if args.diagonal:
         diag = build_diagonal_group(entry.table, entry.automorphisms)
         group, label = diag.group, diag.label
     else:
         group, label = entry.group, entry.name
-    result = verify_witness(group, points, multiset, group_label=label, **_cap_kw(args))
-    verdict, cert, code = _outcome(result)
-    return verdict, cert, code, [_witness_line(result)]
+    return _outcome(verify_witness(group, points, multiset, group_label=label, **_cap_kw(args)))
 
 
-def _cmd_ab_check(args):
-    entry = _entry(args)
-    a_sub, b_sub = entry.subgroup(args.A), entry.subgroup(args.B)
-    points = (catalog.distinct([parse_point(s, entry.degree, "--set point") for s in args.set.split(",")],
-                               "--set point") if args.set is not None else None)
-    result = witness_from_subgroup_pair(a_sub, b_sub, args.base, points, group_label=entry.name,
-                                        **_cap_kw(args))
-    verdict, cert, code = _outcome(result)
-    return verdict, cert, code, [_witness_line(result)]
+def _cmd_ab_check(entry, args):
+    points = None if args.set is None else catalog.distinct(
+        [catalog.parse_point(s, entry.degree, "--set point") for s in args.set.split(",")], "--set point")
+    return _outcome(witness_from_subgroup_pair(entry.subgroup(args.A), entry.subgroup(args.B), args.base,
+                                               points, group_label=entry.name, **_cap_kw(args)))
 
 
-def _cmd_diagonal_witness(args):
-    entry = _entry(args)
-    result = diagonal_witness(entry.table, entry.automorphisms, entry.subgroup(args.A),
-                              entry.subgroup(args.B), **_cap_kw(args))
-    verdict, cert, code = _outcome(result)
-    return verdict, cert, code, [_witness_line(result)]
+def _cmd_diagonal_witness(entry, args):
+    return _outcome(diagonal_witness(entry.table, entry.automorphisms, entry.subgroup(args.A),
+                                     entry.subgroup(args.B), **_cap_kw(args)))
 
 
-def _cmd_supplement(args):
-    entry = _entry(args)
+def _cmd_supplement(entry, args):
     a_set, b_set = entry.subgroup(args.A), entry.subgroup(args.B)
     auts = entry.automorphisms if args.scope == "Aut" else None
     report = supplement_property(entry.table, a_set, b_set, scope=args.scope, auts=auts)
@@ -265,8 +245,7 @@ def _cmd_supplement(args):
     ]
 
 
-def _cmd_char_witness(args):
-    entry = _entry(args)
+def _cmd_char_witness(entry, args):
     table = entry.table
     ct = dixon_character_table(table)
     auts = entry.automorphisms
@@ -279,13 +258,12 @@ def _cmd_char_witness(args):
         return "refuted", cert, 1, [
             f"triple fails: {result.violation} {result.detail}"
         ]
-    witness = validate_character_witness(table, build_diagonal_group(table, auts), result)
-    cert = {"triple": names, "witness": witness.to_json()}
-    return "verified", cert, 0, [_witness_line(witness)]
+    verdict, witness, code, lines = _outcome(
+        validate_character_witness(table, build_diagonal_group(table, auts), result))
+    return verdict, {"triple": names, "witness": witness}, code, lines
 
 
-def _cmd_char_search(args):
-    entry = _entry(args)
+def _cmd_char_search(entry, args):
     table = entry.table
     ct = dixon_character_table(table)
     partition = class_orbit_partition(table, entry.automorphisms)
@@ -300,8 +278,7 @@ def _cmd_char_search(args):
     return ("verified", cert, 0, lines) if triples else ("refuted", cert, 1, lines)
 
 
-def _cmd_orbits_count(args):
-    entry = _entry(args)
+def _cmd_orbits_count(entry, args):
     c_a, c_b = orbit_count_pair(entry.table, entry.subgroup(args.A), entry.subgroup(args.B))
     cert = {"group": entry.name, "A": args.A, "B": args.B,
             "A_orbits": c_a, "B_orbits": c_b, "equal": c_a == c_b}
@@ -310,8 +287,7 @@ def _cmd_orbits_count(args):
     ]
 
 
-def _cmd_two_check(args):
-    entry = _entry(args)
+def _cmd_two_check(entry, args):
     t = two_point_stabilizer_trivial(entry.table, entry.subgroup(args.A))
     if t is None:
         cert = {"group": entry.name, "A": args.A, "found": False, "t": None}
@@ -324,16 +300,6 @@ def _cmd_two_check(args):
         "t_cycles": entry.table.elements[t].cycle_string(),
     }
     return "verified", cert, 0, [f"A cap A^t is trivial for t = {t}"]
-
-
-def _witness_line(result) -> str:
-    if isinstance(result, Witness):
-        return (
-            f"witness over {result.group_label}: |X| = {len(result.points)}, "
-            f"|J| = {result.multiset.cardinality}, constant = {result.constant}"
-        )
-    detail = f" {result.counterexample}" if result.counterexample else ""
-    return f"refuted: {result.violation}{detail}"
 
 
 # --- parser -----------------------------------------------------------------
@@ -352,7 +318,7 @@ def _leaf(sub, name: str, path: str, handler, cap=False):
     _add_group_source(p)
     p.add_argument("--json", action="store_true", help="machine-readable report")
     if cap:
-        p.add_argument("--cap", type=nonnegative, default=None, help="set-orbit enumeration cap")
+        p.add_argument("--cap", type=catalog.nonnegative, default=None, help="set-orbit enumeration cap")
     p.set_defaults(handler=handler, command_path=path, cap=None)
     return p
 
@@ -378,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = _leaf(spreading, "ab-check", "spreading ab-check", _cmd_ab_check, cap=True)
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True)
-    p.add_argument("--base", type=decimal, default=0, help="base point, in canonical decimal")
+    p.add_argument("--base", type=catalog.decimal, default=0, help="base point, in canonical decimal")
     p.add_argument("--set", default=None, help="comma-separated point set X")
     p = _leaf(spreading, "diagonal-witness", "spreading diagonal-witness", _cmd_diagonal_witness,
               cap=True)

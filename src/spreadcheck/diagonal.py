@@ -47,9 +47,6 @@ class DiagonalGroup:
         name = self.base.name or "T"
         return f"diag({name})"
 
-    def degree(self) -> int:
-        return len(self.base)
-
 
 def build_diagonal_group(table: GroupTable, auts: AutomorphismGroup) -> DiagonalGroup:
     """Assemble the diagonal group on the indices of T and check its order.

@@ -1,8 +1,9 @@
 """Permutations on {0..n-1} and permutation groups with a deterministic stabilizer chain.
 
-Composition convention, used everywhere in this package: ``p * q`` (equivalently
-``compose(p, q)``) is the permutation sending i to q(p(i)), i.e. the LEFT factor
-acts first.  This matches exponent notation for group actions: x^(pq) = (x^p)^q.
+Composition convention, used everywhere in this package: the product pq of
+two permutations sends i to q(p(i)), i.e. the LEFT factor acts first, and
+``compose_images(p, q)`` computes it on image tuples.  This matches exponent
+notation for group actions: x^(pq) = (x^p)^q.
 
 A PermutationGroup keeps its generators and gives its Schreier-Sims order,
 point orbits and set orbits; it enumerates no elements (a GroupTable does).
@@ -76,12 +77,6 @@ class Permutation:
     def __call__(self, point: int) -> int:
         return self.images[point]
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return compose(self, other)
-
-    def inverse(self) -> "Permutation":
-        return Permutation._unchecked(inverse_images(self.images))
-
     @property
     def is_identity(self) -> bool:
         return self.images == tuple(range(len(self.images)))
@@ -136,45 +131,6 @@ def inverse_images(images: Sequence[int]) -> tuple[int, ...]:
     for i, img in enumerate(images):
         inv[img] = i
     return tuple(inv)
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """The permutation i -> q(p(i)): p acts first, then q."""
-    if p.degree != q.degree:
-        raise ValueError(f"degree mismatch: {p.degree} vs {q.degree}")
-    return Permutation._unchecked(compose_images(p.images, q.images))
-
-
-def parse_permutation(data, degree: int) -> Permutation:
-    """Parse JSON permutation data: either an image list or a list of cycles.
-
-    Every point must be a JSON integer (a bool or a float is not), and the
-    list must be all cycles or all images; anything else raises ValueError.
-    """
-    if not isinstance(data, list):
-        raise ValueError(f"permutation must be a list, got {type(data).__name__}")
-    if not data:
-        return Permutation.identity(degree)
-    cycles = all(isinstance(x, list) for x in data)
-    points = [pt for cycle in data for pt in cycle] if cycles else data
-    if any(type(pt) is not int for pt in points):
-        raise ValueError(f"permutation points must be JSON integers, got {data!r}")
-    if cycles:
-        return Permutation.from_cycles(degree, data)
-    if len(data) != degree:
-        raise ValueError(f"image list has length {len(data)}, expected {degree}")
-    return Permutation(data)
-
-
-def parse_point(text: str, degree: int, what: str = "point") -> int:
-    """A point in canonical decimal ("01", "+1", " 1", "1_0", "a" and "" are
-    refused) and in 0..degree-1; anything else raises ValueError naming it."""
-    point = int(text) if text.isascii() and text.removeprefix("-").isdigit() else None
-    if point is None or str(point) != text:
-        raise ValueError(f"{what} {text!r} is not a canonical integer")
-    if not 0 <= point < degree:
-        raise ValueError(f"{what} {text!r} outside 0..{degree - 1}")
-    return point
 
 
 def orbit_walk(start: Hashable, steps: Sequence[tuple[Callable, Callable]], u, cap: float = math.inf,

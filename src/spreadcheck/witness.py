@@ -18,6 +18,9 @@ The remaining operations quantify the supplement condition A = B(A cap A^t)
 and its relatives: orbit counts of A and B on cosets, by the permutation
 character (a coset space is built only to locate a failure, and as the second
 route of orbit_count_pair) and the two-point screen for a regular A-orbit.
+
+Nothing here reads outside input: catalog.read_witness parses and checks a
+witness file into the point set and Multiset that verify_witness takes.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import Collection, Iterable
 from .autos import AutomorphismGroup
 from .diagonal import build_diagonal_group
 from .errors import InvalidSubgroup, VerificationInconsistency
-from .perm import DEFAULT_SET_ORBIT_CAP, PermutationGroup, compose_images, parse_point
+from .perm import DEFAULT_SET_ORBIT_CAP, PermutationGroup, compose_images
 from .tables import (
     CosetSpace,
     GroupTable,
@@ -70,9 +73,6 @@ class Multiset:
     def domain_size(self) -> int:
         return len(self.counts)
 
-    def value(self, point: int) -> int:
-        return self.counts[point]
-
     def support(self) -> list[int]:
         return [i for i, c in enumerate(self.counts) if c]
 
@@ -98,21 +98,6 @@ class Multiset:
 
     def to_json(self) -> dict[str, int]:
         return {str(i): c for i, c in enumerate(self.counts) if c}
-
-    @classmethod
-    def from_json(cls, data: dict, n: int) -> "Multiset":
-        """Read {point: multiplicity}; points must be written as to_json writes
-        them (canonical decimal, so "01", "+1" and "1_0" are refused) and lie
-        in 0..n-1, and multiplicities must be JSON integers, else ValueError."""
-        if not isinstance(data, dict):
-            raise ValueError(f"multiset must be a JSON object, got {type(data).__name__}")
-        counts = [0] * n
-        for key, mult in data.items():
-            point = parse_point(key, n, "multiset point")
-            if type(mult) is not int:
-                raise ValueError(f"multiplicity of point {key!r} is not an integer: {mult!r}")
-            counts[point] = mult
-        return cls(tuple(counts))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,14 @@ from spreadcheck.autos import Automorphism, _cayley_walk
 from spreadcheck.cyclotomic import sum_of_products
 from spreadcheck.diagonal import build_diagonal_group, right_translation
 from spreadcheck.errors import InvalidSubgroup
-from spreadcheck.perm import DEFAULT_SET_ORBIT_CAP, Permutation, PermutationGroup, orbit_walk
+from spreadcheck.perm import (
+    DEFAULT_SET_ORBIT_CAP,
+    Permutation,
+    PermutationGroup,
+    compose_images,
+    inverse_images,
+    orbit_walk,
+)
 from spreadcheck.tables import cauchy_frobenius_count, coset_space, normalizer, sylow_subgroup, validate_subgroup
 from spreadcheck.witness import (
     Multiset,
@@ -21,6 +28,19 @@ from spreadcheck.witness import (
 )
 
 
+def perm_product(*perms):
+    """The product of the permutations, the left factor acting first: p then q
+    sends i to q(p(i))."""
+    images = perms[0].images
+    for q in perms[1:]:
+        images = compose_images(images, q.images)
+    return Permutation(images)
+
+
+def perm_inverse(p):
+    return Permutation(inverse_images(p.images))
+
+
 def naive_elements(generators, degree, cap=200_000):
     """Plain breadth-first closure of a generating set, no stabilizer chain."""
     frontier = [Permutation.identity(degree)]
@@ -29,7 +49,7 @@ def naive_elements(generators, degree, cap=200_000):
         nxt = []
         for p in frontier:
             for g in generators:
-                q = p * g
+                q = perm_product(p, g)
                 if q not in seen:
                     assert len(seen) < cap, "naive closure cap hit"
                     seen.add(q)
@@ -42,12 +62,12 @@ def power(p, exponent):
     """p to the given power by repeated squaring; a negative power is a
     power of the inverse."""
     if exponent < 0:
-        return power(p.inverse(), -exponent)
+        return power(perm_inverse(p), -exponent)
     result, base = Permutation.identity(p.degree), p
     while exponent:
         if exponent & 1:
-            result = result * base
-        base = base * base
+            result = perm_product(result, base)
+        base = perm_product(base, base)
         exponent >>= 1
     return result
 
@@ -67,12 +87,12 @@ def moved_points(p):
 def point_stabilizer_group(group, point):
     """The stabilizer of a point in a PermutationGroup, generated by the
     Schreier generators of the point's orbit."""
-    steps = [(g.images.__getitem__, lambda u, g=g: u * g) for g in group.generators]
+    steps = [(g.images.__getitem__, lambda u, g=g: perm_product(u, g)) for g in group.generators]
     trans = orbit_walk(point, steps, Permutation.identity(group.degree))
     gens: dict[tuple[int, ...], Permutation] = {}
     for beta in sorted(trans):
         for s in group.generators:
-            schreier = trans[beta] * s * trans[s(beta)].inverse()
+            schreier = perm_product(trans[beta], s, perm_inverse(trans[s(beta)]))
             if not schreier.is_identity:
                 gens.setdefault(schreier.images, schreier)
     return PermutationGroup(list(gens.values()), group.degree)
@@ -254,7 +274,7 @@ def diagonal_witness_by_walk(table, auts, a_set, b_set, cap=DEFAULT_SET_ORBIT_CA
     order, of each A-orbit; refute at the first A-orbit that is not one
     B-orbit, else verify (A, Omega + |A:B|*B - A) by verify_witness."""
     diag = build_diagonal_group(table, auts)
-    n = diag.degree()
+    n = diag.group.degree
     a_group, b_group = (PermutationGroup([right_translation(table, g) for g in h.gens], n)
                         for h in (a_set, b_set))
     delta = [y for y in diag.group.set_orbit(a_set, cap) if y & a_set]

@@ -168,7 +168,7 @@ def test_inverse_class_values_are_conjugate(name):
     ct = _ct(name)
     for i in range(len(ct.rows)):
         for cid in range(ct.num_classes):
-            assert ct.value(i, table.inverse_class(cid)) == ct.value(i, cid).conjugate()
+            assert ct.rows[i][table.inverse_class(cid)] == ct.rows[i][cid].conjugate()
 
 
 class TestKnownIrrationalities:
@@ -176,20 +176,20 @@ class TestKnownIrrationalities:
         ct = _ct("A5")
         c5a, c5b = 1, 2
         for row in (1, 2):  # the two degree-3 characters
-            v, w = ct.value(row, c5a), ct.value(row, c5b)
+            v, w = ct.rows[row][c5a], ct.rows[row][c5b]
             assert not v.is_rational
             assert sum_of_products([(1, (v,)), (1, (w,))]) == CyclotomicValue.from_int(1)
             assert sum_of_products([(1, (v, w))]) == CyclotomicValue.from_int(-1)
         # and they vanish on the order-3 class
         c3a = 4
-        assert ct.value(1, c3a).is_zero
-        assert ct.value(2, c3a).is_zero
+        assert ct.rows[1][c3a].is_zero
+        assert ct.rows[2][c3a].is_zero
 
     def test_quadratic_entries_on_psl27(self):
         ct = _ct("PSL(2,7)")
         c7a, c7b = 2, 3
         for row in (1, 2):
-            v, w = ct.value(row, c7a), ct.value(row, c7b)
+            v, w = ct.rows[row][c7a], ct.rows[row][c7b]
             assert not v.is_rational
             assert v.conjugate() == w
             assert sum_of_products([(1, (v,)), (1, (w,))]) == CyclotomicValue.from_int(-1)
@@ -362,7 +362,7 @@ class TestTripleCheck:
         assert out.violation == "character-not-vanishing"
         assert out.detail == {"character_index": 1, "class": "2A", "value": "-1"}
         # recheck: that character really is nonzero there
-        assert not ct.value(1, 3).is_zero
+        assert not ct.rows[1][3].is_zero
 
 
 SEARCH_EXPECTATIONS = {

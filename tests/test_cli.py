@@ -127,6 +127,21 @@ class TestReports:
         assert b'"certificate"' in reports[0] and b"timing_ms" not in reports[0]
         assert reports[0] == reports[1]
 
+    def test_a_closed_output_pipe_exits_2_without_a_traceback(self):
+        """Exit 1 means refuted, so a reader that stops early must not turn a
+        report into exit 1 and a traceback: the pipe is closed before the
+        command prints, and it exits 2 with nothing on stderr."""
+        src = str(Path(spreadcheck.__file__).resolve().parents[1])
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "spreadcheck", "group", "classes", "--group", "A5",
+                                   "--json"], env={**os.environ, "PYTHONPATH": src}, stdout=write_end,
+                                  stderr=subprocess.PIPE, timeout=120, check=False)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (2, b"")
+
 
 class TestGroupCommands:
     def test_info(self, capsys):
@@ -533,6 +548,7 @@ class TestErrorPaths:
                            ' "known_order": 1}'),
             ("ab-check", "a,1"),
             ("verify-witness", {"set": [0, 1], "multiset": {"x": 1, "0": 3}}),
+            ("verify-witness", {"set": [0, 1], "multiset": {"1" * 5000: 1, "0": 3}}),
         ],
         ids=["key-999", "key-minus-1", "fractional-multiplicity", "degree-null",
              "degree-string", "top-level-list", "set-entry-null", "set-entry-fractional",
@@ -543,7 +559,7 @@ class TestErrorPaths:
              "key-plus-sign", "key-space", "key-underscore", "set-point-99",
              "set-point-minus-1", "set-point-leading-zero", "set-empty", "set-point-repeated",
              "witness-point-repeated", "multiset-key-repeated", "group-key-repeated",
-             "set-point-letter", "key-letter"],
+             "set-point-letter", "key-letter", "key-5000-digits"],
     )
     def test_malformed_input_is_an_error_report(self, capsys, tmp_path, command, data):
         code, report = run_json(capsys, *_malformed_argv(tmp_path, command, data))
@@ -577,13 +593,27 @@ class TestErrorPaths:
             ("ab-check", "01,1", "--set point '01' is not a canonical integer"),
             ("verify-witness", {"set": [0, 1], "multiset": {"x": 1, "0": 3}},
              "multiset point 'x' is not a canonical integer"),
+            ("verify-witness", {"set": [0, 1], "multiset": {"1" * 5000: 1, "0": 3}},
+             "multiset point '111111111111...1111111111111' is not a canonical integer"),
         ],
-        ids=["set-point-letter", "set-empty", "set-point-leading-zero", "multiset-key-letter"],
+        ids=["set-point-letter", "set-empty", "set-point-leading-zero", "multiset-key-letter",
+             "multiset-key-5000-digits"],
     )
     def test_a_non_integer_point_is_named(self, capsys, tmp_path, command, data, message):
         code, report = run_json(capsys, *_malformed_argv(tmp_path, command, data))
         assert code == 2
         assert report["certificate"] == {"error": "ValueError", "message": message}
+
+    @pytest.mark.parametrize("key", ["aut_generator", "Name", "subgroup"])
+    def test_an_unknown_group_file_key_is_named(self, capsys, tmp_path, key):
+        """A misspelt optional key would otherwise be ignored: "aut_generator"
+        would make the automorphism group searched instead of read."""
+        code, report = run_json(capsys, *_malformed_argv(tmp_path, "group-file", dict(D10_JSON, **{key: []})))
+        assert code == 2
+        assert report["certificate"] == {
+            "error": "ValueError",
+            "message": f"unknown group file key {key!r}; known keys: name, degree, generators, known_order, "
+                       "aut_generators, subgroups, supplement_pairs, two_point_labels"}
 
     @pytest.mark.parametrize("base", ["01", "+1", " 1", "1_0"], ids=["leading-zero", "plus-sign",
                                                                     "space", "underscore"])

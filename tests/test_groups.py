@@ -18,6 +18,7 @@ from helpers import (
     inner_witness,
     inverse_automorphism,
     is_automorphism,
+    perm_product,
     product_set,
     product_size,
     retained_bytes,
@@ -846,16 +847,16 @@ class TestDiagonalAction:
         for _ in range(20):
             s, u = rng.randrange(60), rng.randrange(60)
             r_s, l_u = right_translation(t, s), left_translation(t, u)
-            assert l_u * r_s == r_s * l_u
-            assert inv * r_s * inv == left_translation(t, s)
+            assert perm_product(l_u, r_s) == perm_product(r_s, l_u)
+            assert perm_product(inv, r_s, inv) == left_translation(t, s)
             conj = Permutation(tuple(t.conjugate(x, s) for x in range(60)))
-            assert left_translation(t, s) * r_s == conj
+            assert perm_product(left_translation(t, s), r_s) == conj
 
     def test_build_diagonal_a5(self):
         t = catalog.load_group_table("A5")
         auts = catalog.load_automorphisms("A5")
         diag = build_diagonal_group(t, auts)
-        assert diag.degree() == 60
+        assert diag.group.degree == 60
         assert diag.label == "diag(A5)"
         assert diag.group.order() == 60 * 60 * 2 * 2
         assert diag.group.is_transitive()
@@ -882,7 +883,7 @@ class TestDiagonalAction:
         gens = list(build_diagonal_group(t, auts).group.generators)
         swap = Permutation.from_cycles(60, [[1, 2]])
         for k in range(len(gens)):
-            wrong = gens[:k] + [gens[k] * swap] + gens[k + 1:]
+            wrong = gens[:k] + [perm_product(gens[k], swap)] + gens[k + 1:]
             with pytest.raises(VerificationInconsistency, match=f"generator {k} is no"):
                 diagonal_order(t, PermutationGroup(wrong, 60))
 
@@ -890,7 +891,7 @@ class TestDiagonalAction:
         t, auts = catalog.load_group_table("A5"), catalog.load_automorphisms("A5")
         swap = Permutation.from_cycles(60, [[1, 2]])
         with monkeypatch.context() as m:
-            m.setattr(diagonal, "left_translation", lambda table, g: left_translation(table, g) * swap)
+            m.setattr(diagonal, "left_translation", lambda table, g: perm_product(left_translation(table, g), swap))
             with pytest.raises(VerificationInconsistency, match="is no translation"):
                 build_diagonal_group(t, auts)
         with monkeypatch.context() as m:
@@ -910,7 +911,7 @@ class TestDiagonalAction:
         diag = build_diagonal_group(t, auts)
         a4 = catalog.resolve_subgroup("A5", "A4")
         # the images the diagonal pair builder walks: right translations by A's generators
-        right = PermutationGroup([right_translation(t, g) for g in a4.gens], diag.degree())
+        right = PermutationGroup([right_translation(t, g) for g in a4.gens], diag.group.degree)
         assert right.order() == 12
         assert right.orbit(0) == set(a4)
         assert all(group_contains(right, right_translation(t, a)) for a in a4)

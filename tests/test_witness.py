@@ -1,5 +1,7 @@
 """Witness verification, the subgroup-pair builder, and coset orbit reports."""
 
+import json
+
 import pytest
 
 from helpers import (
@@ -43,7 +45,7 @@ class TestMultiset:
         assert m.cardinality == 3
         assert m.domain_size == 4
         assert m.support() == [0, 2]
-        assert m.value(2) == 2
+        assert m.counts[2] == 2
         assert (m + m).counts == (2, 0, 4, 0)
         assert (3 * m).counts == (3, 0, 6, 0)
         assert (m - m).counts == (0, 0, 0, 0)
@@ -64,10 +66,12 @@ class TestMultiset:
         assert Multiset((0, 0, 0, 0)).is_trivial
         assert not Multiset.indicator([1, 3], 5).is_trivial
 
-    def test_json_roundtrip(self):
+    def test_json_roundtrip(self, tmp_path):
         m = Multiset((0, 2, 0, 1, 0, 3))
         assert m.to_json() == {"1": 2, "3": 1, "5": 3}
-        assert Multiset.from_json(m.to_json(), 6) == m
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps({"set": [1], "multiset": m.to_json()}))
+        assert catalog.read_witness(path, 6) == (frozenset({1}), m)
 
     def test_image_weight(self):
         m = Multiset((2, 0, 1, 5))
