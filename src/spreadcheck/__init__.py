@@ -25,7 +25,7 @@ from .chartab import (
     validate_character_witness,
 )
 from .cyclotomic import CyclotomicValue, cyclotomic_polynomial
-from .diagonal import DiagonalGroup, build_diagonal_group
+from .diagonal import DiagonalGroup
 from .errors import CapExceeded, InvalidSubgroup, VerificationInconsistency
 from .perm import Permutation, PermutationGroup
 from .tables import ConjClass, GroupTable, build_group_table
@@ -38,6 +38,7 @@ from .witness import (
     orbit_count_pair,
     supplement_property,
     two_point_stabilizer_trivial,
+    verify_diagonal,
     verify_witness,
     witness_from_subgroup_pair,
 )
@@ -65,7 +66,6 @@ __all__ = [
     "VerificationInconsistency",
     "Witness",
     "automorphism_group_from_supplied",
-    "build_diagonal_group",
     "build_group_table",
     "catalog_names",
     "character_triple_check",
@@ -81,6 +81,7 @@ __all__ = [
     "supplement_property",
     "two_point_stabilizer_trivial",
     "validate_character_witness",
+    "verify_diagonal",
     "verify_witness",
     "witness_from_subgroup_pair",
     "__version__",

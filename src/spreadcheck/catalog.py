@@ -486,9 +486,10 @@ def entry_from_json(data) -> CatalogEntry:
         return tuple(parse_permutation(g, degree) for g in expect(value, list, what))
 
     generators = permutations(data["generators"], "'generators'")
-    aut = data.get("aut_generators")
-    aut_images = () if aut is None else tuple(
-        permutations(images, "an 'aut_generators' entry") for images in expect(aut, list, "'aut_generators'"))
+    aut = expect(data["aut_generators"], list, "'aut_generators'") if "aut_generators" in data else None
+    if aut == []:
+        raise ValueError("'aut_generators' must list at least one automorphism; leave it out to search")
+    aut_images = None if aut is None else tuple(permutations(images, "an 'aut_generators' entry") for images in aut)
     subgroups = {label: ("generated", permutations(gens, f"subgroup {label!r}"))
                  for label, gens in expect(data.get("subgroups", {}), dict, "'subgroups'").items()}
     pairs = [tuple(expect(pair, list, "a 'supplement_pairs' entry", str))
@@ -500,7 +501,7 @@ def entry_from_json(data) -> CatalogEntry:
         degree=degree,
         generators=generators,
         known_order=known_order,
-        aut_images=aut_images or None,
+        aut_images=aut_images,
         subgroups=subgroups,
         supplement_pairs=tuple(pairs),
         two_point_labels=tuple(expect(data.get("two_point_labels", []), list, "'two_point_labels'", str)),

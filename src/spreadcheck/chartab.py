@@ -27,7 +27,7 @@ from .diagonal import DiagonalGroup
 from .errors import CapExceeded, VerificationInconsistency
 from .perm import compose_images
 from .tables import GroupTable
-from .witness import Multiset, Witness, verify_witness
+from .witness import Multiset, Witness, verify_diagonal
 
 DEFAULT_CLASS_CAP = 60  # at most 256: _class_tensor counts class ids as bytes
 
@@ -541,27 +541,21 @@ def character_triple_search(
     return found
 
 
-def validate_character_witness(
-    table: GroupTable, diag: DiagonalGroup, spec: CharWitnessSpec
-) -> Witness:
-    """Run the constructed (class, weighted multiset) pair through the
-    independent verifier on the diagonal-type group and confirm the constant
-    equals the class size."""
-    classes = table.conjugacy_classes()
-    n = len(table.elements)
+def validate_character_witness(diag: DiagonalGroup, spec: CharWitnessSpec) -> Witness:
+    """Run the constructed (class, weighted multiset) pair over T = diag.table
+    through the independent verifier on diag(T), witness.verify_diagonal, and
+    confirm the constant equals the class size."""
+    classes = diag.table.conjugacy_classes()
+    n = len(diag.table)
     points = frozenset(classes[spec.r_class].members)
     j = (
         Multiset.uniform(n, 1)
         + Multiset.indicator(classes[spec.s1_class].members, n)
         - Multiset.indicator(classes[spec.s2_class].members, n)
     )
-    outcome = verify_witness(diag.group, points, j, group_label=diag.label)
+    outcome = verify_diagonal(diag, points, j)
     if not isinstance(outcome, Witness):
-        raise VerificationInconsistency(
-            f"character witness refuted: {outcome.violation}"
-        )
+        raise VerificationInconsistency(f"character witness refuted: {outcome.violation}")
     if outcome.constant != len(points):
-        raise VerificationInconsistency(
-            f"character witness constant {outcome.constant} != class size {len(points)}"
-        )
+        raise VerificationInconsistency(f"character witness constant {outcome.constant} != class size {len(points)}")
     return outcome

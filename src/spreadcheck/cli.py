@@ -29,7 +29,7 @@ from .chartab import (
     dixon_character_table,
     validate_character_witness,
 )
-from .diagonal import build_diagonal_group
+from .diagonal import DiagonalGroup
 from .errors import CapExceeded, InvalidSubgroup, VerificationInconsistency
 from .witness import (
     Witness,
@@ -37,6 +37,7 @@ from .witness import (
     orbit_count_pair,
     supplement_property,
     two_point_stabilizer_trivial,
+    verify_diagonal,
     verify_witness,
     witness_from_subgroup_pair,
 )
@@ -209,14 +210,13 @@ def _cmd_chartab_compute(entry, args):
 
 
 def _cmd_verify_witness(entry, args):
-    # diag(T) acts on the |T| indices of T: the witness is read before it is built
+    # diag(T) acts on the |T| indices of T: the witness is read before diag(T) is made
     points, multiset = catalog.read_witness(args.witness, len(entry.table) if args.diagonal else entry.degree)
     if args.diagonal:
-        diag = build_diagonal_group(entry.table, entry.automorphisms)
-        group, label = diag.group, diag.label
+        result = verify_diagonal(DiagonalGroup(entry.table, entry.automorphisms), points, multiset, **_cap_kw(args))
     else:
-        group, label = entry.group, entry.name
-    return _outcome(verify_witness(group, points, multiset, group_label=label, **_cap_kw(args)))
+        result = verify_witness(entry.group, points, multiset, group_label=entry.name, **_cap_kw(args))
+    return _outcome(result)
 
 
 def _cmd_ab_check(entry, args):
@@ -259,7 +259,7 @@ def _cmd_char_witness(entry, args):
             f"triple fails: {result.violation} {result.detail}"
         ]
     verdict, witness, code, lines = _outcome(
-        validate_character_witness(table, build_diagonal_group(table, auts), result))
+        validate_character_witness(DiagonalGroup(table, auts), result))
     return verdict, {"triple": names, "witness": witness}, code, lines
 
 

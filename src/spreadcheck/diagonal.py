@@ -3,15 +3,16 @@
 For a tabled group T the domain is T's own element indices, with index 0 the
 identity.  The full diagonal group is generated by right translations x -> xt,
 left translations x -> t^-1 x, automorphisms of T acting on indices, and the
-inversion map x -> x^-1.  Its order is |T|^2 * |Out(T)| * 2.  The builder
-counts the order of the group its generators generate, by orbit-stabiliser
-on the table (diagonal_order), and checks it against that formula; no
-stabilizer chain of degree |T| is built unless a caller asks the group for one.
+inversion map x -> x^-1.  Its order is |T|^2 * |Out(T)| * 2.  A DiagonalGroup
+builds that group when its group attribute is first read: it assembles the
+generators, counts the order they generate by orbit-stabiliser on the table
+(diagonal_order) and checks it against the formula.  No stabilizer chain of
+degree |T| is built unless a caller asks the group for one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 
 from .autos import AutomorphismGroup, close_modulo_inner, is_automorphism
 from .errors import VerificationInconsistency
@@ -35,46 +36,37 @@ def inversion_map(table: GroupTable) -> Permutation:
     return Permutation._unchecked(tuple(table.inverse))
 
 
-@dataclass(frozen=True)
 class DiagonalGroup:
-    """T acting on itself two-sidedly, extended by Aut(T) and inversion."""
+    """T acting on itself two-sidedly, extended by Aut(T) and inversion; T = 1
+    is refused, as the order formula needs T > 1."""
 
-    base: GroupTable
-    group: PermutationGroup
+    def __init__(self, table: GroupTable, automorphisms: AutomorphismGroup):
+        if len(table) == 1:
+            raise ValueError("the diagonal group diag(T) needs a nontrivial group T")
+        self.table = table
+        self.automorphisms = automorphisms
+        self.label = f"diag({table.name or 'T'})"
 
-    @property
-    def label(self) -> str:
-        name = self.base.name or "T"
-        return f"diag({name})"
+    @cached_property
+    def group(self) -> PermutationGroup:
+        """The diagonal group on the indices of T, its order checked.
 
-
-def build_diagonal_group(table: GroupTable, auts: AutomorphismGroup) -> DiagonalGroup:
-    """Assemble the diagonal group on the indices of T and check its order.
-
-    Generator order is fixed: right translations by T's generators, then left
-    translations, then one permutation per nontrivial automorphism coset, then
-    inversion.  Inner automorphisms are omitted; they are products of matching
-    left and right translations.  T = 1 is refused: the formula needs T > 1.
-    """
-    if len(table) == 1:
-        raise ValueError("the diagonal group diag(T) needs a nontrivial group T")
-    gens: list[Permutation] = []
-    for t in table.generator_indices:
-        gens.append(right_translation(table, t))
-    for t in table.generator_indices:
-        gens.append(left_translation(table, t))
-    for aut in auts.coset_representatives:
-        if not aut.is_identity:
-            gens.append(Permutation._unchecked(aut.mapping))
-    gens.append(inversion_map(table))
-    group = PermutationGroup(gens, len(table))
-    expected = len(table) ** 2 * auts.outer_order * 2
-    actual = diagonal_order(table, group)
-    if actual != expected:
-        raise VerificationInconsistency(
-            f"diagonal group order {actual} != |T|^2 * outer * 2 = {expected}"
-        )
-    return DiagonalGroup(table, group)
+        Generator order is fixed: right translations by T's generators, then
+        left translations, then one permutation per nontrivial automorphism
+        coset, then inversion.  Inner automorphisms are omitted; they are
+        products of matching left and right translations.
+        """
+        table, auts = self.table, self.automorphisms
+        gens = [right_translation(table, t) for t in table.generator_indices]
+        gens += [left_translation(table, t) for t in table.generator_indices]
+        gens += [Permutation._unchecked(aut.mapping) for aut in auts.coset_representatives if not aut.is_identity]
+        gens.append(inversion_map(table))
+        group = PermutationGroup(gens, len(table))
+        expected = len(table) ** 2 * auts.outer_order * 2
+        actual = diagonal_order(table, group)
+        if actual != expected:
+            raise VerificationInconsistency(f"diagonal group order {actual} != |T|^2 * outer * 2 = {expected}")
+        return group
 
 
 def diagonal_order(table: GroupTable, group: PermutationGroup) -> int:
@@ -89,10 +81,9 @@ def diagonal_order(table: GroupTable, group: PermutationGroup) -> int:
     translations, and their s(0) must generate T, so T_R <= G.  Those whose
     sigma_s is conjugation by s(0)^-1 are the left translations
     x -> s(0) x, and their s(0) must generate T too, so T_L <= G and the
-    inner automorphisms among the sigma_s generate Inn(T).  Either set of
-    s(0) generates T exactly when the orbit of the identity under its
-    translations is all of T, so two orbit walks check both, and the first
-    shows G transitive.  Then:
+    inner automorphisms among the sigma_s generate Inn(T).  One Schreier-Sims
+    run on T's own permutations, at its natural degree, checks each set of
+    s(0); T_R <= G then shows G transitive.  Then:
 
     - N = T_R T_L has order |T|^2 (T_R meets T_L in the center), and it is
       normal in the group of all maps rho, automorphisms and iota, since an
@@ -109,19 +100,19 @@ def diagonal_order(table: GroupTable, group: PermutationGroup) -> int:
     n = len(table)
     identity = tuple(range(n))
     rights = [table.right_multiplication(g) for g in table.generator_indices]
-    right: list[Permutation] = []
-    left: list[Permutation] = []
+    right: list[int] = []  # s(0) of each right translation
+    left: list[int] = []  # and of each left translation
     parts = []
     for k, s in enumerate(group.generators):
         w = s(0)
         w_inv = table.inverse[w]
         sigma = compose_images(s.images, table.right_multiplication(w_inv))
         if sigma == identity:
-            right.append(s)
+            right.append(w)
             continue
         if is_automorphism(table, rights, sigma):
             if all(sigma[g] == table.conjugate(g, w_inv) for g in table.generator_indices):
-                left.append(s)
+                left.append(w)
             else:
                 parts.append((sigma.__getitem__, 0))
             continue
@@ -131,8 +122,8 @@ def diagonal_order(table: GroupTable, group: PermutationGroup) -> int:
                 f"diagonal generator {k} is no translation times an automorphism or its inversion"
             )
         parts.append((sigma.__getitem__, 1))
-    for side, translations in (("right", right), ("left", left)):
-        if not PermutationGroup(translations, n).is_transitive():
+    for side, elems in (("right", right), ("left", left)):
+        if PermutationGroup([table.elements[w] for w in elems], table.group.degree).order() != n:
             raise VerificationInconsistency(
                 f"the {side} translations among the generators do not generate T"
             )

@@ -13,6 +13,9 @@ A-orbit of the images meeting the A-orbit of a base point.  Over diag(T), with
 A and B inside T, that condition is the supplement property over Aut(T):
 diagonal_witness decides by it and walks the set orbit of A once, to verify
 (A, Omega + |A:B|*B - A) or to find the first image where B is not transitive.
+verify_diagonal is the one entry point for a witness over diag(T), and the
+first reader of a DiagonalGroup's group: diagonal_witness,
+chartab.validate_character_witness and verify-witness --diagonal verify by it.
 
 The remaining operations quantify the supplement condition A = B(A cap A^t)
 and its relatives: orbit counts of A and B on cosets, by the permutation
@@ -26,11 +29,11 @@ witness file into the point set and Multiset that verify_witness takes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Collection, Iterable
+from functools import cached_property, partial
+from typing import Callable, Collection, Iterable
 
 from .autos import AutomorphismGroup
-from .diagonal import build_diagonal_group
+from .diagonal import DiagonalGroup
 from .errors import InvalidSubgroup, VerificationInconsistency
 from .perm import DEFAULT_SET_ORBIT_CAP, PermutationGroup, compose_images
 from .tables import (
@@ -197,6 +200,13 @@ def verify_witness(
     return Witness(group, group_label, x, multiset, constant)
 
 
+def verify_diagonal(diag: DiagonalGroup, points: Iterable[int], multiset: Multiset,
+                    cap: int = DEFAULT_SET_ORBIT_CAP) -> Witness | Refutation:
+    """verify_witness over diag(T): the one way a command verifies a witness
+    on the |T| points of diag(T), and the first read of its group."""
+    return verify_witness(diag.group, points, multiset, diag.label, cap)
+
+
 # --- subgroup-pair builder --------------------------------------------------
 
 
@@ -253,7 +263,8 @@ def witness_from_subgroup_pair(
         b_size = len(b_group.set_orbit(start, cap))
         if b_size != len(a_orbit):
             return _not_transitive(group_label, x, start, len(a_orbit), b_size)
-    return _pair_witness(group, x, orbit_a, orbit_b, group_label, cap)
+    return _pair_witness(partial(verify_witness, group, group_label=group_label, cap=cap),
+                         n, x, orbit_a, orbit_b)
 
 
 def diagonal_witness(
@@ -266,20 +277,20 @@ def diagonal_witness(
     """The witness (A, Omega + |A:B|*B - A) over the diagonal action on T.
 
     A must be proper in T and B normal and proper in A, checked before
-    diag(T) is built.  The images of A under diag(T) are the right cosets H m
+    diag(T) is made.  The images of A under diag(T) are the right cosets H m
     of the Aut(T)-images H of A, on which A acts by right translation, so B
     is transitive on the A-orbit of H m exactly when A = B(A cap H^m): the
     supplement property over Aut decides the pair.  When it holds, the
-    witness is built at once and verify_witness makes the one walk of the set
-    orbit of A.  When it fails, that walk finds the first image Y, in BFS
+    witness is built at once and verify_diagonal makes the one walk of the
+    set orbit of A.  When it fails, that walk finds the first image Y, in BFS
     order, that meets A in a point m and whose A- and B-orbits differ in
     size: Y a = Y exactly when m a lies in Y, so the orbit sizes are
     |A| / #{a in A : m a in Y} and |B| / #{b in B : m b in Y}.
     """
     a_set, b_set = _normal_pair(table, a_sub, b_sub)
-    diag = build_diagonal_group(table, auts)
+    diag = DiagonalGroup(table, auts)
     if supplement_property(table, a_set, b_set, "Aut", auts).holds:
-        return _pair_witness(diag.group, a_set, a_set, b_set, diag.label, cap)
+        return _pair_witness(partial(verify_diagonal, diag, cap=cap), len(table), a_set, a_set, b_set)
     for y in diag.group.set_orbit(a_set, cap):
         meet = y & a_set
         if meet:
@@ -296,15 +307,15 @@ def _not_transitive(group_label: str, x, member: frozenset[int], orbit_size: int
                       {"orbit_size": orbit_size, "B_suborbit_size": b_size, "member": sorted(member)})
 
 
-def _pair_witness(group: PermutationGroup, x: frozenset[int], orbit_a: frozenset[int],
-                  orbit_b: frozenset[int], group_label: str, cap: int) -> Witness:
-    """(X, Omega + k*orbit_b - orbit_a), k = |orbit_a : orbit_b|, re-verified by verify_witness."""
-    n = group.degree
+def _pair_witness(verify: Callable[[frozenset[int], Multiset], Witness | Refutation], n: int,
+                  x: frozenset[int], orbit_a: frozenset[int], orbit_b: frozenset[int]) -> Witness:
+    """(X, Omega + k*orbit_b - orbit_a) on n points, k = |orbit_a : orbit_b|,
+    re-verified by verify(X, multiset)."""
     k = len(orbit_a) // len(orbit_b)
     multiset = Multiset.uniform(n) + k * Multiset.indicator(orbit_b, n) - Multiset.indicator(orbit_a, n)
     if multiset.cardinality != n:
         raise VerificationInconsistency(f"witness multiset cardinality {multiset.cardinality} != domain size {n}")
-    result = verify_witness(group, x, multiset, group_label, cap)
+    result = verify(x, multiset)
     if isinstance(result, Refutation):
         raise VerificationInconsistency(f"constructed witness failed re-verification: {result.violation}")
     return result

@@ -7,7 +7,7 @@ import tracemalloc
 
 from spreadcheck.autos import Automorphism, _cayley_walk
 from spreadcheck.cyclotomic import sum_of_products
-from spreadcheck.diagonal import build_diagonal_group, right_translation
+from spreadcheck.diagonal import DiagonalGroup, right_translation
 from spreadcheck.errors import InvalidSubgroup
 from spreadcheck.perm import (
     DEFAULT_SET_ORBIT_CAP,
@@ -273,7 +273,7 @@ def diagonal_witness_by_walk(table, auts, a_set, b_set, cap=DEFAULT_SET_ORBIT_CA
     meeting A, and walk the A- and B-set orbits of the first image, in BFS
     order, of each A-orbit; refute at the first A-orbit that is not one
     B-orbit, else verify (A, Omega + |A:B|*B - A) by verify_witness."""
-    diag = build_diagonal_group(table, auts)
+    diag = DiagonalGroup(table, auts)
     n = diag.group.degree
     a_group, b_group = (PermutationGroup([right_translation(table, g) for g in h.gens], n)
                         for h in (a_set, b_set))

@@ -22,7 +22,7 @@ from spreadcheck.chartab import (
     validate_character_witness,
 )
 from spreadcheck.cli import main
-from spreadcheck.diagonal import build_diagonal_group
+from spreadcheck.diagonal import DiagonalGroup
 from spreadcheck.tables import (
     cauchy_frobenius_count,
     coset_space,
@@ -61,7 +61,7 @@ def _cli_witness(capsys, name, a_label, b_label):
 def _independent_orbit_check(name, cert):
     """Re-walk the full set orbit of the certificate and re-sum every image."""
     table = catalog.load_group_table(name)
-    diag = build_diagonal_group(table, catalog.load_automorphisms(name))
+    diag = DiagonalGroup(table, catalog.load_automorphisms(name))
     points = frozenset(cert["set"])
     multiset = Multiset(tuple(cert["multiset"].get(str(i), 0) for i in range(len(table))))
     weights = {
@@ -155,7 +155,7 @@ def test_criterion_5_a5_character_search_pipeline():
     spec = found[0]
     assert names[spec.r_class] == "3A"
     assert {names[spec.s1_class], names[spec.s2_class]} == {"5A", "5B"}
-    witness = validate_character_witness(table, build_diagonal_group(table, auts), spec)
+    witness = validate_character_witness(DiagonalGroup(table, auts), spec)
     assert witness.constant == 20
     assert len(witness.points) == 20
     recheck_witness(witness)
@@ -262,9 +262,9 @@ def test_criterion_9_cross_validation_property_suite():
         table = catalog.load_group_table(name)
         auts = catalog.load_automorphisms(name)
         ct = dixon_character_table(table)
-        diag = build_diagonal_group(table, auts)
+        diag = DiagonalGroup(table, auts)
         for spec in character_triple_search(table, ct, class_orbit_partition(table, auts)):
-            w = validate_character_witness(table, diag, spec)
+            w = validate_character_witness(diag, spec)
             recheck_witness(w)
             runs += 1
 

@@ -22,7 +22,7 @@ from spreadcheck.chartab import (
     validate_character_witness,
 )
 from spreadcheck.cyclotomic import CyclotomicValue, from_coefficients, sum_of_products
-from spreadcheck.diagonal import build_diagonal_group
+from spreadcheck.diagonal import DiagonalGroup
 from spreadcheck.errors import VerificationInconsistency
 from spreadcheck.perm import Permutation, PermutationGroup
 from spreadcheck.tables import GroupTable, build_group_table
@@ -431,11 +431,11 @@ def test_search_triples_validate_on_the_two_sided_action(name):
     auts = catalog.load_automorphisms(name)
     ct = _ct(name)
     part = class_orbit_partition(t, auts)
-    diag = build_diagonal_group(t, auts)
+    diag = DiagonalGroup(t, auts)
     found = character_triple_search(t, ct, part)
     constants = []
     for spec in found:
-        w = validate_character_witness(t, diag, spec)
+        w = validate_character_witness(diag, spec)
         assert w.multiset.cardinality == len(t)
         assert len(w.points) == w.constant
         constants.append(w.constant)

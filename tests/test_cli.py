@@ -14,6 +14,7 @@ import pytest
 import spreadcheck
 from spreadcheck import catalog, cli, perm, tables, witness
 from spreadcheck.cli import main
+from spreadcheck.diagonal import DiagonalGroup
 
 D10_JSON = {
     "name": "D10ext",
@@ -70,6 +71,14 @@ def _malformed_argv(tmp_path, command: str, data) -> list[str]:
     if command == "verify-witness":
         return ["spreading", "verify-witness", "--group", "A5", "--witness", str(path)]
     return ["group", "info", "--file", str(path)]
+
+
+def _forbid_diagonal_build(monkeypatch) -> None:
+    """Make reading any DiagonalGroup's group fail the test."""
+    def no_build(diag):
+        raise AssertionError(f"{diag.label} built")
+
+    monkeypatch.setattr(DiagonalGroup, "group", property(no_build))
 
 
 class TestReports:
@@ -431,8 +440,8 @@ class TestFileRoute:
 
     def test_diagonal_commands_refuse_the_trivial_group(self, capsys, tmp_path):
         """diag(T) needs T > 1: verify-witness --diagonal is a usage error
-        from build_diagonal_group, and diagonal-witness finds no proper pair
-        B < A < T before it builds diag(T)."""
+        from DiagonalGroup, and diagonal-witness finds no proper pair
+        B < A < T before it makes diag(T)."""
         group = tmp_path / "one.json"
         group.write_text(json.dumps({"name": "One", "degree": 1, "generators": [], "known_order": 1}))
         witness = tmp_path / "w.json"
@@ -456,16 +465,25 @@ class TestFileRoute:
         """verify-witness --diagonal checks its witness against the |T|
         points of diag(T) before it builds diag(T), so a malformed file is
         reported without the build."""
-        def no_build(*args):
-            raise AssertionError("diag(T) built for a malformed witness")
-
-        monkeypatch.setattr(cli, "build_diagonal_group", no_build)
+        _forbid_diagonal_build(monkeypatch)
         witness = tmp_path / "w.json"
         witness.write_text(json.dumps({"set": [0, 1], "multiset": multiset}))
         code, report = run_json(capsys, "spreading", "verify-witness", "--group", "A5", "--diagonal",
                                 "--witness", str(witness))
         assert code == 2
         assert report["certificate"] == {"error": "ValueError", "message": message}
+
+    def test_refusals_never_build_diag(self, capsys, monkeypatch):
+        """A char-witness triple that fails the character test and a
+        diagonal-witness pair that is not B normal in A < T are refuted
+        without the degree-|T| group of diag(T)."""
+        _forbid_diagonal_build(monkeypatch)
+        code, report = run_json(capsys, "spreading", "char-witness", "--group", "A5",
+                                "--r", "2A", "--s1", "5A", "--s2", "5B")
+        assert (code, report["certificate"]["violation"]) == (1, "character-not-vanishing")
+        code, report = run_json(capsys, "spreading", "diagonal-witness", "--group", "A5",
+                                "--A", "V4", "--B", "A4")
+        assert (code, report["certificate"]["error"]) == (2, "InvalidSubgroup")
 
 
 class TestErrorPaths:
@@ -549,6 +567,8 @@ class TestErrorPaths:
             ("ab-check", "a,1"),
             ("verify-witness", {"set": [0, 1], "multiset": {"x": 1, "0": 3}}),
             ("verify-witness", {"set": [0, 1], "multiset": {"1" * 5000: 1, "0": 3}}),
+            ("group-file", dict(D10_JSON, aut_generators=[])),
+            ("group-file", dict(D10_JSON, aut_generators=None)),
         ],
         ids=["key-999", "key-minus-1", "fractional-multiplicity", "degree-null",
              "degree-string", "top-level-list", "set-entry-null", "set-entry-fractional",
@@ -559,7 +579,8 @@ class TestErrorPaths:
              "key-plus-sign", "key-space", "key-underscore", "set-point-99",
              "set-point-minus-1", "set-point-leading-zero", "set-empty", "set-point-repeated",
              "witness-point-repeated", "multiset-key-repeated", "group-key-repeated",
-             "set-point-letter", "key-letter", "key-5000-digits"],
+             "set-point-letter", "key-letter", "key-5000-digits", "aut-generators-empty",
+             "aut-generators-null"],
     )
     def test_malformed_input_is_an_error_report(self, capsys, tmp_path, command, data):
         code, report = run_json(capsys, *_malformed_argv(tmp_path, command, data))
@@ -614,6 +635,19 @@ class TestErrorPaths:
             "error": "ValueError",
             "message": f"unknown group file key {key!r}; known keys: name, degree, generators, known_order, "
                        "aut_generators, subgroups, supplement_pairs, two_point_labels"}
+
+    @pytest.mark.parametrize("value,message", [
+        ([], "'aut_generators' must list at least one automorphism; leave it out to search"),
+        (None, "'aut_generators' must be a JSON list, got NoneType"),
+    ], ids=["empty", "null"])
+    def test_an_empty_aut_generators_is_named(self, capsys, tmp_path, value, message):
+        """An empty or null list of supplied automorphisms is not read as a
+        missing key, which would make group aut search Aut(T)."""
+        path = tmp_path / "A5copy.json"
+        path.write_text(json.dumps(dict(A5_COPY, aut_generators=value)))
+        code, report = run_json(capsys, "group", "aut", "--file", str(path))
+        assert code == 2
+        assert report["certificate"] == {"error": "ValueError", "message": message}
 
     @pytest.mark.parametrize("base", ["01", "+1", " 1", "1_0"], ids=["leading-zero", "plus-sign",
                                                                     "space", "underscore"])
@@ -821,7 +855,8 @@ def test_supplement_builds_a_coset_space_only_to_locate_a_failure(
 def test_pair_builder_runs_no_schreier_sims(capsys, monkeypatch, tmp_path, argv):
     """Once the entry is loaded, the pair facts come from the table and the
     order of diag(T) from orbit-stabiliser on it: no command builds a
-    stabilizer chain."""
+    stabilizer chain of degree |T|.  Checking that the translations of diag(T)
+    generate T builds two chains at T's natural degree, one per side."""
     entry = catalog.load_entry(argv[3])
     entry.automorphisms
     for flag in ("--A", "--B"):
@@ -834,18 +869,17 @@ def test_pair_builder_runs_no_schreier_sims(capsys, monkeypatch, tmp_path, argv)
         path = tmp_path / "w.json"
         path.write_text(json.dumps(report["certificate"]))
         argv = [*argv, str(path)]
-    built = 0
+    built = []
     init = perm._StabilizerChain.__init__
 
-    def counting(self, *args):
-        nonlocal built
-        built += 1
-        init(self, *args)
+    def counting(self, generators, degree):
+        built.append(degree)
+        init(self, generators, degree)
 
     monkeypatch.setattr(perm._StabilizerChain, "__init__", counting)
     assert main(argv) in (0, 1)
     capsys.readouterr()
-    assert built == 0
+    assert built == ([] if argv[1] == "ab-check" else [entry.degree] * 2)
 
 
 # A5 as a group file labelling a non-normal C3 inside A4 and the whole group

@@ -39,7 +39,7 @@ from spreadcheck.autos import (
 from spreadcheck import diagonal
 from spreadcheck.chartab import class_orbit_partition, dixon_character_table
 from spreadcheck.diagonal import (
-    build_diagonal_group,
+    DiagonalGroup,
     diagonal_order,
     inversion_map,
     left_translation,
@@ -626,17 +626,29 @@ class TestAutomorphisms:
             class_orbit_partition(entry.table, auts)
             assert not any("mapping" in vars(phi) for phi in auts.coset_representatives)
             if name == "A8":
-                build_diagonal_group(entry.table, auts)
+                DiagonalGroup(entry.table, auts).group
                 assert all("mapping" in vars(phi) for phi in auts.coset_representatives
                            if not phi.is_identity)
 
+    def test_diagonal_group_is_built_on_first_read(self):
+        """Making diag(A8) computes no group and walks no automorphism's
+        mapping; the first read of its group does both."""
+        entry = catalog.load_entry.__wrapped__("A8")
+        auts = entry.automorphisms
+        diag = DiagonalGroup(entry.table, auts)
+        assert "group" not in vars(diag)
+        assert not any("mapping" in vars(phi) for phi in auts.coset_representatives)
+        assert diag.group.degree == len(entry.table)
+        assert "group" in vars(diag)
+        assert all("mapping" in vars(phi) for phi in auts.coset_representatives if not phi.is_identity)
+
     def test_evaluation_reads_no_cached_mapping(self):
-        """Once build_diagonal_group has walked the mappings of A8's
+        """Once diag(A8)'s group has walked the mappings of A8's
         representatives, each one's value off its generators still comes from
         its graph's chain: a wrong cached mapping goes unread."""
         entry = catalog.load_entry.__wrapped__("A8")
         t, auts = entry.table, entry.automorphisms
-        build_diagonal_group(t, auts)
+        DiagonalGroup(t, auts).group
         points = [c.representative for c in t.conjugacy_classes()]
         for rep in auts.coset_representatives[1:]:
             walked = extend_images(t, [t.right_multiplication(g) for g in rep.gens], rep.images)
@@ -837,7 +849,7 @@ class TestDiagonalAction:
             return right_multiplication(g)
 
         monkeypatch.setattr(t, "right_multiplication", counting)
-        build_diagonal_group(t, auts)
+        DiagonalGroup(t, auts).group
         assert counter["calls"] <= 21
 
     def test_translation_identities(self):
@@ -855,7 +867,7 @@ class TestDiagonalAction:
     def test_build_diagonal_a5(self):
         t = catalog.load_group_table("A5")
         auts = catalog.load_automorphisms("A5")
-        diag = build_diagonal_group(t, auts)
+        diag = DiagonalGroup(t, auts)
         assert diag.group.degree == 60
         assert diag.label == "diag(A5)"
         assert diag.group.order() == 60 * 60 * 2 * 2
@@ -870,7 +882,7 @@ class TestDiagonalAction:
     @pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "PSL(3,2)", "A6", "PSL(2,8)"])
     def test_order_count_matches_schreier_sims(self, name):
         t, auts = catalog.load_group_table(name), catalog.load_automorphisms(name)
-        diag = build_diagonal_group(t, auts)
+        diag = DiagonalGroup(t, auts)
         count = diagonal_order(t, diag.group)
         assert count == len(t) ** 2 * auts.outer_order * 2
         assert count == diag.group.order()  # the stabilizer chain as the oracle
@@ -880,7 +892,7 @@ class TestDiagonalAction:
 
     def test_order_count_rejects_an_injected_transposition(self):
         t, auts = catalog.load_group_table("A5"), catalog.load_automorphisms("A5")
-        gens = list(build_diagonal_group(t, auts).group.generators)
+        gens = list(DiagonalGroup(t, auts).group.generators)
         swap = Permutation.from_cycles(60, [[1, 2]])
         for k in range(len(gens)):
             wrong = gens[:k] + [perm_product(gens[k], swap)] + gens[k + 1:]
@@ -893,22 +905,22 @@ class TestDiagonalAction:
         with monkeypatch.context() as m:
             m.setattr(diagonal, "left_translation", lambda table, g: perm_product(left_translation(table, g), swap))
             with pytest.raises(VerificationInconsistency, match="is no translation"):
-                build_diagonal_group(t, auts)
+                DiagonalGroup(t, auts).group
         with monkeypatch.context() as m:
             # inversion dropped: the identity in its place
             m.setattr(diagonal, "inversion_map", lambda table: Permutation.identity(len(table)))
             with pytest.raises(VerificationInconsistency, match="order 7200 != "):
-                build_diagonal_group(t, auts)
+                DiagonalGroup(t, auts).group
         with monkeypatch.context() as m:
             # the left translations replaced by right ones: T_L is missing
             m.setattr(diagonal, "left_translation", right_translation)
             with pytest.raises(VerificationInconsistency, match="left translations"):
-                build_diagonal_group(t, auts)
+                DiagonalGroup(t, auts).group
 
     def test_subgroup_images(self):
         t = catalog.load_group_table("A5")
         auts = catalog.load_automorphisms("A5")
-        diag = build_diagonal_group(t, auts)
+        diag = DiagonalGroup(t, auts)
         a4 = catalog.resolve_subgroup("A5", "A4")
         # the images the diagonal pair builder walks: right translations by A's generators
         right = PermutationGroup([right_translation(t, g) for g in a4.gens], diag.group.degree)

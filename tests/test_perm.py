@@ -16,7 +16,7 @@ from helpers import (
 )
 from spreadcheck import catalog
 from spreadcheck.catalog import parse_permutation
-from spreadcheck.diagonal import build_diagonal_group
+from spreadcheck.diagonal import DiagonalGroup
 from spreadcheck.errors import CapExceeded
 from spreadcheck.perm import (
     Permutation,
@@ -233,7 +233,7 @@ class TestDiagonalChains:
         [("A5", 14400, [60, 24, 5, 2]), ("PSL(2,7)", 112896, [168, 48, 7, 2])],
     )
     def test_chain_shape(self, name, order, orbit_lengths):
-        diag = build_diagonal_group(catalog.load_group_table(name), catalog.load_automorphisms(name))
+        diag = DiagonalGroup(catalog.load_group_table(name), catalog.load_automorphisms(name))
         chain = diag.group._get_chain()
         assert diag.group.order() == order
         assert [level.base for level in chain.levels] == [0, 1, 2, 4]
@@ -246,7 +246,7 @@ class TestDiagonalChains:
                 assert compose_images(g, g_inv) == chain.identity
 
     def test_contains(self):
-        diag = build_diagonal_group(catalog.load_group_table("A5"), catalog.load_automorphisms("A5"))
+        diag = DiagonalGroup(catalog.load_group_table("A5"), catalog.load_automorphisms("A5"))
         assert all(group_contains(diag.group, g) for g in diag.group.generators)
         assert group_contains(diag.group, perm_product(diag.group.generators[0], diag.group.generators[-1]))
         # diag(A5) is primitive and not the full symmetric group, so it holds no transposition

@@ -16,7 +16,6 @@ from helpers import (
     sylow_normalizer,
 )
 from spreadcheck import catalog
-from spreadcheck.diagonal import build_diagonal_group
 from spreadcheck.errors import InvalidSubgroup
 from spreadcheck.perm import Permutation, PermutationGroup
 from spreadcheck.tables import (
