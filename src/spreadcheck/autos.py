@@ -44,18 +44,11 @@ DEFAULT_AUT_CAP = 10**4
 @dataclass(frozen=True, eq=False)
 class Automorphism:
     """The automorphism of table's group sending gens, which generate it, to
-    images; two are equal when they agree on the table generators."""
+    images."""
 
     table: GroupTable
     gens: tuple[int, ...]
     images: tuple[int, ...]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Automorphism) and other.table is self.table and all(
-            self(g) == other(g) for g in self.table.generator_indices)
-
-    def __hash__(self) -> int:
-        return hash(tuple(map(self, self.table.generator_indices)))
 
     def __call__(self, x: int) -> int:
         """phi(x), read off images, else sifted."""

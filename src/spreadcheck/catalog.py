@@ -512,12 +512,15 @@ def entry_from_json(data) -> CatalogEntry:
 
 def read_witness(path: str | Path, n: int) -> tuple[frozenset[int], Multiset]:
     """The point set X and multiset J of a witness file over n points.  Its
-    "set" is a list of distinct JSON integers, and its "multiset" maps each
-    point, written as Multiset.to_json writes it (canonical decimal, in
-    0..n-1), to a JSON integer.  Other keys, such as a certificate's
+    "set" is a list of distinct JSON integers in 0..n-1, and its "multiset"
+    maps each point, written as Multiset.to_json writes it (canonical
+    decimal, in 0..n-1), to a JSON integer.  A point out of range, in either,
+    raises ValueError naming it.  Other keys, such as a certificate's
     "constant", "group" and "verified", are not read."""
     data = expect(read_json(path), dict, "witness file")
     points = distinct(expect(data["set"], list, "witness 'set'", int), "witness 'set' point")
+    if outside := [point for point in data["set"] if not 0 <= point < n]:
+        raise ValueError(f"witness 'set' point {reprlib.repr(outside[0])} outside 0..{n - 1}")
     counts = [0] * n
     for key, mult in expect(data["multiset"], dict, "multiset").items():
         counts[parse_point(key, n, "multiset point")] = expect(mult, int, f"multiplicity of point {key!r}")

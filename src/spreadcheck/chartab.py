@@ -18,6 +18,7 @@ downstream zero/equality tests never rest on an unverified computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import isqrt
 from operator import mul
 
@@ -27,7 +28,7 @@ from .diagonal import DiagonalGroup
 from .errors import CapExceeded, VerificationInconsistency
 from .perm import compose_images
 from .tables import GroupTable
-from .witness import Multiset, Witness, verify_diagonal
+from .witness import Witness, constructed_witness, verify_diagonal
 
 DEFAULT_CLASS_CAP = 60  # at most 256: _class_tensor counts class ids as bytes
 
@@ -442,17 +443,9 @@ def column_orthogonality_holds(ct: CharacterTable) -> bool:
 
 # --- the character-theoretic witness test ----------------------------------
 
-def class_orbit_partition(
-    table: GroupTable, auts: AutomorphismGroup | None = None
-) -> tuple[tuple[int, ...], ...]:
-    """Orbits of the automorphism group on conjugacy classes, as a partition.
-
-    With no automorphism data every class is its own block, which is the
-    right degenerate reading for groups the search scaffolding feeds in.
-    """
+def class_orbit_partition(table: GroupTable, auts: AutomorphismGroup) -> tuple[tuple[int, ...], ...]:
+    """Orbits of the automorphism group on conjugacy classes, as a partition."""
     k = len(table.conjugacy_classes())
-    if auts is None:
-        return tuple((cid,) for cid in range(k))
     seen: set[int] = set()
     blocks = []
     for cid in range(k):
@@ -542,20 +535,13 @@ def character_triple_search(
 
 
 def validate_character_witness(diag: DiagonalGroup, spec: CharWitnessSpec) -> Witness:
-    """Run the constructed (class, weighted multiset) pair over T = diag.table
-    through the independent verifier on diag(T), witness.verify_diagonal, and
-    confirm the constant equals the class size."""
+    """The witness (C_r, Omega + C_s1 - C_s2) over T = diag.table, built and
+    re-verified on diag(T) by witness.constructed_witness through
+    witness.verify_diagonal; its constant must be the class size |C_r|."""
     classes = diag.table.conjugacy_classes()
-    n = len(diag.table)
     points = frozenset(classes[spec.r_class].members)
-    j = (
-        Multiset.uniform(n, 1)
-        + Multiset.indicator(classes[spec.s1_class].members, n)
-        - Multiset.indicator(classes[spec.s2_class].members, n)
-    )
-    outcome = verify_diagonal(diag, points, j)
-    if not isinstance(outcome, Witness):
-        raise VerificationInconsistency(f"character witness refuted: {outcome.violation}")
+    outcome = constructed_witness(partial(verify_diagonal, diag), len(diag.table), points,
+                                  classes[spec.s1_class].members, classes[spec.s2_class].members)
     if outcome.constant != len(points):
         raise VerificationInconsistency(f"character witness constant {outcome.constant} != class size {len(points)}")
     return outcome

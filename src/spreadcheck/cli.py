@@ -7,8 +7,9 @@ when the reader closes the output early.  Reports for identical inputs are
 identical byte for byte apart from the timing field.
 
 main resolves the group of --group or --file once and hands its catalog entry
-to the command's handler.  Every file and number the user gives is parsed and
-checked in catalog.
+to the command's handler, which returns the verdict, certificate and summary
+lines; _run derives the exit code from the verdict.  Every file and number
+the user gives is parsed and checked in catalog.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from .witness import (
     witness_from_subgroup_pair,
 )
 
+_EXIT_CODES = {"verified": 0, "refuted": 1}  # errors exit 2
+
 
 def main(argv: list[str] | None = None) -> int:
     try:
@@ -71,7 +74,7 @@ def _run(argv: list[str]) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         entry = catalog.load_entry_file(args.file) if args.file else catalog.load_entry(args.group)
-        verdict, certificate, code, lines = args.handler(entry, args)
+        verdict, certificate, lines = args.handler(entry, args)
     except (
         ValueError,
         KeyError,
@@ -84,7 +87,7 @@ def _run(argv: list[str]) -> int:
         _emit(args, _report(args, "error", certificate, start), [f"error: {exc}"])
         return 2
     _emit(args, _report(args, verdict, certificate, start), lines)
-    return code
+    return _EXIT_CODES[verdict]
 
 
 def _report(args, verdict: str, certificate, start: float) -> dict:
@@ -144,15 +147,15 @@ def _cap_kw(args) -> dict:
     return {} if args.cap is None else {"cap": args.cap}
 
 
-def _outcome(result) -> tuple[str, dict, int, list[str]]:
-    """Verdict, certificate, exit code and summary line of a Witness or Refutation."""
+def _outcome(result) -> tuple[str, dict, list[str]]:
+    """Verdict, certificate and summary line of a Witness or Refutation."""
     if isinstance(result, Witness):
-        return "verified", result.to_json(), 0, [
+        return "verified", result.to_json(), [
             f"witness over {result.group_label}: |X| = {len(result.points)}, "
             f"|J| = {result.multiset.cardinality}, constant = {result.constant}"
         ]
     detail = f" {result.counterexample}" if result.counterexample else ""
-    return "refuted", result.to_json(), 1, [f"refuted: {result.violation}{detail}"]
+    return "refuted", result.to_json(), [f"refuted: {result.violation}{detail}"]
 
 
 # --- handlers ---------------------------------------------------------------
@@ -167,7 +170,7 @@ def _cmd_group_info(entry, args):
         "generators": [p.cycle_string() for p in entry.generators],
         "subgroups": sorted(entry.subgroups),
     }
-    return "verified", cert, 0, [
+    return "verified", cert, [
         f"{entry.name}: degree {entry.degree}, order {group.order()}, "
         f"transitive={group.is_transitive()}"
     ]
@@ -188,7 +191,7 @@ def _cmd_group_classes(entry, args):
         f"{r['name']:>4}  size {r['size']:>6}  order {r['element_order']:>3}  {r['representative']}"
         for r in rows
     ]
-    return "verified", {"group": entry.name, "classes": rows}, 0, lines
+    return "verified", {"group": entry.name, "classes": rows}, lines
 
 
 def _cmd_group_aut(entry, args):
@@ -199,14 +202,14 @@ def _cmd_group_aut(entry, args):
         "inner_order": len(entry.table),
         "outer_order": auts.outer_order,
     }
-    return "verified", cert, 0, [
+    return "verified", cert, [
         f"|Aut| = {auts.order}, inner {len(entry.table)}, outer {auts.outer_order}"
     ]
 
 
 def _cmd_chartab_compute(entry, args):
     ct = dixon_character_table(entry.table)
-    return "verified", ct.to_json(), 0, ct.to_text().splitlines()
+    return "verified", ct.to_json(), ct.to_text().splitlines()
 
 
 def _cmd_verify_witness(entry, args):
@@ -237,10 +240,10 @@ def _cmd_supplement(entry, args):
     report = supplement_property(entry.table, a_set, b_set, scope=args.scope, auts=auts)
     cert = {"group": entry.name, "A": args.A, "B": args.B, **report.to_json()}
     if report.holds:
-        return "verified", cert, 0, [
+        return "verified", cert, [
             f"supplement property holds for ({args.A}, {args.B}) over scope {args.scope}"
         ]
-    return "refuted", cert, 1, [
+    return "refuted", cert, [
         f"supplement property fails at element {report.failing_element}"
     ]
 
@@ -255,12 +258,11 @@ def _cmd_char_witness(entry, args):
     names = {"r": args.r, "s1": args.s1, "s2": args.s2}
     if not isinstance(result, CharWitnessSpec):
         cert = {**names, "violation": result.violation, "detail": result.detail}
-        return "refuted", cert, 1, [
+        return "refuted", cert, [
             f"triple fails: {result.violation} {result.detail}"
         ]
-    verdict, witness, code, lines = _outcome(
-        validate_character_witness(DiagonalGroup(table, auts), result))
-    return verdict, {"triple": names, "witness": witness}, code, lines
+    verdict, witness, lines = _outcome(validate_character_witness(DiagonalGroup(table, auts), result))
+    return verdict, {"triple": names, "witness": witness}, lines
 
 
 def _cmd_char_search(entry, args):
@@ -275,14 +277,14 @@ def _cmd_char_search(entry, args):
     ]
     cert = {"group": entry.name, "count": len(triples), "triples": triples}
     lines = [f"({t['r']}, {t['s1']}, {t['s2']})" for t in triples] or ["no triple found"]
-    return ("verified", cert, 0, lines) if triples else ("refuted", cert, 1, lines)
+    return ("verified" if triples else "refuted"), cert, lines
 
 
 def _cmd_orbits_count(entry, args):
     c_a, c_b = orbit_count_pair(entry.table, entry.subgroup(args.A), entry.subgroup(args.B))
     cert = {"group": entry.name, "A": args.A, "B": args.B,
             "A_orbits": c_a, "B_orbits": c_b, "equal": c_a == c_b}
-    return "verified", cert, 0, [
+    return "verified", cert, [
         f"{args.A} has {c_a} orbits, {args.B} has {c_b} orbits on cosets of {args.A}"
     ]
 
@@ -291,7 +293,7 @@ def _cmd_two_check(entry, args):
     t = two_point_stabilizer_trivial(entry.table, entry.subgroup(args.A))
     if t is None:
         cert = {"group": entry.name, "A": args.A, "found": False, "t": None}
-        return "refuted", cert, 1, ["every conjugate meets A nontrivially"]
+        return "refuted", cert, ["every conjugate meets A nontrivially"]
     cert = {
         "group": entry.name,
         "A": args.A,
@@ -299,7 +301,7 @@ def _cmd_two_check(entry, args):
         "t": t,
         "t_cycles": entry.table.elements[t].cycle_string(),
     }
-    return "verified", cert, 0, [f"A cap A^t is trivial for t = {t}"]
+    return "verified", cert, [f"A cap A^t is trivial for t = {t}"]
 
 
 # --- parser -----------------------------------------------------------------

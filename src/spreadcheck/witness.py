@@ -16,6 +16,10 @@ diagonal_witness decides by it and walks the set orbit of A once, to verify
 verify_diagonal is the one entry point for a witness over diag(T), and the
 first reader of a DiagonalGroup's group: diagonal_witness,
 chartab.validate_character_witness and verify-witness --diagonal verify by it.
+constructed_witness is the one builder of a multiset J = Omega + k*[P] - [M]:
+the pair builders take P = the B-orbit, M = the A-orbit and k = |A:B|, the
+character test P = C_s1, M = C_s2 and k = 1; it checks |J| = |Omega| and
+re-verifies (X, J) before it returns the witness.
 
 The remaining operations quantify the supplement condition A = B(A cap A^t)
 and its relatives: orbit counts of A and B on cosets, by the permutation
@@ -49,24 +53,14 @@ from .tables import (
 
 @dataclass(frozen=True)
 class Multiset:
-    """A multiset over {0..n-1}, stored as a multiplicity vector."""
+    """A multiset over {0..n-1}, stored as a multiplicity vector; J is built
+    by constructed_witness or read by catalog.read_witness."""
 
     counts: tuple[int, ...]
 
     def __post_init__(self):
         if any(c < 0 for c in self.counts):
             raise ValueError("multiset multiplicities must be nonnegative")
-
-    @classmethod
-    def uniform(cls, n: int, mult: int = 1) -> "Multiset":
-        return cls((mult,) * n)
-
-    @classmethod
-    def indicator(cls, points: Iterable[int], n: int) -> "Multiset":
-        counts = [0] * n
-        for pt in points:
-            counts[pt] += 1
-        return cls(tuple(counts))
 
     @cached_property
     def cardinality(self) -> int:
@@ -83,21 +77,6 @@ class Multiset:
     def is_trivial(self) -> bool:
         """Constant over the whole domain, or supported on at most one point."""
         return len(set(self.counts)) <= 1 or len(self.support()) <= 1
-
-    def __add__(self, other: "Multiset") -> "Multiset":
-        if len(self.counts) != len(other.counts):
-            raise ValueError("multiset domain size mismatch")
-        return Multiset(tuple(a + b for a, b in zip(self.counts, other.counts)))
-
-    def __sub__(self, other: "Multiset") -> "Multiset":
-        if len(self.counts) != len(other.counts):
-            raise ValueError("multiset domain size mismatch")
-        return Multiset(tuple(a - b for a, b in zip(self.counts, other.counts)))
-
-    def __mul__(self, scalar: int) -> "Multiset":
-        return Multiset(tuple(scalar * c for c in self.counts))
-
-    __rmul__ = __mul__
 
     def to_json(self) -> dict[str, int]:
         return {str(i): c for i, c in enumerate(self.counts) if c}
@@ -263,8 +242,8 @@ def witness_from_subgroup_pair(
         b_size = len(b_group.set_orbit(start, cap))
         if b_size != len(a_orbit):
             return _not_transitive(group_label, x, start, len(a_orbit), b_size)
-    return _pair_witness(partial(verify_witness, group, group_label=group_label, cap=cap),
-                         n, x, orbit_a, orbit_b)
+    return constructed_witness(partial(verify_witness, group, group_label=group_label, cap=cap),
+                               n, x, orbit_b, orbit_a)
 
 
 def diagonal_witness(
@@ -290,7 +269,7 @@ def diagonal_witness(
     a_set, b_set = _normal_pair(table, a_sub, b_sub)
     diag = DiagonalGroup(table, auts)
     if supplement_property(table, a_set, b_set, "Aut", auts).holds:
-        return _pair_witness(partial(verify_diagonal, diag, cap=cap), len(table), a_set, a_set, b_set)
+        return constructed_witness(partial(verify_diagonal, diag, cap=cap), len(table), a_set, b_set, a_set)
     for y in diag.group.set_orbit(a_set, cap):
         meet = y & a_set
         if meet:
@@ -307,12 +286,18 @@ def _not_transitive(group_label: str, x, member: frozenset[int], orbit_size: int
                       {"orbit_size": orbit_size, "B_suborbit_size": b_size, "member": sorted(member)})
 
 
-def _pair_witness(verify: Callable[[frozenset[int], Multiset], Witness | Refutation], n: int,
-                  x: frozenset[int], orbit_a: frozenset[int], orbit_b: frozenset[int]) -> Witness:
-    """(X, Omega + k*orbit_b - orbit_a) on n points, k = |orbit_a : orbit_b|,
-    re-verified by verify(X, multiset)."""
-    k = len(orbit_a) // len(orbit_b)
-    multiset = Multiset.uniform(n) + k * Multiset.indicator(orbit_b, n) - Multiset.indicator(orbit_a, n)
+def constructed_witness(verify: Callable[[frozenset[int], Multiset], Witness | Refutation], n: int,
+                        x: frozenset[int], plus: Collection[int], minus: Collection[int]) -> Witness:
+    """The witness (X, Omega + k*plus - minus) on n points, k = |minus| / |plus|,
+    for the subgroup-pair and character builders: J must have n points, and
+    verify(X, J) must confirm it, else VerificationInconsistency."""
+    k = len(minus) // len(plus)
+    counts = [1] * n
+    for pt in plus:
+        counts[pt] += k
+    for pt in minus:
+        counts[pt] -= 1
+    multiset = Multiset(tuple(counts))
     if multiset.cardinality != n:
         raise VerificationInconsistency(f"witness multiset cardinality {multiset.cardinality} != domain size {n}")
     result = verify(x, multiset)

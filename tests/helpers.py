@@ -28,6 +28,19 @@ from spreadcheck.witness import (
 )
 
 
+def uniform(n, mult=1):
+    """The multiset with every point of {0..n-1} mult times."""
+    return Multiset((mult,) * n)
+
+
+def indicator(points, n):
+    """The multiset over {0..n-1} counting each listed point once per listing."""
+    counts = [0] * n
+    for pt in points:
+        counts[pt] += 1
+    return Multiset(tuple(counts))
+
+
 def perm_product(*perms):
     """The product of the permutations, the left factor acting first: p then q
     sends i to q(p(i))."""
@@ -290,7 +303,7 @@ def diagonal_witness_by_walk(table, auts, a_set, b_set, cap=DEFAULT_SET_ORBIT_CA
                                   {"orbit_size": len(a_orbit), "B_suborbit_size": len(b_orbit),
                                    "member": sorted(start)})
     k = len(a_set) // len(b_set)
-    multiset = Multiset.uniform(n) + k * Multiset.indicator(b_set, n) - Multiset.indicator(a_set, n)
+    multiset = Multiset(tuple(1 + k * (g in b_set) - (g in a_set) for g in range(n)))
     return verify_witness(diag.group, a_set, multiset, diag.label, cap)
 
 

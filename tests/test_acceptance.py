@@ -6,11 +6,13 @@ import time
 from helpers import (
     class_algebra_consistent,
     conjugate_subgroup,
+    indicator,
     naive_orbit,
     point_stabilizer_group,
     recheck_refutation,
     recheck_witness,
     sorted_tuple_set_orbit,
+    uniform,
 )
 from spreadcheck import catalog
 from spreadcheck.chartab import (
@@ -288,15 +290,15 @@ def test_criterion_9_cross_validation_property_suite():
 
     for name in ("A5_3sets", "A6_3sets", "A7_3sets", "A8_3sets", "A9_3sets"):
         group = catalog.load_entry(name).group
-        ref = verify_witness(group, {0, 1}, Multiset.indicator([0, 1], group.degree), group_label=name)
+        ref = verify_witness(group, {0, 1}, indicator([0, 1], group.degree), group_label=name)
         assert isinstance(ref, Refutation)
         recheck_refutation(ref, group)
         runs += 1
-        ref = verify_witness(group, set(range(group.degree)), Multiset.indicator([0, 1], group.degree))
+        ref = verify_witness(group, set(range(group.degree)), indicator([0, 1], group.degree))
         assert ref.violation == "set-trivial"
         recheck_refutation(ref, group)
         runs += 1
-        ref = verify_witness(group, {0, 1}, Multiset.uniform(group.degree, 2))
+        ref = verify_witness(group, {0, 1}, uniform(group.degree, 2))
         assert ref.violation == "multiset-trivial"
         recheck_refutation(ref, group)
         runs += 1

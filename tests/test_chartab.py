@@ -317,10 +317,6 @@ class TestClassAlgebraConsistency:
 
 
 class TestClassOrbitPartition:
-    def test_without_automorphisms_every_class_is_alone(self):
-        t = catalog.load_group_table("A5")
-        assert class_orbit_partition(t) == ((0,), (1,), (2,), (3,), (4,))
-
     @pytest.mark.parametrize(
         "name,expected",
         [
@@ -415,7 +411,7 @@ def test_search_finds_nothing_without_fusion_data():
     # scaffolding case: all-singleton partition on a tiny cyclic group
     t = _c3_table()
     ct = dixon_character_table(t)
-    assert character_triple_search(t, ct, class_orbit_partition(t)) == []
+    assert character_triple_search(t, ct, ((0,), (1,), (2,))) == []
 
 
 VALIDATION_CONSTANTS = {
@@ -441,6 +437,18 @@ def test_search_triples_validate_on_the_two_sided_action(name):
         constants.append(w.constant)
         recheck_witness(w)
     assert constants == VALIDATION_CONSTANTS[name]
+
+
+def test_forced_failing_triple_is_not_built():
+    """A5 (2A, 5A, 5B) fails the character test; forced through the builder,
+    its multiset is refuted on diag(A5) and the builder raises."""
+    t = catalog.load_group_table("A5")
+    auts = catalog.load_automorphisms("A5")
+    ids = [t.class_by_name(n) for n in ("2A", "5A", "5B")]
+    refutation = character_triple_check(t, _ct("A5"), class_orbit_partition(t, auts), *ids)
+    assert refutation.violation == "character-not-vanishing"
+    with pytest.raises(VerificationInconsistency, match="non-constant"):
+        validate_character_witness(DiagonalGroup(t, auts), CharWitnessSpec(*ids))
 
 
 def test_table_serialization():

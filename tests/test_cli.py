@@ -456,18 +456,20 @@ class TestFileRoute:
         assert (code, report["verdict"]) == (2, "error")
         assert report["certificate"]["error"] == "InvalidSubgroup"
 
-    @pytest.mark.parametrize("multiset,message", [
-        ({"60": 1, "0": 1}, "multiset point '60' outside 0..59"),
-        ({"01": 1, "0": 1}, "multiset point '01' is not a canonical integer"),
-    ], ids=["key-past-T", "key-leading-zero"])
+    @pytest.mark.parametrize("points,multiset,message", [
+        ([0, 1], {"60": 1, "0": 1}, "multiset point '60' outside 0..59"),
+        ([0, 1], {"01": 1, "0": 1}, "multiset point '01' is not a canonical integer"),
+        ([0, 60], {"1": 1, "0": 1}, "witness 'set' point 60 outside 0..59"),
+        ([0, -1], {"1": 1, "0": 1}, "witness 'set' point -1 outside 0..59"),
+    ], ids=["key-past-T", "key-leading-zero", "set-past-T", "set-negative"])
     def test_diagonal_witness_is_read_before_diag_is_built(self, capsys, tmp_path, monkeypatch,
-                                                           multiset, message):
+                                                           points, multiset, message):
         """verify-witness --diagonal checks its witness against the |T|
         points of diag(T) before it builds diag(T), so a malformed file is
-        reported without the build."""
+        reported, with the point it names, without the build."""
         _forbid_diagonal_build(monkeypatch)
         witness = tmp_path / "w.json"
-        witness.write_text(json.dumps({"set": [0, 1], "multiset": multiset}))
+        witness.write_text(json.dumps({"set": points, "multiset": multiset}))
         code, report = run_json(capsys, "spreading", "verify-witness", "--group", "A5", "--diagonal",
                                 "--witness", str(witness))
         assert code == 2

@@ -1,4 +1,5 @@
-"""Every `$ spreadcheck ...` example in README.md prints what the README shows."""
+"""Every `$ spreadcheck ...` example and every `python` block in README.md
+prints what the README shows."""
 
 import shlex
 from pathlib import Path
@@ -32,7 +33,22 @@ def _examples() -> list[tuple[str, list[str]]]:
     return examples
 
 
+def _python_blocks() -> list[str]:
+    """The source of each fenced `python` block."""
+    blocks, current = [], None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if current is None and line == "```python":
+            current = []
+        elif current is not None and line.startswith("```"):
+            blocks.append("\n".join(current))
+            current = None
+        elif current is not None:
+            current.append(line)
+    return blocks
+
+
 EXAMPLES = _examples()
+PYTHON_BLOCKS = _python_blocks()
 
 
 def test_readme_has_examples():
@@ -44,3 +60,16 @@ def test_readme_example(capsys, command, expected):
     code = main(shlex.split(command))
     assert code in (0, 1)
     assert capsys.readouterr().out.splitlines() == expected
+
+
+def test_readme_has_a_python_block():
+    assert PYTHON_BLOCKS
+
+
+@pytest.mark.parametrize("source", PYTHON_BLOCKS)
+def test_readme_python_block(capsys, source):
+    """Each print line ends in a `# ...` comment showing what it prints."""
+    prints = [line for line in source.splitlines() if line.startswith("print(")]
+    assert all("# " in line for line in prints)
+    exec(compile(source, str(README), "exec"), {})
+    assert capsys.readouterr().out.splitlines() == [line.rpartition("# ")[2] for line in prints]
