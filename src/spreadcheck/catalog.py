@@ -280,8 +280,8 @@ def catalog_names() -> list[str]:
 
 
 def _entry_from_builtin(name: str) -> CatalogEntry:
-    if name.endswith("_3sets") and name[: -len("_3sets")] in _THREE_SUBSET_BASES:
-        base = _BUILTIN[name[: -len("_3sets")]]
+    if name not in _BUILTIN:  # a base's action on 3-sets, as catalog_names() lists it
+        base = _BUILTIN[name.removesuffix("_3sets")]
         gens = tuple(_three_subset_action(g) for g in base["generators"])
         return CatalogEntry(
             name=name,
@@ -322,19 +322,15 @@ def validate_entry(entry: CatalogEntry) -> None:
 
 @functools.lru_cache(maxsize=None)
 def load_entry(name: str) -> CatalogEntry:
-    if name in _BUILTIN or name.endswith("_3sets"):
-        try:
-            entry = _entry_from_builtin(name)
-        except KeyError:
-            raise ValueError(f"unknown catalog group {name!r}") from None
-    else:
-        directory = os.environ.get(ENV_CATALOG_DIR)
-        candidate = Path(directory) / f"{name}.json" if directory else None
-        if candidate is None or not candidate.exists():
-            raise ValueError(f"unknown catalog group {name!r}")
-        return load_entry_file(candidate)
-    validate_entry(entry)
-    return entry
+    if name in catalog_names():
+        entry = _entry_from_builtin(name)
+        validate_entry(entry)
+        return entry
+    directory = os.environ.get(ENV_CATALOG_DIR)
+    candidate = Path(directory) / f"{name}.json" if directory else None
+    if candidate is None or not candidate.exists():
+        raise ValueError(f"unknown catalog group {name!r}")
+    return load_entry_file(candidate)
 
 
 def load_group_table(name: str) -> GroupTable:

@@ -55,10 +55,6 @@ class Permutation:
         return len(self.images)
 
     @classmethod
-    def identity(cls, degree: int) -> "Permutation":
-        return cls._unchecked(tuple(range(degree)))
-
-    @classmethod
     def from_cycles(cls, degree: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
         """Build from disjoint cycles; points outside the cycles are fixed."""
         images = list(range(degree))
@@ -76,10 +72,6 @@ class Permutation:
 
     def __call__(self, point: int) -> int:
         return self.images[point]
-
-    @property
-    def is_identity(self) -> bool:
-        return self.images == tuple(range(len(self.images)))
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
         """Disjoint cycle decomposition, each cycle (an orbit of <self>) led by its smallest point."""

@@ -1,8 +1,8 @@
 """Indexed finite groups backed by a faithful permutation representation.
 
 A GroupTable is the one enumeration of a small group T: a BFS from the identity
-in generator order, in C-level passes over runs of at most 4096 elements,
-fills its elements and their index together, so index 0 is the identity and
+in generator order, one C-level pass per level whose one dict.setdefault per
+product numbers elements by first appearance, so index 0 is the identity and
 indices are reproducible.  An element is stored as one bytes of its point
 images (table.images, so the degree is at most 256), table.index is keyed by
 those bytes, and table.elements is a read-only view making a Permutation on
@@ -32,7 +32,8 @@ Subgroups are Subgroup values: frozensets of element indices that also hold
 their table and the generators kept for them.  Only _closure builds one, for
 close_subgroup and validate_subgroup.  It keeps an index as a generator only
 when the index lies outside the span of the smaller indices kept before it
-(the greedy rule), and multiplies each member by each kept generator once, so
+(the greedy rule), and grows a level at a time, one dict.fromkeys over the
+products of a level, multiplying each member by each kept generator once, so
 a subgroup H with k kept generators costs O(|H| k) products, not the |H|^2 of
 checking every product.  Functions that need a subgroup's generators accept
 any index set and pass it through validate_subgroup, which returns a Subgroup
@@ -47,7 +48,7 @@ from collections import Counter, deque
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain, count, filterfalse, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter, setitem
 from typing import Iterable, Iterator
 
@@ -110,24 +111,21 @@ class GroupTable:
         self.elements = _Elements(self.images)
         gens = [bytes(g.images) for g in group.generators]
         gen_tables = [g + self._pad for g in gens]
-        rights: list[list[int]] = [[] for _ in gens]
         images, index = self.images, self.index
-        done = 0  # a run's products, x by x and g by g, number new elements by first appearance
-        while run := images[done:done + 4096]:  # which bounds the lists of one pass
-            done += len(run)
-            products = [list(map(bytes.translate, run, repeat(t))) for t in gen_tables]
-            new = list(filterfalse(index.__contains__, dict.fromkeys(chain.from_iterable(zip(*products)))))
-            if len(images) + len(new) > cap:
+        found: list[int] = []  # the index of each x g, x by x in index order and g by g
+        done = 0
+        while run := images[done:]:  # one BFS level: the elements the last level added
+            done = len(images)
+            products = chain.from_iterable(zip(*(map(bytes.translate, run, repeat(t)) for t in gen_tables)))
+            found += map(index.setdefault, products, map(len, repeat(index)))  # a new x g gets index len(index)
+            if len(index) > cap:
                 raise CapExceeded("element enumeration", cap)
-            index.update(zip(new, count(len(images))))
-            images += new
-            for right, ys in zip(rights, products):
-                right += map(index.__getitem__, ys)
+            images += reversed(list(islice(reversed(index), len(index) - done)))
         inverses = map(identity.translate, map(bytes.maketrans, images, repeat(identity)))
         self.inverse: list[int] = list(map(self.index.__getitem__, inverses))
         self.generator_indices: list[int] = [self.index[g] for g in gens]
-        # each generator's R_g, kept from the BFS; pop frees each list as its tuple is made
-        self._rights = {g: tuple(rights.pop(0)) for g in self.generator_indices}
+        # each generator's R_g, kept from the BFS
+        self._rights = {g: tuple(islice(found, k, None, len(gens))) for k, g in enumerate(self.generator_indices)}
         self._class_orders: list[int] | None = None
         self._classes: list[ConjClass] | None = None
         self._class_of: bytes | list[int] | None = None
@@ -348,36 +346,25 @@ def _closure(table: GroupTable, indices: Iterable[int], cap: int) -> Subgroup:
     The indices are walked in increasing order and one is kept only when it
     lies outside the span of those kept before it.  A kept generator first
     multiplies every member already closed, once, and the members this adds
-    are then extended by BFS over all kept generators.  So each member is
-    multiplied by each kept generator exactly once: O(|H| k) products for k
-    kept generators, plus one set lookup per index.  Raises CapExceeded as
-    soon as the span would exceed cap elements.
+    are then extended by BFS over all kept generators, a level at a time in
+    C-level _products passes.  So each member is multiplied by each kept
+    generator exactly once: O(|H| k) products for k kept generators.  Raises
+    CapExceeded after the level that passes cap elements.
     """
-    multiply = table.multiply
-    members = [0]
-    seen = {0}
+    images, products = table.images, table._products
+    seen = {0: None}  # the members, in the order they were reached
     gens: list[int] = []
-
-    def add(y: int) -> None:
-        if y not in seen:
-            if len(seen) >= cap:
-                raise CapExceeded("subgroup closure", cap)
-            seen.add(y)
-            members.append(y)
-
     for x in sorted(set(indices)):
         if x in seen:
             continue
         gens.append(x)
-        closed = len(members)
-        for i in range(closed):
-            add(multiply(members[i], x))
-        i = closed
-        while i < len(members):
-            y = members[i]
-            i += 1
-            for g in gens:
-                add(multiply(y, g))
+        level, steps = list(seen), (x,)
+        while level:
+            size = len(seen)
+            seen |= dict.fromkeys(chain.from_iterable(products(map(images.__getitem__, level), g) for g in steps))
+            if len(seen) > cap:
+                raise CapExceeded("subgroup closure", cap)
+            level, steps = list(islice(reversed(seen), len(seen) - size)), gens
     sub = Subgroup(seen)
     sub.table, sub.gens = table, tuple(gens)
     return sub

@@ -54,9 +54,17 @@ def perm_inverse(p):
     return Permutation(inverse_images(p.images))
 
 
+def identity(degree):
+    return Permutation(tuple(range(degree)))
+
+
+def is_identity(p):
+    return p.images == tuple(range(p.degree))
+
+
 def naive_elements(generators, degree, cap=200_000):
     """Plain breadth-first closure of a generating set, no stabilizer chain."""
-    frontier = [Permutation.identity(degree)]
+    frontier = [identity(degree)]
     seen = set(frontier)
     while frontier:
         nxt = []
@@ -76,7 +84,7 @@ def power(p, exponent):
     power of the inverse."""
     if exponent < 0:
         return power(perm_inverse(p), -exponent)
-    result, base = Permutation.identity(p.degree), p
+    result, base = identity(p.degree), p
     while exponent:
         if exponent & 1:
             result = perm_product(result, base)
@@ -101,12 +109,12 @@ def point_stabilizer_group(group, point):
     """The stabilizer of a point in a PermutationGroup, generated by the
     Schreier generators of the point's orbit."""
     steps = [(g.images.__getitem__, lambda u, g=g: perm_product(u, g)) for g in group.generators]
-    trans = orbit_walk(point, steps, Permutation.identity(group.degree))
+    trans = orbit_walk(point, steps, identity(group.degree))
     gens: dict[tuple[int, ...], Permutation] = {}
     for beta in sorted(trans):
         for s in group.generators:
             schreier = perm_product(trans[beta], s, perm_inverse(trans[s(beta)]))
-            if not schreier.is_identity:
+            if not is_identity(schreier):
                 gens.setdefault(schreier.images, schreier)
     return PermutationGroup(list(gens.values()), group.degree)
 

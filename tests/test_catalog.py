@@ -261,15 +261,20 @@ class TestExternalEntries:
         with pytest.raises(InvalidSubgroup):
             entry.subgroup("bad")
 
-    def test_environment_directory_and_cache_clearing(self, tmp_path, monkeypatch):
-        path = tmp_path / "D10ext.json"
+    @pytest.mark.parametrize("name", ["D10ext", "D10ext_3sets"])
+    def test_environment_directory_and_cache_clearing(self, tmp_path, monkeypatch, name):
+        """A file is found by its name, also one ending in _3sets like the
+        built-in actions on 3-sets."""
+        path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(D10_JSON))
         monkeypatch.setenv(catalog.ENV_CATALOG_DIR, str(tmp_path))
-        entry = catalog.load_entry("D10ext")
+        entry = catalog.load_entry(name)
         assert entry.known_order == 10
-        assert catalog.load_entry("D10ext") is entry
+        assert catalog.load_entry(name) is entry
+        with pytest.raises(ValueError, match="unknown catalog group 'B5_3sets'"):
+            catalog.load_entry("B5_3sets")
         monkeypatch.delenv(catalog.ENV_CATALOG_DIR)
-        assert catalog.load_entry("D10ext") is entry  # still cached
+        assert catalog.load_entry(name) is entry  # still cached
         catalog.clear_caches()
-        with pytest.raises(ValueError):
-            catalog.load_entry("D10ext")
+        with pytest.raises(ValueError, match=f"unknown catalog group '{name}'"):
+            catalog.load_entry(name)

@@ -14,6 +14,7 @@ from helpers import (
     extend_images,
     fixed_point_average,
     group_contains,
+    identity,
     inner_automorphism,
     inner_witness,
     inverse_automorphism,
@@ -232,19 +233,20 @@ class TestSubgroupHelpers:
         entry = catalog.load_entry("A7")
         stab3 = entry.subgroup("stab3")
         twin = build_group_table(PermutationGroup(entry.generators), known_order=entry.known_order)
-        calls = {entry.table: 0, twin: 0}
-        for t in calls:
-            def counting(i, j, t=t, multiply=t.multiply):
-                calls[t] += 1
-                return multiply(i, j)
+        products = {entry.table: 0, twin: 0}  # the elements each table multiplies
+        for t in products:
+            def counting(images, g, t=t, multiply=t._products):
+                images = list(images)
+                products[t] += len(images)
+                return multiply(images, g)
 
-            monkeypatch.setattr(t, "multiply", counting)
+            monkeypatch.setattr(t, "_products", counting)
         assert validate_subgroup(entry.table, stab3) is stab3
-        assert calls[entry.table] == 0
+        assert products[entry.table] == 0
         # the same indices in a separately built table are closed again
         again = validate_subgroup(twin, stab3)
         assert again == stab3 and again.table is twin and again.gens == stab3.gens
-        assert calls[twin] > 0
+        assert products[twin] > 0
 
     def test_closure_cap(self):
         t = catalog.load_group_table("A5")
@@ -271,17 +273,18 @@ class TestSubgroupHelpers:
         t = catalog.load_group_table("A7")
         stab3 = catalog.resolve_subgroup("A7", "stab3")
         k = len(stab3.gens)
-        calls = 0
-        multiply = t.multiply
+        products = 0
+        multiply = t._products
 
-        def counting(i, j):
-            nonlocal calls
-            calls += 1
-            return multiply(i, j)
+        def counting(images, g):
+            nonlocal products
+            images = list(images)
+            products += len(images)
+            return multiply(images, g)
 
-        monkeypatch.setattr(t, "multiply", counting)
+        monkeypatch.setattr(t, "_products", counting)
         assert validate_subgroup(t, frozenset(stab3)) == stab3
-        assert 0 < calls <= len(stab3) * (k + 1)
+        assert 0 < products <= len(stab3) * (k + 1)
 
     def test_generating_set_regenerates(self):
         t = catalog.load_group_table("A5")
@@ -818,14 +821,28 @@ class TestDiagonalAction:
             assert left_translation(t, s).images == tuple(
                 t.multiply(t.inverse[s], x) for x in range(n))
 
-    @pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "M11"])
+    @pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "PSL(2,8)", "M11"])
     def test_generator_arrays_are_kept_from_the_bfs(self, name):
+        """R_g of every table generator, PSL(2,8)'s three among them, is read
+        back from the products the BFS interleaved x by x and g by g."""
         t = catalog.load_group_table(name)
         n = len(t)
         for g in t.generator_indices:
             right = t.right_multiplication(g)
             assert right == tuple(t.multiply(x, g) for x in range(n))
             assert right is t._rights[g] and t.right_multiplication(g) is right
+
+    def test_identity_and_repeated_generators_change_no_array(self):
+        """C6 built from [1, g, g] is numbered as from [g]: the same table,
+        inverses and R arrays."""
+        g = Permutation.from_cycles(5, [[0, 1, 2], [3, 4]])
+        plain = build_group_table(PermutationGroup([g], 5))
+        padded = build_group_table(PermutationGroup([identity(5), g, g], 5))
+        assert len(plain) == 6
+        assert padded.images == plain.images and padded.index == plain.index
+        assert padded.inverse == plain.inverse
+        assert padded.generator_indices == [0, 1, 1] and plain.generator_indices == [1]
+        assert padded._rights == plain._rights | {0: tuple(range(6))}
 
     @pytest.mark.parametrize("degree", [1, 3])
     def test_kernels_on_the_trivial_table(self, degree):
@@ -908,7 +925,7 @@ class TestDiagonalAction:
                 DiagonalGroup(t, auts).group
         with monkeypatch.context() as m:
             # inversion dropped: the identity in its place
-            m.setattr(diagonal, "inversion_map", lambda table: Permutation.identity(len(table)))
+            m.setattr(diagonal, "inversion_map", lambda table: identity(len(table)))
             with pytest.raises(VerificationInconsistency, match="order 7200 != "):
                 DiagonalGroup(t, auts).group
         with monkeypatch.context() as m:

@@ -1,11 +1,15 @@
 """Every `$ spreadcheck ...` example and every `python` block in README.md
-prints what the README shows."""
+prints what the README shows, and the runtime is pure standard library, as
+the README says."""
 
+import ast
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
 
+import spreadcheck
 from spreadcheck.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -73,3 +77,22 @@ def test_readme_python_block(capsys, source):
     assert all("# " in line for line in prints)
     exec(compile(source, str(README), "exec"), {})
     assert capsys.readouterr().out.splitlines() == [line.rpartition("# ")[2] for line in prints]
+
+
+def test_runtime_is_pure_standard_library():
+    """Each absolute import in the package names a standard-library module or
+    spreadcheck itself."""
+    sources = sorted(Path(spreadcheck.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    outside = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [(path.name, name) for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names | {"spreadcheck"}]
+    assert outside == []
