@@ -3,14 +3,19 @@
 Each entry carries verified generators (the constructed order is checked
 against the recorded one on every load), optional supplied automorphism
 data for groups above the search cap, and named subgroup recipes so the
-command line and the tests can say things like ``--A F21 --B C7``.
+command line and the tests can say things like ``--A F21 --B C7``.  A recipe
+derived from another subgroup (its normalizer, derived subgroup or centre-free
+index-2 subgroup) names that subgroup by its label, so CatalogEntry.subgroup
+resolves, checks and keeps every subgroup once.
 
 Alternating groups also ship in a second incarnation acting on 3-element
 subsets of the natural domain; those entries are derived on the fly from
 the natural generators.
 
 load_entry caches entries by name, and each entry keeps what it derives
-(see CatalogEntry), so clear_caches forgets both.
+(see CatalogEntry), so clear_caches forgets both.  A name outside the built-in
+catalog is read from <name>.json in the SPREADCHECK_CATALOG directory, and
+that file must give the same name.
 
 Group files (entry_from_json), witness files (read_witness) and the numbers
 of the command line are parsed and checked here and nowhere else: JSON types
@@ -29,7 +34,7 @@ import reprlib
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 
 from .autos import (
@@ -47,7 +52,6 @@ from .tables import (
     close_subgroup,
     derived_subgroup,
     normalizer,
-    point_stabilizer,
     setwise_stabilizer,
     sylow_subgroup,
     validate_subgroup,
@@ -76,7 +80,6 @@ class CatalogEntry:
     supplement_pairs: tuple[tuple[str, str], ...]
     two_point_labels: tuple[str, ...]
     _resolved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _sylow: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @functools.cached_property
     def group(self) -> PermutationGroup:
@@ -100,13 +103,6 @@ class CatalogEntry:
                     f"supplied automorphism image does not lie in {self.name}"
                 ) from None
         return automorphism_group_from_supplied(table, supplied)
-
-    def _sylow_of(self, p: int) -> Subgroup:
-        """A Sylow p-subgroup, grown once per prime for the sylow and
-        sylow_normalizer recipes alike."""
-        if p not in self._sylow:
-            self._sylow[p] = sylow_subgroup(self.table, p)
-        return self._sylow[p]
 
     def subgroup(self, label: str) -> Subgroup:
         """The subgroup with this label, checked once against the table; the
@@ -137,19 +133,18 @@ def _three_subset_action(perm: Permutation) -> Permutation:
     return Permutation(tuple(images))
 
 
-# recipes: ("sylow", p) | ("sylow_normalizer", p) | ("point_stabilizer", pt)
-# | ("setwise_stabilizer", pts) | ("derived_of", label)
-# | ("class_centralizer", class_name) | ("index2_centerfree", label)
-# | ("generated", perms)
+# recipes: ("sylow", p) | ("setwise_stabilizer", pts) | ("class_centralizer", class_name)
+# | ("generated", perms), and those derived from the subgroup with a label:
+# ("normalizer_of", label) | ("derived_of", label) | ("index2_centerfree", label)
 _BUILTIN: dict[str, dict] = {
     "A5": dict(
         degree=5,
         generators=[_cyc(5, (0, 1, 2, 3, 4)), _cyc(5, (2, 3, 4))],
         order=60,
         subgroups={
-            "A4": ("sylow_normalizer", 2),
+            "A4": ("normalizer_of", "V4"),
             "V4": ("sylow", 2),
-            "D10": ("sylow_normalizer", 5),
+            "D10": ("normalizer_of", "C5"),
             "C5": ("sylow", 5),
         },
         pairs=[("A4", "V4"), ("D10", "C5"), ("C5", "1")],
@@ -159,7 +154,7 @@ _BUILTIN: dict[str, dict] = {
         degree=6,
         generators=[_cyc(6, (0, 1, 2, 3, 4)), _cyc(6, (1, 2, 3, 4, 5))],
         order=360,
-        subgroups={"F36": ("sylow_normalizer", 3), "E9": ("sylow", 3)},
+        subgroups={"F36": ("normalizer_of", "E9"), "E9": ("sylow", 3)},
         pairs=[("F36", "E9")],
     ),
     "A7": dict(
@@ -204,7 +199,7 @@ _BUILTIN: dict[str, dict] = {
             _cyc(8, (0, 7), (1, 6), (2, 3), (4, 5)),
         ],
         order=168,
-        subgroups={"F21": ("sylow_normalizer", 7), "C7": ("sylow", 7)},
+        subgroups={"F21": ("normalizer_of", "C7"), "C7": ("sylow", 7)},
         pairs=[("F21", "C7")],
         two_point=["C7"],
     ),
@@ -216,7 +211,7 @@ _BUILTIN: dict[str, dict] = {
             _cyc(9, (0, 8), (2, 7), (3, 6), (4, 5)),
         ],
         order=504,
-        subgroups={"F56": ("sylow_normalizer", 2), "E8": ("sylow", 2)},
+        subgroups={"F56": ("normalizer_of", "E8"), "E8": ("sylow", 2)},
         pairs=[("F56", "E8")],
     ),
     "PSL(2,11)": dict(
@@ -226,7 +221,7 @@ _BUILTIN: dict[str, dict] = {
             _cyc(12, (0, 11), (1, 10), (2, 5), (3, 7), (4, 8), (6, 9)),
         ],
         order=660,
-        subgroups={"F55": ("sylow_normalizer", 11), "C11": ("sylow", 11)},
+        subgroups={"F55": ("normalizer_of", "C11"), "C11": ("sylow", 11)},
         pairs=[("F55", "C11")],
     ),
     "PSL(2,13)": dict(
@@ -236,14 +231,14 @@ _BUILTIN: dict[str, dict] = {
             _cyc(14, (0, 13), (1, 12), (2, 6), (3, 4), (7, 11), (9, 10)),
         ],
         order=1092,
-        subgroups={"F78": ("sylow_normalizer", 13), "C13": ("sylow", 13)},
+        subgroups={"F78": ("normalizer_of", "C13"), "C13": ("sylow", 13)},
         pairs=[("F78", "C13")],
     ),
     "PSL(3,2)": dict(
         degree=7,
         generators=[_cyc(7, (0, 1, 3, 2, 5, 6, 4)), _cyc(7, (1, 2), (5, 6))],
         order=168,
-        subgroups={"F21": ("sylow_normalizer", 7), "C7": ("sylow", 7)},
+        subgroups={"F21": ("normalizer_of", "C7"), "C7": ("sylow", 7)},
         pairs=[("F21", "C7")],
     ),
     "M11": dict(
@@ -253,7 +248,7 @@ _BUILTIN: dict[str, dict] = {
             _cyc(11, (2, 6, 10, 7), (3, 9, 4, 5)),
         ],
         order=7920,
-        subgroups={"M10": ("point_stabilizer", 0), "A6": ("derived_of", "M10")},
+        subgroups={"M10": ("setwise_stabilizer", (0,)), "A6": ("derived_of", "M10")},
         pairs=[("M10", "A6")],
     ),
     "M12": dict(
@@ -330,7 +325,10 @@ def load_entry(name: str) -> CatalogEntry:
     candidate = Path(directory) / f"{name}.json" if directory else None
     if candidate is None or not candidate.exists():
         raise ValueError(f"unknown catalog group {name!r}")
-    return load_entry_file(candidate)
+    entry = load_entry_file(candidate)
+    if entry.name != name:
+        raise ValueError(f"catalog file {candidate.name} names group {entry.name!r}")
+    return entry
 
 
 def load_group_table(name: str) -> GroupTable:
@@ -349,11 +347,9 @@ def _resolve_recipe(entry: CatalogEntry, recipe: tuple) -> frozenset[int]:
     table = entry.table
     kind = recipe[0]
     if kind == "sylow":
-        return entry._sylow_of(recipe[1])
-    if kind == "sylow_normalizer":
-        return normalizer(table, entry._sylow_of(recipe[1]))
-    if kind == "point_stabilizer":
-        return point_stabilizer(table, recipe[1])
+        return sylow_subgroup(table, recipe[1])
+    if kind == "normalizer_of":
+        return normalizer(table, entry.subgroup(recipe[1]))
     if kind == "setwise_stabilizer":
         return setwise_stabilizer(table, recipe[1])
     if kind == "derived_of":
@@ -379,20 +375,12 @@ def _index2_centerfree(table: GroupTable, parent: Subgroup) -> Subgroup:
     """First subgroup of index 2 in parent (by element order) whose centre,
     within itself, is trivial."""
     der = derived_subgroup(table, parent)
-    half = len(parent) // 2
-    for x in sorted(parent):
-        if x in der:
-            continue
+    for x in sorted(parent - der):
         h = close_subgroup(table, der | {x})
-        if len(h) != half:
-            continue
-        members = sorted(h)
-        central = sum(
-            1
-            for z in members
-            if all(table.multiply(z, g) == table.multiply(g, z) for g in members)
-        )
-        if central == 1:
+        # centre-free: no member but the identity 0 commutes with every kept generator
+        if 2 * len(h) == len(parent) and not any(
+            z and all(table.multiply(z, g) == table.multiply(g, z) for g in h.gens) for z in h
+        ):
             return h
     raise InvalidSubgroup("no centre-free index-2 subgroup found")
 
@@ -467,9 +455,11 @@ def parse_permutation(data, degree: int) -> Permutation:
 def entry_from_json(data) -> CatalogEntry:
     """The entry of a group file, a JSON object with the keys GROUP_KEYS, of
     which subgroups, supplement_pairs, two_point_labels and aut_generators
-    may be left out.  Malformed data or an unknown key raises ValueError, a
-    missing key KeyError, and an order other than known_order
-    VerificationInconsistency."""
+    may be left out.  The label "1" always means the trivial subgroup: a file
+    may not define it, and every label of supplement_pairs and
+    two_point_labels is "1" or a key of subgroups.  Malformed data or an
+    unknown key raises ValueError, a missing key KeyError, and an order other
+    than known_order VerificationInconsistency."""
     unknown = [key for key in expect(data, dict, "group file") if key not in GROUP_KEYS]
     if unknown:
         raise ValueError(f"unknown group file key {unknown[0]!r}; known keys: {', '.join(GROUP_KEYS)}")
@@ -492,6 +482,12 @@ def entry_from_json(data) -> CatalogEntry:
              for pair in expect(data.get("supplement_pairs", []), list, "'supplement_pairs'")]
     if any(len(pair) != 2 for pair in pairs):
         raise ValueError(f"each 'supplement_pairs' entry must be a list of two labels, got {pairs!r}")
+    if "1" in subgroups:
+        raise ValueError("subgroup label '1' is reserved for the trivial subgroup")
+    two_point = tuple(expect(data.get("two_point_labels", []), list, "'two_point_labels'", str))
+    missing = [label for label in chain(*pairs, two_point) if label != "1" and label not in subgroups]
+    if missing:
+        raise ValueError(f"label {missing[0]!r} names no subgroup; available: {sorted(subgroups)} and '1'")
     entry = CatalogEntry(
         name=name,
         degree=degree,
@@ -500,7 +496,7 @@ def entry_from_json(data) -> CatalogEntry:
         aut_images=aut_images,
         subgroups=subgroups,
         supplement_pairs=tuple(pairs),
-        two_point_labels=tuple(expect(data.get("two_point_labels", []), list, "'two_point_labels'", str)),
+        two_point_labels=two_point,
     )
     validate_entry(entry)
     return entry

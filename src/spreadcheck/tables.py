@@ -22,8 +22,8 @@ grows each class a BFS level at a time through transient arrays x -> x^g
 and keeps the sorted members and class ids, one bytes of |T| entries when
 there are at most 256 classes (a list above that).  Conjugators to class
 representatives are walked class by class on first use.  Centralizers,
-normalizers and point and setwise stabilizers are closed from the Schreier
-generators of an orbit walk (perm.orbit_walk), not a scan of T.  A coset space
+normalizers and setwise stabilizers (a point's as its 1-set) are closed from
+the Schreier generators of an orbit walk (perm.orbit_walk), not a scan of T.  A coset space
 reads each new coset H s g from its parent H s through the stored R_g, one
 gather per coset and no product, and orbit counts on cosets come from the
 permutation character, one gather of class ids.
@@ -38,8 +38,8 @@ a subgroup H with k kept generators costs O(|H| k) products, not the |H|^2 of
 checking every product.  Functions that need a subgroup's generators accept
 any index set and pass it through validate_subgroup, which returns a Subgroup
 of the same table as it is and closes anything else once.  The helpers cover
-derived subgroups, centralizers, normalizers, Sylow subgroups, point and
-setwise stabilizers, and coset spaces.
+derived subgroups, centralizers, normalizers, Sylow subgroups, setwise
+stabilizers, and coset spaces.
 """
 
 from __future__ import annotations
@@ -431,10 +431,6 @@ def normalizer(table: GroupTable, subgroup: Iterable[int]) -> frozenset[int]:
     sends one element: four C-level gathers over |H|, no |T|-long array."""
     acts = [lambda h, g=g: frozenset(table.conjugates(h, g)) for g in table.generator_indices]
     return _stabilizer(table, frozenset(validate_subgroup(table, subgroup)), acts)
-
-
-def point_stabilizer(table: GroupTable, point: int) -> frozenset[int]:
-    return setwise_stabilizer(table, (point,))
 
 
 def setwise_stabilizer(table: GroupTable, points: Iterable[int]) -> frozenset[int]:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from itertools import chain
 
 import pytest
 
@@ -166,12 +167,13 @@ def test_entry_owns_its_derived_objects_until_caches_are_cleared():
 
 
 def test_sylow_recipes_grow_each_sylow_subgroup_once(monkeypatch):
-    """A sylow and a sylow_normalizer recipe of one prime share one growth,
-    and no Sylow growth or normalizer builds an array over all of T.  Set up
-    as the benchmark's witnesses workload does, resolving the fresh entries'
-    recipes makes no tables.compose_images call over |T| points: a
-    normalizer conjugates a subgroup's members through R_g and inverse, so
-    its gathers run over |H| points."""
+    """A sylow recipe and the normalizer_of recipe that names it by label
+    share one growth, and no Sylow growth or normalizer builds an array over
+    all of T.  Set up as the benchmark's witnesses workload does, resolving
+    the fresh entries' recipes makes no tables.compose_images call over |T|
+    points: a normalizer conjugates a subgroup's members through R_g and
+    inverse, so its gathers run over |H| points.  Each of the 8 normalizers
+    equals N_T(P) of the Sylow subgroup its prime grows."""
     calls = {"whole_table": [], "growths": []}
     compose_images, grow = tables.compose_images, catalog.sylow_subgroup
     order = {"T": float("inf")}  # |T| while an entry resolves its recipes
@@ -202,12 +204,29 @@ def test_sylow_recipes_grow_each_sylow_subgroup_once(monkeypatch):
     assert sorted(calls["growths"]) == [("A5", 2), ("A5", 5), ("A6", 3), ("PSL(2,11)", 11), ("PSL(2,13)", 13),
                                         ("PSL(2,7)", 7), ("PSL(2,8)", 2), ("PSL(3,2)", 7)]
     monkeypatch.undo()
+    normalizers = []
     for entry in entries:
-        for label, (kind, p, *_) in entry.subgroups.items():
+        for label, (kind, arg, *_) in entry.subgroups.items():
             if kind == "sylow":
-                assert entry.subgroup(label) == tables.sylow_subgroup(entry.table, p)
-            elif kind == "sylow_normalizer":
+                assert entry.subgroup(label) == tables.sylow_subgroup(entry.table, arg)
+            elif kind == "normalizer_of":
+                sylow, p = entry.subgroups[arg]
+                assert sylow == "sylow"
                 assert entry.subgroup(label) == sylow_normalizer(entry.table, p)
+                normalizers.append((entry.name, label))
+    assert sorted(normalizers) == [("A5", "A4"), ("A5", "D10"), ("A6", "F36"), ("PSL(2,11)", "F55"),
+                                   ("PSL(2,13)", "F78"), ("PSL(2,7)", "F21"), ("PSL(2,8)", "F56"),
+                                   ("PSL(3,2)", "F21")]
+
+
+@pytest.mark.parametrize("name", catalog.catalog_names())
+def test_every_listed_label_resolves(name):
+    """Each label of a built-in entry's supplement pairs and two-point labels
+    names a subgroup: "1" or one of its recipes."""
+    entry = catalog.load_entry(name)
+    for label in set(chain(*entry.supplement_pairs, entry.two_point_labels)):
+        assert label == "1" or label in entry.subgroups
+        assert entry.subgroup(label).table is entry.table
 
 
 def test_supplied_aut_images_must_lie_in_group():
@@ -256,7 +275,7 @@ class TestExternalEntries:
             catalog.entry_from_json(bad)
 
     def test_subgroup_generators_must_lie_in_group(self):
-        data = dict(D10_JSON, subgroups={"bad": [[[0, 1]]]})
+        data = dict(D10_JSON, subgroups=dict(D10_JSON["subgroups"], bad=[[[0, 1]]]))
         entry = catalog.entry_from_json(data)
         with pytest.raises(InvalidSubgroup):
             entry.subgroup("bad")
@@ -266,7 +285,7 @@ class TestExternalEntries:
         """A file is found by its name, also one ending in _3sets like the
         built-in actions on 3-sets."""
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(D10_JSON))
+        path.write_text(json.dumps(dict(D10_JSON, name=name)))
         monkeypatch.setenv(catalog.ENV_CATALOG_DIR, str(tmp_path))
         entry = catalog.load_entry(name)
         assert entry.known_order == 10

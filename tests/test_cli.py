@@ -627,6 +627,33 @@ class TestErrorPaths:
         assert code == 2
         assert report["certificate"] == {"error": "ValueError", "message": message}
 
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            (dict(D10_JSON, subgroups={"1": [[[0, 1, 2]]]}),
+             "subgroup label '1' is reserved for the trivial subgroup"),
+            (dict(D10_JSON, supplement_pairs=[["NOPE", "NADA"]]),
+             "label 'NOPE' names no subgroup; available: ['C5'] and '1'"),
+            (dict(D10_JSON, two_point_labels=["ZZ"]), "label 'ZZ' names no subgroup; available: ['C5'] and '1'"),
+        ],
+        ids=["defines-1", "pair-label-unknown", "two-point-label-unknown"],
+    )
+    def test_a_bad_subgroup_label_is_named(self, capsys, tmp_path, data, message):
+        """A group file may not redefine the trivial subgroup "1", which every
+        command would read as {1} all the same, and may not list a label that
+        names no subgroup."""
+        code, report = run_json(capsys, *_malformed_argv(tmp_path, "group-file", data))
+        assert code == 2
+        assert report["certificate"] == {"error": "ValueError", "message": message}
+
+    def test_a_catalog_file_must_give_its_own_name(self, capsys, tmp_path, monkeypatch):
+        """--group Foo would otherwise certify a report for the group Bar."""
+        (tmp_path / "Foo.json").write_text(json.dumps(dict(D10_JSON, name="Bar")))
+        monkeypatch.setenv(catalog.ENV_CATALOG_DIR, str(tmp_path))
+        code, report = run_json(capsys, "group", "info", "--group", "Foo")
+        assert code == 2
+        assert report["certificate"] == {"error": "ValueError", "message": "catalog file Foo.json names group 'Bar'"}
+
     @pytest.mark.parametrize("key", ["aut_generator", "Name", "subgroup"])
     def test_an_unknown_group_file_key_is_named(self, capsys, tmp_path, key):
         """A misspelt optional key would otherwise be ignored: "aut_generator"

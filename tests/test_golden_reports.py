@@ -17,14 +17,17 @@ group, a sha256 over its Dixon character table's --json form (ct.to_json()
 with sorted keys), so no change to the class algebra moves a character value.
 tests/data/coset_spaces.json pins, for each labelled subgroup of each base
 catalog group, a sha256 over its coset space's representatives and point_of,
-so no change to the coset walk renumbers a coset.
+so no change to the coset walk renumbers a coset.  tests/data/subgroups.json
+pins, for each labelled subgroup of each base catalog group, a sha256 over its
+sorted members and one over the generators kept for it, so no change to a
+recipe moves a member or a kept generator.
 tests/data/report_hashes.json pins a sha256 over the exit code and --json
 report of each command of _sweep(), the sweep over every base catalog group,
 supplement pair and two-point label that the other files leave out; in a
 command, <name> stands for a file written for the run: a FILES entry, or the
 witness that the command <...> certifies.
 After a change that is meant to alter a certificate, a representative, an
-index, a character table or a coset numbering, regenerate the seven files with
+index, a character table, a coset numbering or a subgroup, regenerate the eight files with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
@@ -53,6 +56,7 @@ REPS = DATA.with_name("coset_representatives.json")
 ENUMERATION = DATA.with_name("enumeration.json")
 CHARACTER_TABLES = DATA.with_name("character_tables.json")
 COSET_SPACES = DATA.with_name("coset_spaces.json")
+SUBGROUPS = DATA.with_name("subgroups.json")
 REPORT_HASHES = DATA.with_name("report_hashes.json")
 BASE_GROUPS = [name for name in catalog.catalog_names() if not name.endswith("_3sets")]
 
@@ -231,6 +235,15 @@ def _coset_space_hashes(name: str) -> dict:
     return {label: _sha256_lines([space.representatives, space.point_of]) for label, space in spaces.items()}
 
 
+def _subgroup_hashes(name: str) -> dict:
+    """For each labelled subgroup, sha256 over its sorted members and over
+    the generators kept for it."""
+    entry = catalog.load_entry(name)
+    subgroups = {label: entry.subgroup(label) for label in sorted(entry.subgroups)}
+    return {label: {"members": _sha256_lines([sorted(sub)]), "gens": _sha256_lines([sub.gens])}
+            for label, sub in subgroups.items()}
+
+
 def _stored() -> dict:
     return {case["command"]: case for case in json.loads(DATA.read_text(encoding="utf-8"))}
 
@@ -278,6 +291,11 @@ def test_coset_spaces_match_stored(name):
     assert _coset_space_hashes(name) == json.loads(COSET_SPACES.read_text(encoding="utf-8"))[name]
 
 
+@pytest.mark.parametrize("name", BASE_GROUPS)
+def test_subgroups_match_stored(name):
+    assert _subgroup_hashes(name) == json.loads(SUBGROUPS.read_text(encoding="utf-8"))[name]
+
+
 if __name__ == "__main__":
     DATA.parent.mkdir(exist_ok=True)
     DATA.write_text(json.dumps([_run(c) for c in COMMANDS], indent=1, sort_keys=True) + "\n",
@@ -298,6 +316,9 @@ if __name__ == "__main__":
     COSET_SPACES.write_text(json.dumps({name: _coset_space_hashes(name) for name in BASE_GROUPS},
                                        indent=1) + "\n", encoding="utf-8")
     print(f"wrote coset space hashes of {len(BASE_GROUPS)} groups to {COSET_SPACES}")
+    SUBGROUPS.write_text(json.dumps({name: _subgroup_hashes(name) for name in BASE_GROUPS},
+                                    indent=1) + "\n", encoding="utf-8")
+    print(f"wrote subgroup hashes of {len(BASE_GROUPS)} groups to {SUBGROUPS}")
     with tempfile.TemporaryDirectory() as directory:
         hashes = {command: _sweep_hash(command, Path(directory)) for command in _sweep()}
     REPORT_HASHES.write_text(json.dumps(hashes, indent=1) + "\n", encoding="utf-8")

@@ -57,7 +57,6 @@ from spreadcheck.tables import (
     derived_subgroup,
     normalizer,
     orbits_on_cosets,
-    point_stabilizer,
     setwise_stabilizer,
     sylow_subgroup,
     validate_subgroup,
@@ -330,7 +329,7 @@ class TestSubgroupHelpers:
 
     def test_stabilizers(self):
         t = catalog.load_group_table("A5")
-        assert len(point_stabilizer(t, 0)) == 12
+        assert len(setwise_stabilizer(t, (0,))) == 12
         assert len(setwise_stabilizer(t, (0, 1))) == 6
 
     @pytest.mark.parametrize("name,points", [("A5", ()), ("A5", (0, 1)), ("A7", (0, 1, 2)),
@@ -344,8 +343,6 @@ class TestSubgroupHelpers:
         monkeypatch.setattr(tables, "range", _no_scan(len(t)), raising=False)
         found = setwise_stabilizer(t, points)
         assert type(found) is frozenset and found == expected
-        if len(points) == 1:
-            assert point_stabilizer(t, points[0]) == expected
 
     def test_sylow(self):
         t = catalog.load_group_table("A5")
