@@ -94,15 +94,16 @@ class CatalogEntry:
         table = self.table
         if self.aut_images is None:
             return search_automorphism_group(table)
-        supplied = []
-        for images in self.aut_images:
-            try:
-                supplied.append([table.index[bytes(p.images)] for p in images])
-            except KeyError:
-                raise InvalidSubgroup(
-                    f"supplied automorphism image does not lie in {self.name}"
-                ) from None
+        supplied = [self.indices(images, "supplied automorphism image") for images in self.aut_images]
         return automorphism_group_from_supplied(table, supplied)
+
+    def indices(self, perms: tuple[Permutation, ...], what: str) -> list[int]:
+        """The table indices of perms; one outside the group raises
+        InvalidSubgroup naming it as what."""
+        try:
+            return [self.table.index[bytes(p.images)] for p in perms]
+        except KeyError:
+            raise InvalidSubgroup(f"{what} does not lie in {self.name}") from None
 
     def subgroup(self, label: str) -> Subgroup:
         """The subgroup with this label, checked once against the table; the
@@ -361,13 +362,7 @@ def _resolve_recipe(entry: CatalogEntry, recipe: tuple) -> frozenset[int]:
     if kind == "index2_centerfree":
         return _index2_centerfree(table, entry.subgroup(recipe[1]))
     if kind == "generated":
-        try:
-            indices = {table.index[bytes(p.images)] for p in recipe[1]}
-        except KeyError:
-            raise InvalidSubgroup(
-                f"subgroup generator does not lie in {entry.name}"
-            ) from None
-        return close_subgroup(table, indices)
+        return close_subgroup(table, set(entry.indices(recipe[1], "subgroup generator")))
     raise ValueError(f"unknown subgroup recipe {recipe!r}")
 
 
@@ -529,9 +524,13 @@ def distinct(items: list, what: str) -> frozenset:
 
 def read_json(path: str | Path):
     """The JSON document in a group or witness file; a repeated key raises
-    ValueError, where json.load would keep only its last value."""
+    ValueError, where json.load would keep only its last value, and so does
+    nesting too deep for json.load, where it would raise RecursionError."""
     def unique_keys(pairs: list) -> dict:
         distinct([key for key, _ in pairs], "JSON key")
         return dict(pairs)
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh, object_pairs_hook=unique_keys)
+        try:
+            return json.load(fh, object_pairs_hook=unique_keys)
+        except RecursionError:
+            raise ValueError(f"{path} is nested too deeply to read") from None

@@ -9,8 +9,9 @@ A PermutationGroup keeps its generators and gives its Schreier-Sims order,
 point orbits and set orbits; it enumerates no elements (a GroupTable does).
 Chain base points are the smallest moved points, and transversals and
 orbits are filled by BFS in generator order, so all of it is reproducible.
-Cycles, point and set orbits, and the normalizers and point and setwise
-stabilizers of tables all take one breadth-first walk with a transversal, ``orbit_walk``.
+Cycles, point and set orbits, the stabilizer chain's transversals, and the
+normalizers and point and setwise stabilizers of tables all take one
+breadth-first walk with a transversal, ``orbit_walk``.
 
 Every composition of image tuples goes through one kernel, ``compose_images``,
 which does the per-point lookups in C through ``operator.itemgetter``.  The
@@ -21,8 +22,9 @@ element only as its inverse u^-1, the form that sifting divides by.
 from __future__ import annotations
 
 import math
+from functools import partial
 from operator import itemgetter
-from typing import Callable, Collection, Hashable, Iterable, Sequence
+from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import CapExceeded
 
@@ -79,7 +81,7 @@ class Permutation:
         out: list[tuple[int, ...]] = []
         for start in range(len(self.images)):
             if start not in seen:
-                cycle = tuple(orbit_walk(start, [(self.images.__getitem__, _unchanged)], start))
+                cycle = tuple(orbit_walk({start: start}, [(self.images.__getitem__, _unchanged)]))
                 seen.update(cycle)
                 if len(cycle) > 1 or include_fixed:
                     out.append(cycle)
@@ -125,14 +127,15 @@ def inverse_images(images: Sequence[int]) -> tuple[int, ...]:
     return tuple(inv)
 
 
-def orbit_walk(start: Hashable, steps: Sequence[tuple[Callable, Callable]], u, cap: float = math.inf,
+def orbit_walk(walk: dict, steps: Sequence[tuple[Callable, Callable]], cap: float = math.inf,
                what: str = "orbit") -> dict:
-    """The orbit of start, walked breadth first in step order, as a dict from
-    each point, in the order found, to its transversal element: start gets u,
-    and a point first reached as act(x) by a step (act, carry) gets carry(u_x).
-    Finding more than cap points raises CapExceeded(what, cap)."""
-    walk = {start: u}
-    points = [start]
+    """Extend walk, a dict from each point found so far, in order, to its
+    transversal element, breadth first in step order until it is closed, and
+    return it: a point first reached as act(x) by a step (act, carry) gets
+    carry(u_x).  A point orbit starts from {start: u}; the stabilizer chain
+    extends its transversals in place.  Finding more than cap points raises
+    CapExceeded(what, cap)."""
+    points = list(walk)
     for x in points:  # grows while it is walked
         ux = walk[x]
         for act, carry in steps:
@@ -168,20 +171,6 @@ class _Level:
         # inverse, (u g)^-1 = g^-1 u^-1, never by rewriting an old one.
         self.inv_transversal: dict[int, tuple[int, ...]] = {base: identity}
 
-    def extend_transversal(self) -> None:
-        trans = self.inv_transversal
-        queue = list(trans)
-        i = 0
-        while i < len(queue):
-            beta = queue[i]
-            i += 1
-            u_inv = trans[beta]
-            for g, g_inv in zip(self.gens, self.gen_invs):
-                gamma = g[beta]
-                if gamma not in trans:
-                    trans[gamma] = compose_images(g_inv, u_inv)
-                    queue.append(gamma)
-
 
 class _StabilizerChain:
     """Deterministic Schreier-Sims on image tuples.
@@ -216,7 +205,8 @@ class _StabilizerChain:
             level = self.levels[i]
             level.gens.append(g)
             level.gen_invs.append(g_inv)
-            level.extend_transversal()
+            orbit_walk(level.inv_transversal, [(s.__getitem__, partial(compose_images, s_inv))
+                                               for s, s_inv in zip(level.gens, level.gen_invs)])
             if g[level.base] != level.base:
                 return
             i += 1
@@ -289,7 +279,7 @@ class PermutationGroup:
         if not 0 <= point < self.degree:
             raise ValueError(f"point {point} out of range for degree {self.degree}")
         steps = [(g.images.__getitem__, _unchanged) for g in self.generators]
-        return set(orbit_walk(point, steps, point))
+        return set(orbit_walk({point: point}, steps))
 
     def orbits(self) -> list[set[int]]:
         """Orbit partition of the whole domain, ordered by smallest point."""
@@ -311,7 +301,7 @@ class PermutationGroup:
             if not 0 <= pt < self.degree:
                 raise ValueError(f"point {pt} out of range for degree {self.degree}")
         steps = [(lambda s, g=g.images: frozenset(compose_images(s, g)), _unchanged) for g in self.generators]
-        return list(orbit_walk(start, steps, start, cap, "set orbit"))
+        return list(orbit_walk({start: start}, steps, cap, "set orbit"))
 
     def __repr__(self) -> str:
         gens = ", ".join(g.cycle_string() for g in self.generators) or "()"

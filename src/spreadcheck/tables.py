@@ -84,9 +84,7 @@ class _Elements(Sequence):
     def __len__(self) -> int:
         return len(self._images)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [Permutation._unchecked(tuple(x)) for x in self._images[i]]
+    def __getitem__(self, i: int) -> Permutation:
         return Permutation._unchecked(tuple(self._images[i]))
 
     def __iter__(self) -> Iterator[Permutation]:
@@ -199,7 +197,7 @@ class GroupTable:
         cid = self.class_of(y)
         if cid not in self._walks:
             start = self.conjugacy_classes()[cid].representative
-            self._walks[cid] = orbit_walk(start, self._class_steps(cid), 0)
+            self._walks[cid] = orbit_walk({start: 0}, self._class_steps(cid))
         return self._walks[cid][y]
 
     def _class_steps(self, cid: int) -> list:
@@ -444,7 +442,7 @@ def _stabilizer(table: GroupTable, start, acts: list) -> frozenset[int]:
     """Orbit-stabiliser, with no scan of T: acts[k] acts on points as the k-th
     table generator g, and the walk carries u -> g^-1 u (see GroupTable._steps)."""
     steps = table._steps(acts)
-    return _schreier_closure(table, orbit_walk(start, steps, 0), steps)
+    return _schreier_closure(table, orbit_walk({start: 0}, steps), steps)
 
 
 def _schreier_closure(table: GroupTable, walk: dict, steps: list) -> frozenset[int]:

@@ -109,7 +109,7 @@ def point_stabilizer_group(group, point):
     """The stabilizer of a point in a PermutationGroup, generated by the
     Schreier generators of the point's orbit."""
     steps = [(g.images.__getitem__, lambda u, g=g: perm_product(u, g)) for g in group.generators]
-    trans = orbit_walk(point, steps, identity(group.degree))
+    trans = orbit_walk({point: identity(group.degree)}, steps)
     gens: dict[tuple[int, ...], Permutation] = {}
     for beta in sorted(trans):
         for s in group.generators:
@@ -389,7 +389,7 @@ def classes_by_orbit_walk(table):
         steps.append((tuple(table.multiply(y, g) for y in left).__getitem__, left.__getitem__))
     for start in range(len(table)):
         if to_rep[start] < 0:
-            walk = orbit_walk(start, steps, 0)
+            walk = orbit_walk({start: 0}, steps)
             for y, u in walk.items():
                 to_rep[y] = u
             raw.append(sorted(walk))

@@ -136,15 +136,18 @@ class TestReports:
         assert b'"certificate"' in reports[0] and b"timing_ms" not in reports[0]
         assert reports[0] == reports[1]
 
-    def test_a_closed_output_pipe_exits_2_without_a_traceback(self):
+    @pytest.mark.parametrize("command", ["group classes --group A5", "chartab compute --group A8"])
+    def test_a_closed_output_pipe_exits_2_without_a_traceback(self, command):
         """Exit 1 means refuted, so a reader that stops early must not turn a
         report into exit 1 and a traceback: the pipe is closed before the
-        command prints, and it exits 2 with nothing on stderr."""
+        command prints, and it exits 2 with nothing on stderr.  The A8
+        character table's report (5.5 kB) is longer than the 4096-byte
+        blocks in which Python writes its standard output to a pipe."""
         src = str(Path(spreadcheck.__file__).resolve().parents[1])
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            done = subprocess.run([sys.executable, "-m", "spreadcheck", "group", "classes", "--group", "A5",
+            done = subprocess.run([sys.executable, "-m", "spreadcheck", *command.split(),
                                    "--json"], env={**os.environ, "PYTHONPATH": src}, stdout=write_end,
                                   stderr=subprocess.PIPE, timeout=120, check=False)
         finally:
@@ -552,6 +555,7 @@ class TestErrorPaths:
             ("group-file", dict(D10_JSON, generators=[[[0, 1, 2, 3, 4]], [[0, 1], 2, 3, 4, 0]])),
             ("group-file", dict(D10_JSON, name=None)),
             ("group-file", dict(D10_JSON, supplement_pairs=[["C5", None]])),
+            ("group-file", dict(D10_JSON, supplement_pairs=[["C5", "1", "C5"]])),
             ("group-file", dict(D10_JSON, two_point_labels=[5])),
             ("verify-witness", {"set": [0, 1], "multiset": {"01": 1, "1": 1, "0": 3}}),
             ("verify-witness", {"set": [0, 1], "multiset": {"+1": 1, "0": 3}}),
@@ -576,7 +580,7 @@ class TestErrorPaths:
              "degree-string", "top-level-list", "set-entry-null", "set-entry-fractional",
              "set-entry-bool", "generators-int", "subgroups-list", "supplement-pairs-int",
              "cycle-point-fractional", "image-fractional", "subgroup-image-fractional",
-             "cycle-point-bool", "cycles-mixed-with-images", "name-null", "pair-label-null",
+             "cycle-point-bool", "cycles-mixed-with-images", "name-null", "pair-label-null", "pair-three-labels",
              "two-point-label-int", "key-leading-zero",
              "key-plus-sign", "key-space", "key-underscore", "set-point-99",
              "set-point-minus-1", "set-point-leading-zero", "set-empty", "set-point-repeated",
@@ -589,6 +593,16 @@ class TestErrorPaths:
         assert code == 2
         assert report["verdict"] == "error"
         assert report["certificate"]["error"] == "ValueError"
+
+    @pytest.mark.parametrize("command", ["verify-witness", "group-file"])
+    def test_a_deeply_nested_file_is_an_error_report(self, capsys, tmp_path, command):
+        """json.load gives up on deep nesting with a RecursionError; the file
+        is refused with exit 2, never read as a refutation (exit 1)."""
+        depth = 200_000
+        code, report = run_json(capsys, *_malformed_argv(tmp_path, command, "[" * depth + "]" * depth))
+        assert (code, report["verdict"]) == (2, "error")
+        assert report["certificate"] == {"error": "ValueError",
+                                          "message": f"{tmp_path / 'input.json'} is nested too deeply to read"}
 
     @pytest.mark.parametrize(
         "command,data,message",
@@ -645,6 +659,23 @@ class TestErrorPaths:
         code, report = run_json(capsys, *_malformed_argv(tmp_path, "group-file", data))
         assert code == 2
         assert report["certificate"] == {"error": "ValueError", "message": message}
+
+    @pytest.mark.parametrize(
+        "data,argv,message",
+        [
+            (dict(D10_JSON, subgroups={"C5": [[[0, 1, 2, 3, 4]]], "bad": [[[0, 1]]]}),
+             ["basesize", "two-check", "--A", "bad"], "subgroup generator does not lie in D10ext"),
+            (dict(D10_JSON, aut_generators=[[[[0, 1]], [[1, 4], [2, 3]]]]),
+             ["group", "aut"], "supplied automorphism image does not lie in D10ext"),
+        ],
+        ids=["subgroup-generator", "automorphism-image"],
+    )
+    def test_a_permutation_outside_the_group_is_refused(self, capsys, tmp_path, data, argv, message):
+        path = tmp_path / "D10ext.json"
+        path.write_text(json.dumps(data))
+        code, report = run_json(capsys, *argv, "--file", str(path))
+        assert code == 2
+        assert report["certificate"] == {"error": "InvalidSubgroup", "message": message}
 
     def test_a_catalog_file_must_give_its_own_name(self, capsys, tmp_path, monkeypatch):
         """--group Foo would otherwise certify a report for the group Bar."""

@@ -136,7 +136,7 @@ class TestPermutationGroup:
 
     def test_transversal_reaches_each_point(self):
         group = _s4()
-        trans = orbit_walk(0, _point_steps(group), identity(4))
+        trans = orbit_walk({0: identity(4)}, _point_steps(group))
         assert set(trans) == {0, 1, 2, 3}
         for pt, rep in trans.items():
             assert rep(0) == pt
@@ -187,7 +187,7 @@ class TestOrbitWalk:
     def test_points_come_breadth_first_in_step_order(self):
         for group in self._groups():
             for point in (0, group.degree - 1):
-                walk = orbit_walk(point, _point_steps(group), identity(group.degree))
+                walk = orbit_walk({point: identity(group.degree)}, _point_steps(group))
                 assert list(walk) == naive_bfs_order(point, group.generators)
             start = frozenset({0, 2})
             expected = naive_bfs_order(start, [_set_image(g) for g in group.generators])
@@ -197,9 +197,9 @@ class TestOrbitWalk:
         group = _a5()
         start = frozenset({0, 1})
         steps = [(_set_image(g), lambda u: u) for g in group.generators]
-        assert len(orbit_walk(start, steps, None, 10, "pair orbit")) == 10
+        assert len(orbit_walk({start: None}, steps, 10, "pair orbit")) == 10
         with pytest.raises(CapExceeded, match="^pair orbit exceeded cap of 9;") as caught:
-            orbit_walk(start, steps, None, 9, "pair orbit")
+            orbit_walk({start: None}, steps, 9, "pair orbit")
         assert (caught.value.what, caught.value.cap) == ("pair orbit", 9)
         assert len(group.set_orbit(start, cap=10)) == 10
         with pytest.raises(CapExceeded, match="^set orbit exceeded cap of 9;"):
@@ -209,9 +209,21 @@ class TestOrbitWalk:
 
     def test_transversal_takes_start_to_each_point(self):
         for group in self._groups():
-            walk = orbit_walk(1, _point_steps(group), identity(group.degree))
+            walk = orbit_walk({1: identity(group.degree)}, _point_steps(group))
             assert set(walk) == group.orbit(1) == naive_orbit(group.generators, 1)
             assert all(u(1) == pt for pt, u in walk.items())
+
+    def test_a_walk_is_extended_in_place(self):
+        """A walk closed under some steps grows, append-only, under more: the
+        points it had keep their order and their transversal elements."""
+        for group in self._groups():
+            steps = _point_steps(group)
+            walk = orbit_walk({0: identity(group.degree)}, steps[:1])
+            before = list(walk.items())
+            assert orbit_walk(walk, steps) is walk
+            assert list(walk.items())[:len(before)] == before
+            assert set(walk) == group.orbit(0)
+            assert all(u(0) == pt for pt, u in walk.items())
 
     def test_table_transversal_conjugates_start_to_each_point(self):
         t = catalog.load_group_table("A5")
@@ -221,7 +233,7 @@ class TestOrbitWalk:
         ]
         for cls in t.conjugacy_classes():
             start = cls.members[-1]
-            walk = orbit_walk(start, steps, 0)
+            walk = orbit_walk({start: 0}, steps)
             assert sorted(walk) == list(cls.members)
             assert all(t.conjugate(start, u) == y for y, u in walk.items())
 
