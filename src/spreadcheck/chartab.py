@@ -40,7 +40,7 @@ def _word_tree(table: GroupTable) -> tuple[dict[int, list[tuple[int, int]]], dic
     node s for table generators g, and one node of each class.  It grows
     greedily: a BFS from all its nodes at once finds the nearest element of a
     class not yet reached, and the path to it joins the tree."""
-    k, gens, class_of = len(table.conjugacy_classes()), table.generator_indices, table._class_of
+    k, gens, class_of = len(table.conjugacy_classes()), table.generator_indices, table._class_split[1]
     tree, first = {0: []}, {0: 0}
     while len(first) < k:
         queue, parent = list(tree), dict.fromkeys(tree)
@@ -78,7 +78,7 @@ def _class_tensor(table: GroupTable) -> list[list[list[int]]]:
     tree, first = _word_tree(table)
     inverse = [table.inverse_class(i) for i in range(k)]
     a = [[[0] * k for _ in range(k)] for _ in range(k)]
-    pending = [(0, table._class_of)]  # (s, class_of(y s) for every y), as bytes
+    pending = [(0, table._class_split[1])]  # (s, class_of(y s) for every y), as bytes
     while pending:
         s, images = pending.pop()
         l = table.class_of(s)

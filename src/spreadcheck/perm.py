@@ -7,6 +7,8 @@ notation for group actions: x^(pq) = (x^p)^q.
 
 A PermutationGroup keeps its generators and gives its Schreier-Sims order,
 point orbits and set orbits; it enumerates no elements (a GroupTable does).
+Its stabilizer chain is built on first read and kept as a cached_property,
+as are a GroupTable's class split, class orders, class names and generating pair.
 Chain base points are the smallest moved points, and transversals and
 orbits are filled by BFS in generator order, so all of it is reproducible.
 Cycles, point and set orbits, the stabilizer chain's transversals, and the
@@ -22,7 +24,7 @@ element only as its inverse u^-1, the form that sifting divides by.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import cached_property, partial
 from operator import itemgetter
 from typing import Callable, Collection, Iterable, Sequence
 
@@ -265,15 +267,13 @@ class PermutationGroup:
                 raise ValueError(f"generator degree {g.degree} != group degree {degree}")
         self.degree = degree
         self.generators = generators
-        self._chain: _StabilizerChain | None = None
 
-    def _get_chain(self) -> _StabilizerChain:
-        if self._chain is None:
-            self._chain = _StabilizerChain(self.generators, self.degree)
-        return self._chain
+    @cached_property
+    def _chain(self) -> _StabilizerChain:
+        return _StabilizerChain(self.generators, self.degree)
 
     def order(self) -> int:
-        return self._get_chain().order()
+        return self._chain.order()
 
     def orbit(self, point: int) -> set[int]:
         if not 0 <= point < self.degree:

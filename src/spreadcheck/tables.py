@@ -44,10 +44,11 @@ stabilizers, and coset spaces.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, deque
 from collections.abc import Collection, Sequence
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import chain, islice, repeat
 from operator import itemgetter, setitem
 from typing import Iterable, Iterator
@@ -92,7 +93,9 @@ class _Elements(Sequence):
 
 
 class GroupTable:
-    """All elements of a finite permutation group, indexed 0..|T|-1."""
+    """All elements of a finite permutation group, indexed 0..|T|-1.  The class
+    split, the class orders, the class names and the generating pair are each
+    computed on first read and kept as a cached_property."""
 
     def __init__(self, group: PermutationGroup, cap: int = DEFAULT_TABLE_CAP, name: str | None = None):
         n = group.degree
@@ -124,12 +127,7 @@ class GroupTable:
         self.generator_indices: list[int] = [self.index[g] for g in gens]
         # each generator's R_g, kept from the BFS
         self._rights = {g: tuple(islice(found, k, None, len(gens))) for k, g in enumerate(self.generator_indices)}
-        self._class_orders: list[int] | None = None
-        self._classes: list[ConjClass] | None = None
-        self._class_of: bytes | list[int] | None = None
         self._walks: dict[int, dict[int, int]] = {}
-        self._class_names: list[str] | None = None
-        self._pair: tuple[int, int] | None = None
         self._centralizers: dict[int, frozenset[int]] = {}
 
     def __len__(self) -> int:
@@ -162,33 +160,31 @@ class GroupTable:
         """Index of a^-1 b^-1 a b."""
         return self.multiply(self.multiply(self.inverse[a], self.inverse[b]), self.multiply(a, b))
 
+    @cached_property
+    def _class_orders(self) -> list[int]:
+        return [self.elements[c.representative].order() for c in self.conjugacy_classes()]
+
     def element_order(self, i: int) -> int:
         """Order of element i.  Conjugates share an order, so it is computed
         once per conjugacy class and read through class_of."""
-        if self._class_orders is None:
-            self._class_orders = [
-                self.elements[c.representative].order() for c in self.conjugacy_classes()
-            ]
         return self._class_orders[self.class_of(i)]
 
     def exponent(self) -> int:
-        import math
-
-        return math.lcm(*(self.element_order(c.representative) for c in self.conjugacy_classes()))
+        return math.lcm(*self._class_orders)
 
     # --- conjugacy classes -------------------------------------------------
+
+    @cached_property
+    def _class_split(self) -> tuple[list[ConjClass], bytes | list[int]]:
+        return self._compute_classes()
 
     def conjugacy_classes(self) -> list[ConjClass]:
         """Classes sorted by (size, smallest member index); representative is the
         smallest member index.  Index 0 (identity) always forms the first class."""
-        if self._classes is None:
-            self._compute_classes()
-        return self._classes
+        return self._class_split[0]
 
     def class_of(self, i: int) -> int:
-        if self._class_of is None:
-            self._compute_classes()
-        return self._class_of[i]
+        return self._class_split[1][i]
 
     def to_representative(self, y: int) -> int:
         """An element t with y^t = t^-1 y t the representative of y's class (0
@@ -220,10 +216,11 @@ class GroupTable:
         return [(act, lambda u, r=self._rights[g]: inverse[r[inverse[u]]])
                 for act, g in zip(acts, self.generator_indices)]
 
-    def _compute_classes(self) -> None:
-        """Split T into classes in C-level passes: each grows from the smallest
-        index in no class yet, a BFS level at a time, through the whole-table
-        arrays x -> x^g = q(q(x)), q: x -> x^-1 g = R_g[x^-1], of the generators."""
+    def _compute_classes(self) -> tuple[list[ConjClass], bytes | list[int]]:
+        """The classes and the class id of each element, split in C-level
+        passes: each class grows from the smallest index in no class yet, a BFS
+        level at a time, through the whole-table arrays x -> x^g = q(q(x)),
+        q: x -> x^-1 g = R_g[x^-1], of the generators."""
         n = len(self.images)
         conjugations = [compose_images(q, q) for q in map(compose_images, repeat(self.inverse), self._rights.values())]
         marked, raw, start = bytearray(n), [], 0
@@ -236,29 +233,29 @@ class GroupTable:
             raw.append(tuple(sorted(members)))
             start = marked.find(0, start)
         raw.sort(key=len)  # stable, and raw runs by smallest member
-        self._classes = [ConjClass(ms[0], ms) for ms in raw]
         few = len(raw) <= 256  # each class id then fits in a byte
         class_of = bytearray(n) if few else [0] * n
         for cid, ms in enumerate(raw):
             deque(map(setitem, repeat(class_of), ms, repeat(cid)), 0)
-        self._class_of = bytes(class_of) if few else class_of
+        return [ConjClass(ms[0], ms) for ms in raw], bytes(class_of) if few else class_of
+
+    @cached_property
+    def _class_names(self) -> list[str]:
+        counts: dict[int, int] = {}
+        names = []
+        for o in self._class_orders:
+            counts[o] = k = counts.get(o, 0) + 1
+            letters = ""
+            while k:
+                k, r = divmod(k - 1, 26)
+                letters = chr(ord("A") + r) + letters
+            names.append(f"{o}{letters}")
+        return names
 
     def class_names(self) -> list[str]:
         """Names like 5A, 5B: element order plus letters following the canonical
         class order, A to Z and then AA, AB, ... as spreadsheet columns run.
         Letters are an internal convention, not Atlas letters."""
-        if self._class_names is None:
-            counts: dict[int, int] = {}
-            names = []
-            for cls in self.conjugacy_classes():
-                o = self.element_order(cls.representative)
-                counts[o] = k = counts.get(o, 0) + 1
-                letters = ""
-                while k:
-                    k, r = divmod(k - 1, 26)
-                    letters = chr(ord("A") + r) + letters
-                names.append(f"{o}{letters}")
-            self._class_names = names
         return self._class_names
 
     def class_by_name(self, name: str) -> int:
@@ -288,11 +285,10 @@ class GroupTable:
         Uses the first two generators when they suffice; otherwise scans for the
         first partner (by index) of the first generator.  T = 1 gets (0, 0).
         """
-        if self._pair is None:
-            self._pair = self._find_generating_pair()
         return self._pair
 
-    def _find_generating_pair(self) -> tuple[int, int]:
+    @cached_property
+    def _pair(self) -> tuple[int, int]:
         if len(self.images) == 1:
             return 0, 0
         gens = self.generator_indices
@@ -379,7 +375,7 @@ def validate_subgroup(table: GroupTable, subset: Iterable[int]) -> Subgroup:
     Subgroup.  A Subgroup of this very table comes back as it is.  Any other
     set is closed from its own members with cap |set| (O(|H| k) products, see
     _closure), and is a subgroup exactly when the closure stays within the
-    cap and equals it.
+    cap: the closure holds every member, so then it equals the set.
     """
     if isinstance(subset, Subgroup) and subset.table is table:
         return subset
@@ -387,14 +383,11 @@ def validate_subgroup(table: GroupTable, subset: Iterable[int]) -> Subgroup:
     if 0 not in sub:
         raise InvalidSubgroup("subgroup must contain the identity (index 0)")
     try:
-        closed = _closure(table, sub, len(sub))
+        return _closure(table, sub, len(sub))
     except CapExceeded:
         raise InvalidSubgroup(
             "set of element indices is not closed under multiplication"
         ) from None
-    if closed != sub:
-        raise InvalidSubgroup("set of element indices is not closed under multiplication")
-    return closed
 
 
 def derived_subgroup(table: GroupTable, subgroup: Iterable[int]) -> Subgroup:
@@ -541,7 +534,7 @@ def cauchy_frobenius_count(table: GroupTable, h: Iterable[int], subgroup: Iterab
     from one C-level gather of class ids over H and over S, with no product."""
     h, subgroup = validate_subgroup(table, h), validate_subgroup(table, subgroup)
     sizes = [c.size for c in table.conjugacy_classes()]
-    in_h, in_s = (Counter(compose_images(x, table._class_of)) for x in (h, subgroup))
+    in_h, in_s = (Counter(compose_images(x, table._class_split[1])) for x in (h, subgroup))
     total = sum(k * in_h[c] * (len(table) // sizes[c]) for c, k in in_s.items())
     count, rem = divmod(total, len(h) * len(subgroup))
     if rem:

@@ -96,7 +96,7 @@ def power(p, exponent):
 def group_contains(group, p):
     """Membership of p in a PermutationGroup: p sifts to the identity through
     the group's stabilizer chain."""
-    chain = group._get_chain()
+    chain = group._chain
     return chain.sift(p.images) == chain.identity
 
 

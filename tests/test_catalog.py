@@ -97,7 +97,7 @@ def test_class_ids_are_bytes(name):
     base group's), so the table keeps one byte per class id."""
     table = catalog.load_group_table(name)
     table.conjugacy_classes()
-    assert type(table._class_of) is bytes and len(table._class_of) == len(table)
+    assert type(table._class_split[1]) is bytes and len(table._class_split[1]) == len(table)
 
 
 @pytest.mark.parametrize("name", sorted(SUBGROUP_ORDERS))

@@ -62,15 +62,16 @@ REPORT_KEYS = {"command", "inputs", "verdict", "certificate", "timing_ms"}
 
 def _malformed_argv(tmp_path, command: str, data) -> list[str]:
     """The command line that reads data: a --set value, or a witness or group
-    file.  A string is written to the file as it stands, for JSON text that a
-    dict cannot hold."""
+    file (an aut-file is a group file read by group aut, which builds its
+    automorphisms).  A string is written to the file as it stands, for JSON
+    text that a dict cannot hold."""
     if command == "ab-check":
         return ["spreading", "ab-check", "--group", "A5", "--A", "A4", "--B", "V4", "--set", data]
     path = tmp_path / "input.json"
     path.write_text(data if isinstance(data, str) else json.dumps(data))
     if command == "verify-witness":
         return ["spreading", "verify-witness", "--group", "A5", "--witness", str(path)]
-    return ["group", "info", "--file", str(path)]
+    return ["group", "aut" if command == "aut-file" else "info", "--file", str(path)]
 
 
 def _forbid_diagonal_build(monkeypatch) -> None:
@@ -594,6 +595,14 @@ class TestErrorPaths:
         assert report["verdict"] == "error"
         assert report["certificate"]["error"] == "ValueError"
 
+    def test_an_aut_generators_entry_needs_an_image_per_generator(self, capsys, tmp_path):
+        """Checked before any map is tried: without the count check the entry
+        is still refused, but as no automorphism, which hides the cause."""
+        data = dict(D10_JSON, aut_generators=[[[[0, 1, 2, 3, 4]]]])
+        code, report = run_json(capsys, *_malformed_argv(tmp_path, "aut-file", data))
+        assert code == 2
+        assert report["certificate"] == {"error": "ValueError", "message": "need 2 generator images, got 1"}
+
     @pytest.mark.parametrize("command", ["verify-witness", "group-file"])
     def test_a_deeply_nested_file_is_an_error_report(self, capsys, tmp_path, command):
         """json.load gives up on deep nesting with a RecursionError; the file
@@ -768,6 +777,13 @@ class TestErrorPaths:
         assert main(["group", "info"]) == 2  # needs --group or --file
         assert main(["group", "info", "--group", "A5", "--file", "x.json"]) == 2
         assert main(["group", "info", "--group", "A5", "--bogus"]) == 2
+
+    @pytest.mark.parametrize("argv", [["--help"], ["spreading", "diagonal-witness", "--help"]],
+                             ids=["top-level", "command"])
+    def test_help_exits_0_with_usage_on_stdout(self, capsys, argv):
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: spreadcheck") and err == ""
 
     def test_unrecognized_argument_report_names_the_command(self, capsys):
         argv = ["group", "info", "--group", "A5", "--bogus"]

@@ -158,7 +158,7 @@ class TestGroupTable:
             [cyc(32, [0, 1, 2, 3]), cyc(32, [4, 5, 6]), cyc(32, list(range(7, 32)))]
         ))
         classes = t.conjugacy_classes()
-        assert len(classes) == 300 and type(t._class_of) is list
+        assert len(classes) == 300 and type(t._class_split[1]) is list
         assert sorted(m for cls in classes for m in cls.members) == list(range(300))
         for cid, cls in enumerate(classes):
             assert [t.class_of(m) for m in cls.members] == [cid]
@@ -705,7 +705,7 @@ class TestAutomorphisms:
         per element held about 17."""
         t = catalog.load_entry.__wrapped__("A8").table
         classes, held = retained_bytes(lambda: t.conjugacy_classes())
-        assert len(classes) == 14 and type(t._class_of) is bytes
+        assert len(classes) == 14 and type(t._class_split[1]) is bytes
         assert held <= (struct.calcsize("P") + 1) * len(t) + 8 * 1024
 
     def test_conjugators_are_walked_for_the_class_asked_for(self):

@@ -248,7 +248,7 @@ class TestDiagonalChains:
     )
     def test_chain_shape(self, name, order, orbit_lengths):
         diag = DiagonalGroup(catalog.load_group_table(name), catalog.load_automorphisms(name))
-        chain = diag.group._get_chain()
+        chain = diag.group._chain
         assert diag.group.order() == order
         assert [level.base for level in chain.levels] == [0, 1, 2, 4]
         assert [len(level.inv_transversal) for level in chain.levels] == orbit_lengths
