@@ -9,11 +9,10 @@ index-2 subgroup) names that subgroup by its label, so CatalogEntry.subgroup
 resolves, checks and keeps every subgroup once.
 
 Alternating groups also ship in a second incarnation acting on 3-element
-subsets of the natural domain; those entries are derived on the fly from
-the natural generators.
-
-load_entry caches entries by name, and each entry keeps what it derives
-(see CatalogEntry), so clear_caches forgets both.  A name outside the built-in
+subsets of the natural domain, with generators derived from the natural ones.
+Every built-in entry is built once at import and never handed out: load_entry
+gives a copy of it, caches that copy by name, and the copy keeps what it
+derives (see CatalogEntry), so clear_caches forgets both.  A name outside the built-in
 catalog is read from <name>.json in the SPREADCHECK_CATALOG directory, and
 that file must give the same name.
 
@@ -33,7 +32,7 @@ import os
 import reprlib
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, combinations
 from pathlib import Path
 
@@ -75,10 +74,10 @@ class CatalogEntry:
     generators: tuple[Permutation, ...]
     known_order: int
     # one tuple of generator images per supplied automorphism, or None to search
-    aut_images: tuple[tuple[Permutation, ...], ...] | None
-    subgroups: dict
-    supplement_pairs: tuple[tuple[str, str], ...]
-    two_point_labels: tuple[str, ...]
+    aut_images: tuple[tuple[Permutation, ...], ...] | None = None
+    subgroups: dict = field(default_factory=dict)
+    supplement_pairs: tuple[tuple[str, str], ...] = ()
+    two_point_labels: tuple[str, ...] = ()
     _resolved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @functools.cached_property
@@ -137,170 +136,161 @@ def _three_subset_action(perm: Permutation) -> Permutation:
 # recipes: ("sylow", p) | ("setwise_stabilizer", pts) | ("class_centralizer", class_name)
 # | ("generated", perms), and those derived from the subgroup with a label:
 # ("normalizer_of", label) | ("derived_of", label) | ("index2_centerfree", label)
-_BUILTIN: dict[str, dict] = {
-    "A5": dict(
+_BUILTIN: dict[str, CatalogEntry] = {entry.name: entry for entry in (
+    CatalogEntry(
+        name="A5",
         degree=5,
-        generators=[_cyc(5, (0, 1, 2, 3, 4)), _cyc(5, (2, 3, 4))],
-        order=60,
+        generators=(_cyc(5, (0, 1, 2, 3, 4)), _cyc(5, (2, 3, 4))),
+        known_order=60,
         subgroups={
             "A4": ("normalizer_of", "V4"),
             "V4": ("sylow", 2),
             "D10": ("normalizer_of", "C5"),
             "C5": ("sylow", 5),
         },
-        pairs=[("A4", "V4"), ("D10", "C5"), ("C5", "1")],
-        two_point=["C5", "A4"],
+        supplement_pairs=(("A4", "V4"), ("D10", "C5"), ("C5", "1")),
+        two_point_labels=("C5", "A4"),
     ),
-    "A6": dict(
+    CatalogEntry(
+        name="A6",
         degree=6,
-        generators=[_cyc(6, (0, 1, 2, 3, 4)), _cyc(6, (1, 2, 3, 4, 5))],
-        order=360,
+        generators=(_cyc(6, (0, 1, 2, 3, 4)), _cyc(6, (1, 2, 3, 4, 5))),
+        known_order=360,
         subgroups={"F36": ("normalizer_of", "E9"), "E9": ("sylow", 3)},
-        pairs=[("F36", "E9")],
+        supplement_pairs=(("F36", "E9"),),
     ),
-    "A7": dict(
+    CatalogEntry(
+        name="A7",
         degree=7,
-        generators=[_cyc(7, (0, 1, 2)), _cyc(7, (0, 1, 2, 3, 4, 5, 6))],
-        order=2520,
-        subgroups={
-            "stab3": ("setwise_stabilizer", (0, 1, 2)),
-            "stab3_even": ("derived_of", "stab3"),
-        },
-        pairs=[("stab3", "stab3_even")],
+        generators=(_cyc(7, (0, 1, 2)), _cyc(7, (0, 1, 2, 3, 4, 5, 6))),
+        known_order=2520,
         # generator images under conjugation by the transposition of the
         # first two points; that map is an automorphism but not inner
-        aut=[[_cyc(7, (0, 2, 1)), _cyc(7, (0, 2, 3, 4, 5, 6, 1))]],
-    ),
-    "A8": dict(
-        degree=8,
-        generators=[_cyc(8, (0, 1, 2)), _cyc(8, (1, 2, 3, 4, 5, 6, 7))],
-        order=20160,
+        aut_images=((_cyc(7, (0, 2, 1)), _cyc(7, (0, 2, 3, 4, 5, 6, 1))),),
         subgroups={
             "stab3": ("setwise_stabilizer", (0, 1, 2)),
             "stab3_even": ("derived_of", "stab3"),
         },
-        pairs=[("stab3", "stab3_even")],
-        aut=[[_cyc(8, (0, 2, 1)), _cyc(8, (0, 2, 3, 4, 5, 6, 7))]],
+        supplement_pairs=(("stab3", "stab3_even"),),
     ),
-    "A9": dict(
+    CatalogEntry(
+        name="A8",
+        degree=8,
+        generators=(_cyc(8, (0, 1, 2)), _cyc(8, (1, 2, 3, 4, 5, 6, 7))),
+        known_order=20160,
+        aut_images=((_cyc(8, (0, 2, 1)), _cyc(8, (0, 2, 3, 4, 5, 6, 7))),),
+        subgroups={
+            "stab3": ("setwise_stabilizer", (0, 1, 2)),
+            "stab3_even": ("derived_of", "stab3"),
+        },
+        supplement_pairs=(("stab3", "stab3_even"),),
+    ),
+    CatalogEntry(
+        name="A9",
         degree=9,
-        generators=[_cyc(9, (0, 1, 2)), _cyc(9, (0, 1, 2, 3, 4, 5, 6, 7, 8))],
-        order=181440,
+        generators=(_cyc(9, (0, 1, 2)), _cyc(9, (0, 1, 2, 3, 4, 5, 6, 7, 8))),
+        known_order=181440,
+        aut_images=((_cyc(9, (0, 2, 1)), _cyc(9, (0, 2, 3, 4, 5, 6, 7, 8, 1))),),
         subgroups={
             "stab3": ("setwise_stabilizer", (0, 1, 2)),
             "stab3_even": ("derived_of", "stab3"),
         },
-        pairs=[("stab3", "stab3_even")],
-        aut=[[_cyc(9, (0, 2, 1)), _cyc(9, (0, 2, 3, 4, 5, 6, 7, 8, 1))]],
+        supplement_pairs=(("stab3", "stab3_even"),),
     ),
-    "PSL(2,7)": dict(
+    CatalogEntry(
+        name="PSL(2,7)",
         degree=8,
-        generators=[
+        generators=(
             _cyc(8, (0, 1, 2, 3, 4, 5, 6)),
             _cyc(8, (0, 7), (1, 6), (2, 3), (4, 5)),
-        ],
-        order=168,
+        ),
+        known_order=168,
         subgroups={"F21": ("normalizer_of", "C7"), "C7": ("sylow", 7)},
-        pairs=[("F21", "C7")],
-        two_point=["C7"],
+        supplement_pairs=(("F21", "C7"),),
+        two_point_labels=("C7",),
     ),
-    "PSL(2,8)": dict(
+    CatalogEntry(
+        name="PSL(2,8)",
         degree=9,
-        generators=[
+        generators=(
             _cyc(9, (0, 1), (2, 4), (3, 7), (5, 6)),
             _cyc(9, (1, 2, 3, 4, 5, 6, 7)),
             _cyc(9, (0, 8), (2, 7), (3, 6), (4, 5)),
-        ],
-        order=504,
+        ),
+        known_order=504,
         subgroups={"F56": ("normalizer_of", "E8"), "E8": ("sylow", 2)},
-        pairs=[("F56", "E8")],
+        supplement_pairs=(("F56", "E8"),),
     ),
-    "PSL(2,11)": dict(
+    CatalogEntry(
+        name="PSL(2,11)",
         degree=12,
-        generators=[
+        generators=(
             _cyc(12, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)),
             _cyc(12, (0, 11), (1, 10), (2, 5), (3, 7), (4, 8), (6, 9)),
-        ],
-        order=660,
+        ),
+        known_order=660,
         subgroups={"F55": ("normalizer_of", "C11"), "C11": ("sylow", 11)},
-        pairs=[("F55", "C11")],
+        supplement_pairs=(("F55", "C11"),),
     ),
-    "PSL(2,13)": dict(
+    CatalogEntry(
+        name="PSL(2,13)",
         degree=14,
-        generators=[
+        generators=(
             _cyc(14, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12)),
             _cyc(14, (0, 13), (1, 12), (2, 6), (3, 4), (7, 11), (9, 10)),
-        ],
-        order=1092,
+        ),
+        known_order=1092,
         subgroups={"F78": ("normalizer_of", "C13"), "C13": ("sylow", 13)},
-        pairs=[("F78", "C13")],
+        supplement_pairs=(("F78", "C13"),),
     ),
-    "PSL(3,2)": dict(
+    CatalogEntry(
+        name="PSL(3,2)",
         degree=7,
-        generators=[_cyc(7, (0, 1, 3, 2, 5, 6, 4)), _cyc(7, (1, 2), (5, 6))],
-        order=168,
+        generators=(_cyc(7, (0, 1, 3, 2, 5, 6, 4)), _cyc(7, (1, 2), (5, 6))),
+        known_order=168,
         subgroups={"F21": ("normalizer_of", "C7"), "C7": ("sylow", 7)},
-        pairs=[("F21", "C7")],
+        supplement_pairs=(("F21", "C7"),),
     ),
-    "M11": dict(
+    CatalogEntry(
+        name="M11",
         degree=11,
-        generators=[
+        generators=(
             _cyc(11, (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)),
             _cyc(11, (2, 6, 10, 7), (3, 9, 4, 5)),
-        ],
-        order=7920,
+        ),
+        known_order=7920,
         subgroups={"M10": ("setwise_stabilizer", (0,)), "A6": ("derived_of", "M10")},
-        pairs=[("M10", "A6")],
+        supplement_pairs=(("M10", "A6"),),
     ),
-    "M12": dict(
+    CatalogEntry(
+        name="M12",
         degree=12,
-        generators=[
+        generators=(
             _cyc(12, (0, 11), (1, 10), (2, 9), (3, 8), (4, 7), (5, 6)),
             _cyc(12, (0, 1, 3, 7, 8, 6, 10, 2, 5, 11), (4, 9)),
-        ],
-        order=95040,
+        ),
+        known_order=95040,
         subgroups={
             "2xS5": ("class_centralizer", "2A"),
             "S5": ("index2_centerfree", "2xS5"),
         },
-        pairs=[("2xS5", "S5")],
+        supplement_pairs=(("2xS5", "S5"),),
     ),
-}
-
-_THREE_SUBSET_BASES = ("A5", "A6", "A7", "A8", "A9")
+)}
+# the alternating groups acting on the 3-element subsets of their natural domain
+_BUILTIN.update({
+    f"{base.name}_3sets": CatalogEntry(
+        name=f"{base.name}_3sets",
+        degree=math.comb(base.degree, 3),
+        generators=tuple(map(_three_subset_action, base.generators)),
+        known_order=base.known_order,
+    )
+    for base in [_BUILTIN[name] for name in ("A5", "A6", "A7", "A8", "A9")]
+})
 
 
 def catalog_names() -> list[str]:
-    names = list(_BUILTIN) + [f"{b}_3sets" for b in _THREE_SUBSET_BASES]
-    return sorted(names)
-
-
-def _entry_from_builtin(name: str) -> CatalogEntry:
-    if name not in _BUILTIN:  # a base's action on 3-sets, as catalog_names() lists it
-        base = _BUILTIN[name.removesuffix("_3sets")]
-        gens = tuple(_three_subset_action(g) for g in base["generators"])
-        return CatalogEntry(
-            name=name,
-            degree=len(gens[0].images),
-            generators=gens,
-            known_order=base["order"],
-            aut_images=None,
-            subgroups={},
-            supplement_pairs=(),
-            two_point_labels=(),
-        )
-    spec = _BUILTIN[name]
-    aut = spec.get("aut")
-    return CatalogEntry(
-        name=name,
-        degree=spec["degree"],
-        generators=tuple(spec["generators"]),
-        known_order=spec["order"],
-        aut_images=tuple(tuple(imgs) for imgs in aut) if aut else None,
-        subgroups=dict(spec["subgroups"]),
-        supplement_pairs=tuple(spec.get("pairs", ())),
-        two_point_labels=tuple(spec.get("two_point", ())),
-    )
+    return sorted(_BUILTIN)
 
 
 def load_entry_file(path: str | Path) -> CatalogEntry:
@@ -318,8 +308,8 @@ def validate_entry(entry: CatalogEntry) -> None:
 
 @functools.lru_cache(maxsize=None)
 def load_entry(name: str) -> CatalogEntry:
-    if name in catalog_names():
-        entry = _entry_from_builtin(name)
+    if name in _BUILTIN:
+        entry = replace(_BUILTIN[name])  # a fresh copy: nothing derived, nothing resolved
         validate_entry(entry)
         return entry
     directory = os.environ.get(ENV_CATALOG_DIR)

@@ -320,12 +320,9 @@ def dixon_character_table(table: GroupTable) -> CharacterTable:
                 shifted = [row[:] for row in sub]
                 for d in range(len(basis)):
                     shifted[d][d] = (shifted[d][d] - lam) % p
-                kern = _nullspace(shifted, p)
-                if not kern:
-                    continue
                 lifted = [
                     [sum(w[t] * basis[t][c] for t in range(len(basis))) % p for c in range(k)]
-                    for w in kern
+                    for w in _nullspace(shifted, p)
                 ]
                 lifted = _rref(lifted, p)
                 found += len(lifted)

@@ -535,47 +535,69 @@ class TestErrorPaths:
             assert report["inputs"]["cap"] == int(cap)
 
     @pytest.mark.parametrize(
-        "command,data",
+        "command,data,message",
         [
-            ("verify-witness", {"set": [0, 1], "multiset": {"999": 1, "0": 1}}),
-            ("verify-witness", {"set": [0, 1], "multiset": {"-1": 1, "0": 1}}),
-            ("verify-witness", {"set": [0, 1], "multiset": {"1": 1.5, "0": 1}}),
-            ("group-file", dict(D10_JSON, degree=None)),
-            ("group-file", dict(D10_JSON, degree="5")),
-            ("group-file", [1, 2, 3]),
-            ("verify-witness", {"set": [0, None], "multiset": {"1": 1, "0": 1}}),
-            ("verify-witness", {"set": [0, 1.7], "multiset": {"1": 1, "0": 1}}),
-            ("verify-witness", {"set": [0, True], "multiset": {"1": 1, "0": 1}}),
-            ("group-file", dict(D10_JSON, generators=5)),
-            ("group-file", dict(D10_JSON, subgroups=[1])),
-            ("group-file", dict(D10_JSON, supplement_pairs=5)),
-            ("group-file", dict(D10_JSON, generators=[[[0, 1, 2, 3, 4]], [[2, 3, 4.5]]])),
-            ("group-file", dict(D10_JSON, generators=[[[0, 1, 2, 3, 4]], [0, 1.0, 3, 4, 2]])),
-            ("group-file", dict(D10_JSON, subgroups={"C5": [[0, 1.0, 2, 3, 4]]})),
-            ("group-file", dict(D10_JSON, generators=[[[0, 1, 2, 3, 4]], [[2, 3, True]]])),
-            ("group-file", dict(D10_JSON, generators=[[[0, 1, 2, 3, 4]], [[0, 1], 2, 3, 4, 0]])),
-            ("group-file", dict(D10_JSON, name=None)),
-            ("group-file", dict(D10_JSON, supplement_pairs=[["C5", None]])),
-            ("group-file", dict(D10_JSON, supplement_pairs=[["C5", "1", "C5"]])),
-            ("group-file", dict(D10_JSON, two_point_labels=[5])),
-            ("verify-witness", {"set": [0, 1], "multiset": {"01": 1, "1": 1, "0": 3}}),
-            ("verify-witness", {"set": [0, 1], "multiset": {"+1": 1, "0": 3}}),
-            ("verify-witness", {"set": [0, 1], "multiset": {" 1": 1, "0": 3}}),
-            ("verify-witness", {"set": [0, 1], "multiset": {"0_1": 1, "0": 3}}),
-            ("ab-check", "0,99"),
-            ("ab-check", "0,-1"),
-            ("ab-check", "01,1"),
-            ("ab-check", ""),
-            ("ab-check", "0,0,1"),
-            ("verify-witness", {"set": [0, 0, 1], "multiset": {"0": 1, "1": 4}}),
-            ("verify-witness", '{"set": [0, 1], "multiset": {"0": 1, "0": 4, "1": 0}}'),
+            ("verify-witness", {"set": [0, 1], "multiset": {"999": 1, "0": 1}},
+             "multiset point '999' outside 0..4"),
+            ("verify-witness", {"set": [0, 1], "multiset": {"-1": 1, "0": 1}},
+             "multiset point '-1' outside 0..4"),
+            ("verify-witness", {"set": [0, 1], "multiset": {"1": 1.5, "0": 1}},
+             "multiplicity of point '1' must be a JSON integer, got float"),
+            ("group-file", dict(D10_JSON, degree=None), "'degree' must be a JSON integer, got NoneType"),
+            ("group-file", dict(D10_JSON, degree="5"), "'degree' must be a JSON integer, got str"),
+            ("group-file", [1, 2, 3], "group file must be a JSON object, got list"),
+            ("verify-witness", {"set": [0, None], "multiset": {"1": 1, "0": 1}},
+             "witness 'set' must be a JSON list of JSON integers, got [0, None]"),
+            ("verify-witness", {"set": [0, 1.7], "multiset": {"1": 1, "0": 1}},
+             "witness 'set' must be a JSON list of JSON integers, got [0, 1.7]"),
+            ("verify-witness", {"set": [0, True], "multiset": {"1": 1, "0": 1}},
+             "witness 'set' must be a JSON list of JSON integers, got [0, True]"),
+            ("group-file", dict(D10_JSON, generators=5), "'generators' must be a JSON list, got int"),
+            ("group-file", dict(D10_JSON, subgroups=[1]), "'subgroups' must be a JSON object, got list"),
+            ("group-file", dict(D10_JSON, supplement_pairs=5), "'supplement_pairs' must be a JSON list, got int"),
+            ("group-file", dict(D10_JSON, generators=[[[0, 1, 2, 3, 4]], [[2, 3, 4.5]]]),
+             "cycle must be a JSON list of JSON integers, got [2, 3, 4.5]"),
+            ("group-file", dict(D10_JSON, generators=[[[0, 1, 2, 3, 4]], [0, 1.0, 3, 4, 2]]),
+             "image list must be a JSON list of JSON integers, got [0, 1.0, 3, 4, 2]"),
+            ("group-file", dict(D10_JSON, subgroups={"C5": [[0, 1.0, 2, 3, 4]]}),
+             "image list must be a JSON list of JSON integers, got [0, 1.0, 2, 3, 4]"),
+            ("group-file", dict(D10_JSON, generators=[[[0, 1, 2, 3, 4]], [[2, 3, True]]]),
+             "cycle must be a JSON list of JSON integers, got [2, 3, True]"),
+            ("group-file", dict(D10_JSON, generators=[[[0, 1, 2, 3, 4]], [[0, 1], 2, 3, 4, 0]]),
+             "image list must be a JSON list of JSON integers, got [[0, 1], 2, 3, 4, 0]"),
+            ("group-file", dict(D10_JSON, name=None), "'name' must be a JSON string, got NoneType"),
+            ("group-file", dict(D10_JSON, supplement_pairs=[["C5", None]]),
+             "a 'supplement_pairs' entry must be a JSON list of JSON strings, got ['C5', None]"),
+            ("group-file", dict(D10_JSON, supplement_pairs=[["C5", "1", "C5"]]),
+             "each 'supplement_pairs' entry must be a list of two labels, got [('C5', '1', 'C5')]"),
+            ("group-file", dict(D10_JSON, two_point_labels=[5]),
+             "'two_point_labels' must be a JSON list of JSON strings, got [5]"),
+            ("verify-witness", {"set": [0, 1], "multiset": {"01": 1, "1": 1, "0": 3}},
+             "multiset point '01' is not a canonical integer"),
+            ("verify-witness", {"set": [0, 1], "multiset": {"+1": 1, "0": 3}},
+             "multiset point '+1' is not a canonical integer"),
+            ("verify-witness", {"set": [0, 1], "multiset": {" 1": 1, "0": 3}},
+             "multiset point ' 1' is not a canonical integer"),
+            ("verify-witness", {"set": [0, 1], "multiset": {"0_1": 1, "0": 3}},
+             "multiset point '0_1' is not a canonical integer"),
+            ("ab-check", "0,99", "--set point '99' outside 0..4"),
+            ("ab-check", "0,-1", "--set point '-1' outside 0..4"),
+            ("ab-check", "01,1", "--set point '01' is not a canonical integer"),
+            ("ab-check", "", "--set point '' is not a canonical integer"),
+            ("ab-check", "0,0,1", "repeated --set point 0"),
+            ("verify-witness", {"set": [0, 0, 1], "multiset": {"0": 1, "1": 4}}, "repeated witness 'set' point 0"),
+            ("verify-witness", '{"set": [0, 1], "multiset": {"0": 1, "0": 4, "1": 0}}', "repeated JSON key '0'"),
             ("group-file", '{"name": "D10ext", "degree": 5, "degree": 6, "generators": [],'
-                           ' "known_order": 1}'),
-            ("ab-check", "a,1"),
-            ("verify-witness", {"set": [0, 1], "multiset": {"x": 1, "0": 3}}),
-            ("verify-witness", {"set": [0, 1], "multiset": {"1" * 5000: 1, "0": 3}}),
-            ("group-file", dict(D10_JSON, aut_generators=[])),
-            ("group-file", dict(D10_JSON, aut_generators=None)),
+                           ' "known_order": 1}', "repeated JSON key 'degree'"),
+            ("ab-check", "a,1", "--set point 'a' is not a canonical integer"),
+            ("verify-witness", {"set": [0, 1], "multiset": {"x": 1, "0": 3}},
+             "multiset point 'x' is not a canonical integer"),
+            ("verify-witness", {"set": [0, 1], "multiset": {"1" * 5000: 1, "0": 3}},
+             "multiset point '111111111111...1111111111111' is not a canonical integer"),
+            ("group-file", dict(D10_JSON, aut_generators=[]),
+             "'aut_generators' must list at least one automorphism; leave it out to search"),
+            ("group-file", dict(D10_JSON, aut_generators=None),
+             "'aut_generators' must be a JSON list, got NoneType"),
         ],
         ids=["key-999", "key-minus-1", "fractional-multiplicity", "degree-null",
              "degree-string", "top-level-list", "set-entry-null", "set-entry-fractional",
@@ -589,11 +611,13 @@ class TestErrorPaths:
              "set-point-letter", "key-letter", "key-5000-digits", "aut-generators-empty",
              "aut-generators-null"],
     )
-    def test_malformed_input_is_an_error_report(self, capsys, tmp_path, command, data):
+    def test_malformed_input_is_an_error_report(self, capsys, tmp_path, command, data, message):
+        """Each input is refused by the check that names its fault, not by a
+        later one that happens to refuse it too."""
         code, report = run_json(capsys, *_malformed_argv(tmp_path, command, data))
         assert code == 2
         assert report["verdict"] == "error"
-        assert report["certificate"]["error"] == "ValueError"
+        assert report["certificate"] == {"error": "ValueError", "message": message}
 
     def test_an_aut_generators_entry_needs_an_image_per_generator(self, capsys, tmp_path):
         """Checked before any map is tried: without the count check the entry

@@ -42,6 +42,11 @@ def test_cyclotomic_polynomials(n, coeffs):
         assert -2 in poly
 
 
+def test_root_order_must_be_positive():
+    with pytest.raises(ValueError, match="root order must be positive"):
+        cyclotomic_polynomial(0)
+
+
 def test_product_of_cyclotomics_is_x_n_minus_1():
     # x^12 - 1 = prod over d | 12 of the d-th cyclotomic polynomial
     prod = [1]
@@ -131,6 +136,11 @@ class TestCyclotomicValue:
     def test_wrong_coefficient_length_rejected(self):
         with pytest.raises(ValueError):
             CyclotomicValue(5, (1, 0))
+
+    def test_irrational_value_is_no_integer(self):
+        message = r"^CyclotomicValue\(order=5, coeffs=\(0, 1, 0, 0\)\) is not a rational integer$"
+        with pytest.raises(ValueError, match=message):
+            root(5).as_int()
 
 
 class TestSumOfProducts:

@@ -348,6 +348,8 @@ class TestSubgroupHelpers:
         t = catalog.load_group_table("A5")
         assert len(sylow_subgroup(t, 2)) == 4
         assert len(sylow_subgroup(t, 5)) == 5
+        with pytest.raises(ValueError, match="7 does not divide the group order 60"):
+            sylow_subgroup(t, 7)
         assert len(sylow_normalizer(t, 5)) == 10
         t6 = catalog.load_group_table("A6")
         assert len(sylow_subgroup(t6, 3)) == 9

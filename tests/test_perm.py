@@ -1,5 +1,7 @@
 """Permutation arithmetic and stabilizer-chain behavior."""
 
+import re
+
 import pytest
 
 from helpers import (
@@ -121,6 +123,18 @@ class TestPermutationGroup:
         closure = naive_elements(perms, degree)
         assert group.order() == len(closure) == order
         assert all(group_contains(group, p) for p in closure)
+
+    def test_malformed_arguments_raise(self):
+        a5 = _a5()
+        for call, message in [
+            (lambda: PermutationGroup([]), "degree required for a generator-free (trivial) group"),
+            (lambda: PermutationGroup([cyc(3, [0, 1, 2]), cyc(2, [0, 1])]),
+             "generator degree 2 != group degree 3"),
+            (lambda: a5.orbit(5), "point 5 out of range for degree 5"),
+            (lambda: a5.set_orbit([0, 5]), "point 5 out of range for degree 5"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
 
     def test_membership_rejects_outsiders(self):
         a5 = _a5()

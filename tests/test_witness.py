@@ -113,9 +113,16 @@ class TestVerifyWitness:
         recheck_refutation(ref, group)
 
     def test_requires_transitive_group(self):
+        """The group must be transitive, and X and J must lie on its domain."""
         intransitive = PermutationGroup([Permutation((1, 0, 2, 3))], 4)
-        with pytest.raises(ValueError):
-            verify_witness(intransitive, {0, 1}, uniform(4, 1))
+        a5 = catalog.load_entry("A5").group
+        for group, points, multiset, message in [
+            (intransitive, {0, 1}, uniform(4, 1), "requires a transitive group"),
+            (a5, {0, 1}, uniform(4, 1), "multiset domain 4 != group degree 5"),
+            (a5, {0, 7}, uniform(5, 1), "set contains points outside the domain"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                verify_witness(group, points, multiset)
 
 
 def _c6_pair():
@@ -168,6 +175,9 @@ class TestSubgroupPairBuilder:
         ]:
             with pytest.raises(InvalidSubgroup, match=message):
                 witness_from_subgroup_pair(a, b, 0, {0, 1})
+        intransitive = build_group_table(PermutationGroup([Permutation((1, 0, 2))], 3), name="C2")
+        with pytest.raises(ValueError, match="the ambient group must be transitive"):
+            witness_from_subgroup_pair(validate_subgroup(intransitive, {0, 1}), frozenset({0}), 0)
 
 
 class TestConstructedWitness:
