@@ -380,6 +380,7 @@ def clear_caches() -> None:
 
 GROUP_KEYS = ("name", "degree", "generators", "known_order", "aut_generators", "subgroups",
               "supplement_pairs", "two_point_labels")
+MAX_FILE_DEGREE = 10**6  # a group file's degree; each permutation holds degree points
 _JSON_KINDS = {dict: "a JSON object", list: "a JSON list", str: "a JSON string", int: "a JSON integer"}
 
 
@@ -440,9 +441,10 @@ def parse_permutation(data, degree: int) -> Permutation:
 def entry_from_json(data) -> CatalogEntry:
     """The entry of a group file, a JSON object with the keys GROUP_KEYS, of
     which subgroups, supplement_pairs, two_point_labels and aut_generators
-    may be left out.  The label "1" always means the trivial subgroup: a file
-    may not define it, and every label of supplement_pairs and
-    two_point_labels is "1" or a key of subgroups.  Malformed data or an
+    may be left out.  Its degree is at most MAX_FILE_DEGREE, checked before
+    any permutation is built.  The label "1" always means the trivial
+    subgroup: a file may not define it, and every label of supplement_pairs
+    and two_point_labels is "1" or a key of subgroups.  Malformed data or an
     unknown key raises ValueError, a missing key KeyError, and an order other
     than known_order VerificationInconsistency."""
     unknown = [key for key in expect(data, dict, "group file") if key not in GROUP_KEYS]
@@ -452,6 +454,8 @@ def entry_from_json(data) -> CatalogEntry:
     degree, known_order = (expect(data[key], int, repr(key)) for key in ("degree", "known_order"))
     if min(degree, known_order) < 0:
         raise ValueError(f"'degree' and 'known_order' must be nonnegative, got {degree} and {known_order}")
+    if degree > MAX_FILE_DEGREE:
+        raise ValueError(f"'degree' must be at most {MAX_FILE_DEGREE}, got {degree}")
 
     def permutations(value, what: str) -> tuple[Permutation, ...]:
         return tuple(parse_permutation(g, degree) for g in expect(value, list, what))

@@ -9,14 +9,16 @@ prime field F_p whose multiplicative group contains all needed roots of unity,
 starting from one fixed integer combination of them, read off each character
 modulo p, then lift every entry to an exact cyclotomic integer through the
 root-of-unity correspondence, one reduction modulo the cyclotomic polynomial
-per entry.  The finished table is self-checked before it is returned (row and
-column orthogonality, each sum with its rational terms added as integers and
-the rest through one cyclotomic sum of products, and the degree sum), so
-downstream zero/equality tests never rest on an unverified computation.
+per entry.  The finished table is self-checked once, when it is first built
+for a group table (row and column orthogonality, each sum with its rational
+terms added as integers and the rest through one cyclotomic sum of products,
+and the degree sum), so downstream zero/equality tests never rest on an
+unverified computation; later calls for that table reuse the checked table.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import partial
 from math import isqrt
@@ -237,7 +239,7 @@ def _primitive_root(p: int) -> int:
 
 # --- the table -------------------------------------------------------------
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CharacterTable:
     group_label: str
     group_order: int
@@ -281,7 +283,22 @@ class CharacterTable:
         )
 
 
+# each table's checked character table, dropped together with the table
+_CHARACTER_TABLES: weakref.WeakKeyDictionary[GroupTable, CharacterTable] = weakref.WeakKeyDictionary()
+
+
 def dixon_character_table(table: GroupTable) -> CharacterTable:
+    """The character table of table, built and self-checked on the first call
+    for this table and returned as that same object for as long as the table
+    lives.  A failed build (CapExceeded, VerificationInconsistency) is not
+    kept, so the next call builds again and raises again."""
+    ct = _CHARACTER_TABLES.get(table)
+    if ct is None:
+        ct = _CHARACTER_TABLES[table] = _build_character_table(table)
+    return ct
+
+
+def _build_character_table(table: GroupTable) -> CharacterTable:
     classes = table.conjugacy_classes()
     k = len(classes)
     if k > DEFAULT_CLASS_CAP:

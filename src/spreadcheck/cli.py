@@ -9,7 +9,9 @@ identical byte for byte apart from the timing field.
 main resolves the group of --group or --file once and hands its catalog entry
 to the command's handler, which returns the verdict, certificate and summary
 lines; _run derives the exit code from the verdict.  Every file and number
-the user gives is parsed and checked in catalog.
+the user gives is parsed and checked in catalog.  Any other exception is an
+internal error: its report is marked "internal", its traceback goes to
+stderr, and it exits 2 as well.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import os
 import sys
 import time
+import traceback
 
 from . import catalog
 from .chartab import (
@@ -85,6 +88,11 @@ def _run(argv: list[str]) -> int:
     ) as exc:
         certificate = {"error": type(exc).__name__, "message": str(exc)}
         _emit(args, _report(args, "error", certificate, start), [f"error: {exc}"])
+        return 2
+    except Exception as exc:  # a bug: exit 2, never 1, which would read as refuted
+        traceback.print_exc()
+        certificate = {"error": type(exc).__name__, "message": str(exc), "internal": True}
+        _emit(args, _report(args, "error", certificate, start), [f"internal error: {exc!r}"])
         return 2
     _emit(args, _report(args, verdict, certificate, start), lines)
     return _EXIT_CODES[verdict]

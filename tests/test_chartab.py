@@ -1,13 +1,15 @@
 """Exact character tables and the class-triple witness test."""
 
 import dataclasses
+import gc
 import random
+import weakref
 from functools import lru_cache
 
 import pytest
 
 from helpers import class_algebra_consistent, class_mult_coefficient, recheck_witness
-from spreadcheck import catalog, chartab
+from spreadcheck import catalog, chartab, cli
 from spreadcheck.chartab import (
     CharTripleRefutation,
     CharWitnessSpec,
@@ -23,7 +25,7 @@ from spreadcheck.chartab import (
 )
 from spreadcheck.cyclotomic import CyclotomicValue, from_coefficients, sum_of_products
 from spreadcheck.diagonal import DiagonalGroup
-from spreadcheck.errors import VerificationInconsistency
+from spreadcheck.errors import CapExceeded, VerificationInconsistency
 from spreadcheck.perm import Permutation, PermutationGroup
 from spreadcheck.tables import GroupTable, build_group_table
 
@@ -254,8 +256,9 @@ class TestClassTensor:
             t._rights[g] = tuple(images)
         with pytest.raises(VerificationInconsistency, match=message):
             _class_tensor(t)
-        with pytest.raises(VerificationInconsistency, match=message):
-            dixon_character_table(t)
+        for _ in range(2):  # a failed build is not kept: each call checks again
+            with pytest.raises(VerificationInconsistency, match=message):
+                dixon_character_table(t)
 
     def test_tensor_makes_no_left_multiplication(self, monkeypatch):
         """A fresh table's classes and tensor read only the generator arrays
@@ -295,6 +298,58 @@ class TestClassTensor:
         _class_tensor(t)
         assert 0 < len(whole) <= 20
         assert passes == []
+
+
+class TestOneTablePerGroupTable:
+    def test_a_second_call_returns_the_same_table(self):
+        t = build_group_table(catalog.load_entry("A5").group, name="A5")
+        ct = dixon_character_table(t)
+        assert dixon_character_table(t) is ct
+        assert chartab._CHARACTER_TABLES[t] is ct
+
+    def test_the_shared_table_is_frozen(self):
+        ct = dixon_character_table(_c3_table())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ct.rows = ()
+
+    def test_commands_on_one_group_build_one_tensor(self, capsys, monkeypatch):
+        """char-search, char-witness and chartab compute on A6 in one process
+        read one character table: its class tensor is built once."""
+        builds = []
+        tensor = chartab._class_tensor
+        monkeypatch.setattr(chartab, "_class_tensor", lambda t: builds.append(t) or tensor(t))
+        catalog.clear_caches()
+        for argv in (["spreading", "char-search"],
+                     ["spreading", "char-witness", "--r", "2A", "--s1", "5A", "--s2", "5B"],
+                     ["chartab", "compute"]):
+            assert cli.main([*argv, "--group", "A6", "--json"]) == 0
+        capsys.readouterr()
+        assert builds == [catalog.load_group_table("A6")]
+
+    def test_the_table_is_dropped_with_its_group_table(self, monkeypatch):
+        """The memo holds no strong reference: once the catalog forgets a
+        table, the table and its character table go.  The test reads an empty
+        memo of the module's own kind."""
+        memo = type(chartab._CHARACTER_TABLES)()
+        monkeypatch.setattr(chartab, "_CHARACTER_TABLES", memo)
+        catalog.clear_caches()
+        dixon_character_table(catalog.load_group_table("A5"))
+        table = weakref.ref(catalog.load_group_table("A5"))
+        assert list(memo) == [table()]
+        catalog.clear_caches()
+        gc.collect()
+        assert table() is None
+        assert len(memo) == 0
+
+    def test_a_table_past_the_class_cap_is_refused_on_every_call(self):
+        """C2^6 has 64 classes, past the cap of 60; the refusal is not kept."""
+        gens = [Permutation([*range(2 * i), 2 * i + 1, 2 * i, *range(2 * i + 2, 12)]) for i in range(6)]
+        t = build_group_table(PermutationGroup(gens), name="C2^6")
+        for _ in range(2):
+            with pytest.raises(CapExceeded) as raised:
+                dixon_character_table(t)
+            assert (raised.value.what, raised.value.cap) == ("conjugacy classes", 60)
+        assert t not in chartab._CHARACTER_TABLES
 
 
 class TestClassAlgebraConsistency:

@@ -7,6 +7,8 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -503,6 +505,40 @@ class TestErrorPaths:
         code, report = run_json(capsys, "group", "info", "--file", "/no/such/entry.json")
         assert code == 2
         assert report["certificate"]["error"] in {"OSError", "FileNotFoundError"}
+
+    @pytest.mark.parametrize("degree", [10**30, catalog.MAX_FILE_DEGREE + 1], ids=["10^30", "bound+1"])
+    def test_a_degree_past_the_bound_is_refused_before_any_permutation(self, capsys, tmp_path, degree):
+        """group info builds no table, so only the degree bound stops a file
+        from making each generator a list of degree points."""
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(dict(D10_JSON, degree=degree)))
+        tracemalloc.start()
+        try:
+            code, report = run_json(capsys, "group", "info", "--file", str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert report["certificate"] == {
+            "error": "ValueError", "message": f"'degree' must be at most 1000000, got {degree}"}
+        assert peak < 1_000_000
+
+    def test_an_unexpected_exception_is_an_internal_error(self, capsys, monkeypatch):
+        """A bug exits 2 with a report marked internal and its traceback on
+        stderr; it never escapes main and never exits 1, which means refuted."""
+        def broken(table):
+            raise RuntimeError("broken handler")
+
+        monkeypatch.setattr(cli, "dixon_character_table", broken)
+        code = main(["chartab", "compute", "--group", "A5", "--json"])
+        captured = capsys.readouterr()
+        assert code == 2
+        report = json.loads(captured.out)
+        assert report["verdict"] == "error"
+        assert report["certificate"] == {"error": "RuntimeError", "message": "broken handler",
+                                          "internal": True}
+        assert captured.err.startswith("Traceback")
+        assert captured.err.endswith("RuntimeError: broken handler\n")
 
     def test_table_degree_limit(self, capsys, tmp_path):
         """A table holds each element's points as bytes, so a group of degree
@@ -1028,20 +1064,29 @@ def _positions(node, path=()):
         yield from _positions(child, path + (key,))
 
 
-def _mutants(data, degree, rng, count):
-    """Copies of data with one value each replaced by a fixed list of bad or
-    borderline values.  None of them can raise the degree or the group order
-    above the original's, so every command stays small."""
-    values = [None, True, 1.5, "x", [], {}, -1, degree, [[0]]]
-    positions = list(_positions(data))
+def _edits(data, values, keys, rng, count):
+    """Copies of data with one seeded edit each, anywhere in the document: a
+    value replaced by one of values or deleted, or one of values appended to
+    a list or added to an object under one of keys.  An append to a scalar
+    replaces it, and so does a deletion of the whole document."""
+    positions = list(_positions([data]))  # (0,) is the document itself
     for _ in range(count):
-        mutant = copy.deepcopy(data)
+        box = [copy.deepcopy(data)]
         *parents, last = rng.choice(positions)
-        node = mutant
+        parent = box
         for key in parents:
-            node = node[key]
-        node[last] = copy.deepcopy(rng.choice(values))
-        yield mutant
+            parent = parent[key]
+        node, value = parent[last], copy.deepcopy(rng.choice(values))
+        kind = rng.choice(["replace", "delete", "append"])
+        if kind == "append" and isinstance(node, list):
+            node.append(value)
+        elif kind == "append" and isinstance(node, dict):
+            node[rng.choice(keys)] = value
+        elif kind == "delete" and parent is not box:
+            del parent[last]
+        else:
+            parent[last] = value
+        yield box[0]
 
 
 @pytest.mark.parametrize("source", ["group-file", "witness-file"])
@@ -1061,10 +1106,60 @@ def test_mutated_input_files_keep_the_exit_contract(capsys, tmp_path, source):
         data, degree = report["certificate"], 60
         argv = ["spreading", "verify-witness", "--group", "A5", "--diagonal", "--witness", str(path)]
     codes = []
-    for mutant in _mutants(data, degree, rng, 200):
+    values = [None, True, 1.5, "x", [], {}, -1, degree, [[0]]]  # none raises the degree or the order
+    for mutant in _edits(data, values, ["x", "0", "name"], rng, 200):
         path.write_text(json.dumps(mutant))
         code, report = run_json(capsys, *argv)
         assert code in (0, 1, 2), (mutant, report)
         assert (code == 2) == (report["verdict"] == "error"), (mutant, report)
         codes.append(code)
     assert 2 in codes and 0 in codes
+
+
+SWEEP_VALUES = [None, True, 1.5, "x", "A4", "1", [], {}, -1, 0, 4, 5, 60, 10**30,
+                catalog.MAX_FILE_DEGREE + 1, [[0]], [[0, 1]], [0, 1, 2, 3, 4]]
+SWEEP_KEYS = ["x", "3", "A4", *catalog.GROUP_KEYS]
+SWEEP_COMMANDS = [
+    ["group", "info"],
+    ["group", "classes"],
+    ["group", "aut"],
+    ["chartab", "compute"],
+    ["spreading", "verify-witness", "--witness"],
+    ["spreading", "ab-check", "--A", "A4", "--B", "V4"],
+    ["spreading", "diagonal-witness", "--A", "A4", "--B", "V4"],
+    ["spreading", "supplement", "--A", "A4", "--B", "V4", "--scope", "Aut"],
+    ["spreading", "char-search"],
+]
+
+
+def _top_level_edits(data, values):
+    """Copies of data with one top-level value replaced by each of values,
+    then with each top-level value deleted."""
+    for key in data:
+        for value in values:
+            yield {**data, key: copy.deepcopy(value)}
+    for key in data:
+        yield {k: v for k, v in data.items() if k != key}
+
+
+def test_edited_sweep_files_keep_the_exit_contract(capsys, tmp_path):
+    """The benchmark's A5copy group file and its refuted witness file, each
+    with every top-level value replaced or deleted and with 60 seeded edits
+    anywhere, run through the nine commands that read a group file: every run
+    returns 0, 1 or 2 from main, and no input reaches an internal error."""
+    rng = random.Random("spreadcheck-sweep")
+    group, witness = tmp_path / "A5copy.json", tmp_path / "refute.json"
+    refute = {"set": [0, 1], "multiset": {"0": 1, "1": 1}}
+    codes = []
+    for source, data in (("group", A5_COPY), ("witness", refute)):
+        mutants = chain(_top_level_edits(data, SWEEP_VALUES), _edits(data, SWEEP_VALUES, SWEEP_KEYS, rng, 60))
+        for mutant in mutants:
+            group.write_text(json.dumps(mutant if source == "group" else A5_COPY))
+            witness.write_text(json.dumps(mutant if source == "witness" else refute))
+            for command in SWEEP_COMMANDS:
+                argv = [*command, str(witness)] if command[-1] == "--witness" else command
+                code, report = run_json(capsys, *argv, "--file", str(group))
+                assert code in (0, 1, 2), (mutant, argv, report)
+                assert "internal" not in report["certificate"], (mutant, argv, report)
+                codes.append(code)
+    assert {0, 1, 2} <= set(codes)
