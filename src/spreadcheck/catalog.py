@@ -380,7 +380,7 @@ def clear_caches() -> None:
 
 GROUP_KEYS = ("name", "degree", "generators", "known_order", "aut_generators", "subgroups",
               "supplement_pairs", "two_point_labels")
-MAX_FILE_DEGREE = 10**6  # a group file's degree; each permutation holds degree points
+MAX_FILE_POINTS = 10**6  # a group file's degree times its permutations, at least one
 _JSON_KINDS = {dict: "a JSON object", list: "a JSON list", str: "a JSON string", int: "a JSON integer"}
 
 
@@ -441,8 +441,8 @@ def parse_permutation(data, degree: int) -> Permutation:
 def entry_from_json(data) -> CatalogEntry:
     """The entry of a group file, a JSON object with the keys GROUP_KEYS, of
     which subgroups, supplement_pairs, two_point_labels and aut_generators
-    may be left out.  Its degree is at most MAX_FILE_DEGREE, checked before
-    any permutation is built.  The label "1" always means the trivial
+    may be left out; degree times permutations is at most MAX_FILE_POINTS,
+    checked before any is built.  The label "1" always means the trivial
     subgroup: a file may not define it, and every label of supplement_pairs
     and two_point_labels is "1" or a key of subgroups.  Malformed data or an
     unknown key raises ValueError, a missing key KeyError, and an order other
@@ -454,19 +454,24 @@ def entry_from_json(data) -> CatalogEntry:
     degree, known_order = (expect(data[key], int, repr(key)) for key in ("degree", "known_order"))
     if min(degree, known_order) < 0:
         raise ValueError(f"'degree' and 'known_order' must be nonnegative, got {degree} and {known_order}")
-    if degree > MAX_FILE_DEGREE:
-        raise ValueError(f"'degree' must be at most {MAX_FILE_DEGREE}, got {degree}")
-
-    def permutations(value, what: str) -> tuple[Permutation, ...]:
-        return tuple(parse_permutation(g, degree) for g in expect(value, list, what))
-
-    generators = permutations(data["generators"], "'generators'")
+    gens = expect(data["generators"], list, "'generators'")
     aut = expect(data["aut_generators"], list, "'aut_generators'") if "aut_generators" in data else None
     if aut == []:
         raise ValueError("'aut_generators' must list at least one automorphism; leave it out to search")
-    aut_images = None if aut is None else tuple(permutations(images, "an 'aut_generators' entry") for images in aut)
-    subgroups = {label: ("generated", permutations(gens, f"subgroup {label!r}"))
-                 for label, gens in expect(data.get("subgroups", {}), dict, "'subgroups'").items()}
+    auts = [expect(images, list, "an 'aut_generators' entry") for images in aut or ()]
+    subgroup_gens = {label: expect(g, list, f"subgroup {label!r}")
+                     for label, g in expect(data.get("subgroups", {}), dict, "'subgroups'").items()}
+    count = max(1, sum(map(len, [gens, *auts, *subgroup_gens.values()])))
+    if degree * count > MAX_FILE_POINTS:  # each permutation is built as degree points
+        raise ValueError(f"'degree' times the number of permutations must be at most {MAX_FILE_POINTS}, "
+                         f"got degree {degree} and {count} permutations")
+
+    def permutations(value: list) -> tuple[Permutation, ...]:
+        return tuple(parse_permutation(g, degree) for g in value)
+
+    generators = permutations(gens)
+    aut_images = None if aut is None else tuple(map(permutations, auts))
+    subgroups = {label: ("generated", permutations(g)) for label, g in subgroup_gens.items()}
     pairs = [tuple(expect(pair, list, "a 'supplement_pairs' entry", str))
              for pair in expect(data.get("supplement_pairs", []), list, "'supplement_pairs'")]
     if any(len(pair) != 2 for pair in pairs):

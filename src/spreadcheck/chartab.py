@@ -283,19 +283,16 @@ class CharacterTable:
         )
 
 
-# each table's checked character table, dropped together with the table
-_CHARACTER_TABLES: weakref.WeakKeyDictionary[GroupTable, CharacterTable] = weakref.WeakKeyDictionary()
+_CHARACTER_TABLES = weakref.WeakKeyDictionary()  # each table's checked character table, dropped with it
 
 
 def dixon_character_table(table: GroupTable) -> CharacterTable:
     """The character table of table, built and self-checked on the first call
-    for this table and returned as that same object for as long as the table
-    lives.  A failed build (CapExceeded, VerificationInconsistency) is not
-    kept, so the next call builds again and raises again."""
-    ct = _CHARACTER_TABLES.get(table)
-    if ct is None:
-        ct = _CHARACTER_TABLES[table] = _build_character_table(table)
-    return ct
+    for it and returned again while the table lives.  A failed build
+    (CapExceeded, VerificationInconsistency) is not kept: the next call raises again."""
+    if table not in _CHARACTER_TABLES:
+        _CHARACTER_TABLES[table] = _build_character_table(table)
+    return _CHARACTER_TABLES[table]
 
 
 def _build_character_table(table: GroupTable) -> CharacterTable:

@@ -9,9 +9,8 @@ identical byte for byte apart from the timing field.
 main resolves the group of --group or --file once and hands its catalog entry
 to the command's handler, which returns the verdict, certificate and summary
 lines; _run derives the exit code from the verdict.  Every file and number
-the user gives is parsed and checked in catalog.  Any other exception is an
-internal error: its report is marked "internal", its traceback goes to
-stderr, and it exits 2 as well.
+the user gives is parsed and checked in catalog.  Any other exception exits
+2 too, its report marked "internal" and its traceback on stderr.
 """
 
 from __future__ import annotations

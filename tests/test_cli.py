@@ -506,22 +506,47 @@ class TestErrorPaths:
         assert code == 2
         assert report["certificate"]["error"] in {"OSError", "FileNotFoundError"}
 
-    @pytest.mark.parametrize("degree", [10**30, catalog.MAX_FILE_DEGREE + 1], ids=["10^30", "bound+1"])
-    def test_a_degree_past_the_bound_is_refused_before_any_permutation(self, capsys, tmp_path, degree):
-        """group info builds no table, so only the degree bound stops a file
-        from making each generator a list of degree points."""
+    # D10_JSON holds 3 permutations, so 998 identities more at degree 1000 are
+    # one permutation past the bound
+    @pytest.mark.parametrize("degree, identities", [(10**30, 0), (1000, 998)], ids=["10^30", "bound+1"])
+    def test_a_file_past_the_points_bound_is_refused_before_any_permutation(
+            self, capsys, tmp_path, degree, identities):
+        """group info builds no table, so only the points bound stops a file
+        from making each permutation, [] included, a list of degree points."""
+        data = dict(D10_JSON, degree=degree, generators=D10_JSON["generators"] + [[]] * identities)
         path = tmp_path / "huge.json"
-        path.write_text(json.dumps(dict(D10_JSON, degree=degree)))
+        path.write_text(json.dumps(data))
         tracemalloc.start()
         try:
             code, report = run_json(capsys, "group", "info", "--file", str(path))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        count = identities + 3
         assert code == 2
         assert report["certificate"] == {
-            "error": "ValueError", "message": f"'degree' must be at most 1000000, got {degree}"}
+            "error": "ValueError",
+            "message": "'degree' times the number of permutations must be at most 1000000, "
+                       f"got degree {degree} and {count} permutations"}
         assert peak < 1_000_000
+
+    def test_a_file_at_the_points_bound_loads_in_bounded_memory(self, tmp_path):
+        """1000 identities of degree 1000 are the most points a group file may
+        hold: it loads, and its permutations take about 36 bytes a point (an
+        8-byte slot and a 28-byte int each, as points above 256 are no
+        shared small ints)."""
+        data = {"name": "wide", "degree": 1000, "generators": [[]] * 1000, "known_order": 1}
+        assert data["degree"] * len(data["generators"]) == catalog.MAX_FILE_POINTS
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(data))
+        tracemalloc.start()
+        try:
+            entry = catalog.load_entry_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(entry.generators) == 1000 and entry.group.order() == 1
+        assert peak < 50 * catalog.MAX_FILE_POINTS
 
     def test_an_unexpected_exception_is_an_internal_error(self, capsys, monkeypatch):
         """A bug exits 2 with a report marked internal and its traceback on
@@ -1089,36 +1114,10 @@ def _edits(data, values, keys, rng, count):
         yield box[0]
 
 
-@pytest.mark.parametrize("source", ["group-file", "witness-file"])
-def test_mutated_input_files_keep_the_exit_contract(capsys, tmp_path, source):
-    """Seeded fuzzing of the input boundary: every mutant ends in exit 0, 1 or
-    2 with a report, and none escapes main as an exception."""
-    rng = random.Random(f"spreadcheck-fuzz:{source}")
-    path = tmp_path / "input.json"
-    if source == "group-file":
-        data, degree = dict(D10_JSON, supplement_pairs=[["C5", "1"]]), 5
-        argv = ["spreading", "supplement", "--file", str(path), "--A", "C5", "--B", "1",
-                "--scope", "Aut"]
-    else:
-        _, report = run_json(
-            capsys, "spreading", "diagonal-witness", "--group", "A5", "--A", "A4", "--B", "V4"
-        )
-        data, degree = report["certificate"], 60
-        argv = ["spreading", "verify-witness", "--group", "A5", "--diagonal", "--witness", str(path)]
-    codes = []
-    values = [None, True, 1.5, "x", [], {}, -1, degree, [[0]]]  # none raises the degree or the order
-    for mutant in _edits(data, values, ["x", "0", "name"], rng, 200):
-        path.write_text(json.dumps(mutant))
-        code, report = run_json(capsys, *argv)
-        assert code in (0, 1, 2), (mutant, report)
-        assert (code == 2) == (report["verdict"] == "error"), (mutant, report)
-        codes.append(code)
-    assert 2 in codes and 0 in codes
-
-
 SWEEP_VALUES = [None, True, 1.5, "x", "A4", "1", [], {}, -1, 0, 4, 5, 60, 10**30,
-                catalog.MAX_FILE_DEGREE + 1, [[0]], [[0, 1]], [0, 1, 2, 3, 4]]
+                catalog.MAX_FILE_POINTS + 1, [[0]], [[0, 1]], [0, 1, 2, 3, 4]]
 SWEEP_KEYS = ["x", "3", "A4", *catalog.GROUP_KEYS]
+SWEEP_WITNESS = {"set": [0, 1], "multiset": {"0": 1, "1": 1}}  # refuted over A5copy
 SWEEP_COMMANDS = [
     ["group", "info"],
     ["group", "classes"],
@@ -1142,24 +1141,46 @@ def _top_level_edits(data, values):
         yield {k: v for k, v in data.items() if k != key}
 
 
-def test_edited_sweep_files_keep_the_exit_contract(capsys, tmp_path):
-    """The benchmark's A5copy group file and its refuted witness file, each
-    with every top-level value replaced or deleted and with 60 seeded edits
-    anywhere, run through the nine commands that read a group file: every run
-    returns 0, 1 or 2 from main, and no input reaches an internal error."""
-    rng = random.Random("spreadcheck-sweep")
-    group, witness = tmp_path / "A5copy.json", tmp_path / "refute.json"
-    refute = {"set": [0, 1], "multiset": {"0": 1, "1": 1}}
-    codes = []
-    for source, data in (("group", A5_COPY), ("witness", refute)):
+@pytest.mark.parametrize("source", ["group-file", "witness-file", "sweep-group-file", "sweep-witness-file"])
+def test_mutated_input_files_keep_the_exit_contract(capsys, tmp_path, source):
+    """Seeded fuzzing of the input boundary: every mutant ends in exit 0, 1 or
+    2 with a report, none escapes main as an exception and none is an
+    internal error.  group-file and witness-file each feed 200 edits to one
+    command; the sweep cases edit the benchmark's A5copy group file and its
+    refuted witness file, every top-level value replaced or deleted and 60
+    edits anywhere, and run each through the nine commands that read a
+    group file."""
+    rng = random.Random(f"spreadcheck-fuzz:{source}")
+    group, witness = tmp_path / "group.json", tmp_path / "witness.json"
+    group.write_text(json.dumps(A5_COPY))
+    witness.write_text(json.dumps(SWEEP_WITNESS))
+    if source == "group-file":
+        data, target = dict(D10_JSON, supplement_pairs=[["C5", "1"]]), group
+        commands = [["spreading", "supplement", "--file", str(group), "--A", "C5", "--B", "1",
+                     "--scope", "Aut"]]
+    elif source == "witness-file":
+        _, report = run_json(
+            capsys, "spreading", "diagonal-witness", "--group", "A5", "--A", "A4", "--B", "V4"
+        )
+        data, target = report["certificate"], witness
+        commands = [["spreading", "verify-witness", "--group", "A5", "--diagonal", "--witness", str(witness)]]
+    else:
+        data, target = (A5_COPY, group) if source == "sweep-group-file" else (SWEEP_WITNESS, witness)
+        commands = [[*c, str(witness)] if c[-1] == "--witness" else c for c in SWEEP_COMMANDS]
+        commands = [[*command, "--file", str(group)] for command in commands]
+    if source.startswith("sweep"):
         mutants = chain(_top_level_edits(data, SWEEP_VALUES), _edits(data, SWEEP_VALUES, SWEEP_KEYS, rng, 60))
-        for mutant in mutants:
-            group.write_text(json.dumps(mutant if source == "group" else A5_COPY))
-            witness.write_text(json.dumps(mutant if source == "witness" else refute))
-            for command in SWEEP_COMMANDS:
-                argv = [*command, str(witness)] if command[-1] == "--witness" else command
-                code, report = run_json(capsys, *argv, "--file", str(group))
-                assert code in (0, 1, 2), (mutant, argv, report)
-                assert "internal" not in report["certificate"], (mutant, argv, report)
-                codes.append(code)
-    assert {0, 1, 2} <= set(codes)
+    else:
+        degree = 5 if source == "group-file" else 60
+        values = [None, True, 1.5, "x", [], {}, -1, degree, [[0]]]  # none raises the degree or the order
+        mutants = _edits(data, values, ["x", "0", "name"], rng, 200)
+    codes = []
+    for mutant in mutants:
+        target.write_text(json.dumps(mutant))
+        for argv in commands:
+            code, report = run_json(capsys, *argv)
+            assert code in (0, 1, 2), (mutant, argv, report)
+            assert (code == 2) == (report["verdict"] == "error"), (mutant, argv, report)
+            assert "internal" not in report["certificate"], (mutant, argv, report)
+            codes.append(code)
+    assert set(codes) == ({0, 2} if source == "group-file" else {0, 1, 2})  # D10's C5 supplement holds
