@@ -11,7 +11,7 @@ modulo p, then lift every entry to an exact cyclotomic integer through the
 root-of-unity correspondence, one reduction modulo the cyclotomic polynomial
 per entry.  The finished table is self-checked once, when it is first built
 for a group table (row and column orthogonality, each sum with its rational
-terms added as integers and the rest through one cyclotomic sum of products,
+terms added as integers and the rest into one coefficient list reduced once,
 and the degree sum), so downstream zero/equality tests never rest on an
 unverified computation; later calls for that table reuse the checked table.
 """
@@ -21,14 +21,14 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from functools import partial
-from math import isqrt
+from math import isqrt, lcm
 from operator import mul
 
 from .autos import AutomorphismGroup
-from .cyclotomic import CyclotomicValue, from_coefficients, render_value, sum_of_products
+from .cyclotomic import CyclotomicValue, _reduce, from_coefficients, render_value
 from .diagonal import DiagonalGroup
 from .errors import CapExceeded, VerificationInconsistency
-from .perm import compose_images
+from .perm import DEFAULT_SET_ORBIT_CAP, compose_images
 from .tables import GroupTable
 from .witness import Witness, constructed_witness, verify_diagonal
 
@@ -425,20 +425,38 @@ def _build_character_table(table: GroupTable) -> CharacterTable:
 
 def _orthogonal(vectors, weights, norm) -> bool:
     """Whether sum_l weights[l] u[l] conj(v[l]) is norm(i) for u = v the i-th
-    vector and 0 for two different vectors.  Each vector is conjugated once.
-    The terms with both factors rational are summed as ints; the others, and
-    that partial sum less the expected value as a term with no factors, go
-    through one sum_of_products, which must give 0."""
-    ints = [[v.as_int() if v.is_rational else 0 for v in u] for u in vectors]
-    irrational = [{l for l, v in enumerate(u) if not v.is_rational} for u in vectors]
-    conjugates = [[v.conjugate() for v in u] for u in vectors]
-    for i, u in enumerate(vectors):
+    vector and 0 for two different vectors, checked exactly for every pair.
+    Each entry, and its conjugate (exponents negated), is read once per call
+    as its order m and its nonzero (exponent, coefficient) pairs, an integer
+    as (1, [(0, c)]).  The terms with both factors rational are summed as
+    ints, and a pair with no irrational entry is decided by that sum alone.
+    For any other pair, with n the lcm of the orders at its irrational
+    positions, the int sum less the expected value and every product there
+    are added into one coefficient list of length n, an exponent e of order m
+    counting as e n/m modulo n (Phi_n divides x^n - 1), and that list must
+    reduce to 0 modulo Phi_n.  No CyclotomicValue is built."""
+    forms = [[(v.order, [(e, c) for e, c in enumerate(v.coeffs) if c]) if v.order > 1
+              else (1, [(0, v.coeffs[0])]) for v in u] for u in vectors]
+    conjugates = [[(m, [(-e % m, c) for e, c in pairs] if m > 1 else pairs) for m, pairs in u] for u in forms]
+    ints = [[0 if m > 1 else pairs[0][1] for m, pairs in u] for u in forms]
+    irrational = [{l for l, (m, _) in enumerate(u) if m > 1} for u in forms]
+    for i, u in enumerate(forms):
         for j in range(i, len(vectors)):
-            v = conjugates[j]
-            rational = sum(map(mul, weights, map(mul, ints[i], ints[j])))
-            terms = [(weights[l], (u[l], v[l])) for l in irrational[i] | irrational[j]]
-            terms.append((rational - (norm(i) if i == j else 0), ()))
-            if not sum_of_products(terms).is_zero:
+            total = sum(map(mul, weights, map(mul, ints[i], ints[j]))) - (norm(i) if i == j else 0)
+            mixed, v = irrational[i] | irrational[j], conjugates[j]
+            if not mixed:
+                if total:
+                    return False
+                continue
+            n = lcm(*(u[l][0] for l in mixed), *(v[l][0] for l in mixed))
+            coeffs = [total] + [0] * (n - 1)
+            for l in mixed:
+                (m1, a), (m2, b), w = u[l], v[l], weights[l]
+                s1, s2 = n // m1, n // m2
+                for e1, c1 in a:
+                    for e2, c2 in b:
+                        coeffs[(e1 * s1 + e2 * s2) % n] += w * c1 * c2
+            if any(_reduce(coeffs, n)):
                 return False
     return True
 
@@ -486,6 +504,17 @@ class CharTripleRefutation:
     detail: dict
 
 
+def _separating(ct: CharacterTable, s1: int, s2: int) -> list[int]:
+    """The characters whose values on s1 and s2 differ, in table order."""
+    return [i for i, row in enumerate(ct.rows) if row[s1] != row[s2]]
+
+
+def _not_vanishing(ct: CharacterTable, characters: list[int], orbit: tuple[int, ...]):
+    """The first (character, class) with a nonzero value, characters in the
+    given order and then the orbit's classes in order, or None if all vanish."""
+    return next(((i, cid) for i in characters for cid in orbit if not ct.rows[i][cid].is_zero), None)
+
+
 def character_triple_check(
     table: GroupTable,
     ct: CharacterTable,
@@ -496,7 +525,8 @@ def character_triple_check(
 ) -> CharWitnessSpec | CharTripleRefutation:
     """Test one (r, s1, s2) triple: equal class sizes for s1 and s2, and every
     character separating s1 from s2 must vanish on the whole automorphism
-    orbit of r."""
+    orbit of r.  A refutation names the first character that does not, and
+    the first class of the orbit where it does not."""
     if len({r, s1, s2}) != 3:
         raise ValueError("r, s1, s2 must be pairwise distinct classes")
     if ct.class_sizes[s1] != ct.class_sizes[s2]:
@@ -504,22 +534,15 @@ def character_triple_check(
             r, s1, s2, "class-size-mismatch",
             {"s1_size": ct.class_sizes[s1], "s2_size": ct.class_sizes[s2]},
         )
-    differing = [
-        i for i in range(len(ct.rows)) if ct.rows[i][s1] != ct.rows[i][s2]
-    ]
     orbit = next(block for block in partition if r in block)
-    for i in differing:
-        for cid in orbit:
-            if not ct.rows[i][cid].is_zero:
-                return CharTripleRefutation(
-                    r, s1, s2, "character-not-vanishing",
-                    {
-                        "character_index": i,
-                        "class": ct.class_names[cid],
-                        "value": render_value(ct.rows[i][cid]),
-                    },
-                )
-    return CharWitnessSpec(r, s1, s2)
+    failure = _not_vanishing(ct, _separating(ct, s1, s2), orbit)
+    if failure is None:
+        return CharWitnessSpec(r, s1, s2)
+    i, cid = failure
+    return CharTripleRefutation(
+        r, s1, s2, "character-not-vanishing",
+        {"character_index": i, "class": ct.class_names[cid], "value": render_value(ct.rows[i][cid])},
+    )
 
 
 def character_triple_search(
@@ -527,31 +550,26 @@ def character_triple_search(
     ct: CharacterTable,
     partition: tuple[tuple[int, ...], ...],
 ) -> list[CharWitnessSpec]:
-    """All passing triples, r ascending, then s1 < s2 in class order."""
+    """All triples that character_triple_check passes, r ascending, then s1 < s2
+    in class order.  The characters separating s1 from s2 are found once per
+    pair of equal-size classes, and r's orbit is read from a dict."""
     k = ct.num_classes
-    found = []
-    for r in range(k):
-        for s1 in range(k):
-            if s1 == r:
-                continue
-            for s2 in range(s1 + 1, k):
-                if s2 == r:
-                    continue
-                if ct.class_sizes[s1] != ct.class_sizes[s2]:
-                    continue
-                outcome = character_triple_check(table, ct, partition, r, s1, s2)
-                if isinstance(outcome, CharWitnessSpec):
-                    found.append(outcome)
-    return found
+    orbit = {cid: block for block in partition for cid in block}
+    pairs = [(s1, s2, _separating(ct, s1, s2)) for s1 in range(k) for s2 in range(s1 + 1, k)
+             if ct.class_sizes[s1] == ct.class_sizes[s2]]
+    return [CharWitnessSpec(r, s1, s2) for r in range(k) for s1, s2, characters in pairs
+            if r not in (s1, s2) and _not_vanishing(ct, characters, orbit[r]) is None]
 
 
-def validate_character_witness(diag: DiagonalGroup, spec: CharWitnessSpec) -> Witness:
+def validate_character_witness(diag: DiagonalGroup, spec: CharWitnessSpec,
+                               cap: int = DEFAULT_SET_ORBIT_CAP) -> Witness:
     """The witness (C_r, Omega + C_s1 - C_s2) over T = diag.table, built and
     re-verified on diag(T) by witness.constructed_witness through
-    witness.verify_diagonal; its constant must be the class size |C_r|."""
+    witness.verify_diagonal with the set-orbit cap; its constant must be the
+    class size |C_r|."""
     classes = diag.table.conjugacy_classes()
     points = frozenset(classes[spec.r_class].members)
-    outcome = constructed_witness(partial(verify_diagonal, diag), len(diag.table), points,
+    outcome = constructed_witness(partial(verify_diagonal, diag, cap=cap), len(diag.table), points,
                                   classes[spec.s1_class].members, classes[spec.s2_class].members)
     if outcome.constant != len(points):
         raise VerificationInconsistency(f"character witness constant {outcome.constant} != class size {len(points)}")

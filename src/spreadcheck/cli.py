@@ -268,7 +268,8 @@ def _cmd_char_witness(entry, args):
         return "refuted", cert, [
             f"triple fails: {result.violation} {result.detail}"
         ]
-    verdict, witness, lines = _outcome(validate_character_witness(DiagonalGroup(table, auts), result))
+    verdict, witness, lines = _outcome(validate_character_witness(DiagonalGroup(table, auts), result,
+                                                                  **_cap_kw(args)))
     return verdict, {"triple": names, "witness": witness}, lines
 
 
@@ -363,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--A", required=True)
     p.add_argument("--B", required=True)
     p.add_argument("--scope", choices=["T", "Aut"], default="T")
-    p = _leaf(spreading, "char-witness", "spreading char-witness", _cmd_char_witness)
+    p = _leaf(spreading, "char-witness", "spreading char-witness", _cmd_char_witness, cap=True)
     p.add_argument("--r", required=True, help="class name for the witness set")
     p.add_argument("--s1", required=True)
     p.add_argument("--s2", required=True)

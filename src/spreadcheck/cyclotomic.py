@@ -1,4 +1,4 @@
-"""Exact values in cyclotomic integers, and one kernel that sums their products.
+"""Exact values in cyclotomic integers.
 
 A :class:`CyclotomicValue` is an element of the ring Z[x]/(Phi_n(x)), with x
 standing for a primitive n-th root of unity.  Values are kept reduced modulo
@@ -7,16 +7,17 @@ collapsed to order 1, so rational integers have a single canonical
 representation.  Values can be complex-conjugated and compared exactly across
 different root orders, by embedding both into the compositum (the lcm order).
 
-Values have no operators.  The one computation on them, a sum of weighted
-products such as an orthogonality sum of character values, is
-:func:`sum_of_products`: it adds every product into one coefficient list and
-reduces that list once.  No floating point anywhere, so "this value is zero"
+Values have no operators.  The one summation kernel, for the orthogonality
+sums of character values, is ``chartab._orthogonal``: it reads values as
+their nonzero (exponent, coefficient) pairs, adds every product into one
+coefficient list and reduces that list once with :func:`_reduce`.  Its oracle,
+``sum_of_products`` over values, lives in the test helpers
+(``tests/helpers.py``).  No floating point anywhere, so "this value is zero"
 and "these two values differ" are exact decisions.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
@@ -146,35 +147,6 @@ class CyclotomicValue:
         if self.order == 1:
             return self.coeffs[0]
         return {"order": self.order, "coeffs": list(self.coeffs)}
-
-
-def sum_of_products(
-    terms: Iterable[tuple[int, Sequence[CyclotomicValue]]],
-) -> CyclotomicValue:
-    """The value of the sum of w v_1 ... v_r over the terms (w, (v_1, ..., v_r)).
-
-    Every factor is read as a polynomial in one primitive n-th root of unity,
-    n the lcm of all the factors' orders, and every product is added into one
-    coefficient list of length n: exponents are taken modulo n, as x^n - 1 is
-    a multiple of Phi_n.  That list is reduced modulo Phi_n once.  An empty
-    sum is 0, and a term with no factors adds its weight.
-    """
-    terms = list(terms)
-    n = lcm(*(v.order for _, factors in terms for v in factors))
-    total = [0] * n
-    for weight, factors in terms:
-        product = {0: weight}
-        for v in factors:
-            step, grown = n // v.order, {}
-            for e, a in product.items():
-                for j, c in enumerate(v.coeffs):
-                    if c:
-                        k = (e + j * step) % n
-                        grown[k] = grown.get(k, 0) + a * c
-            product = grown
-        for e, a in product.items():
-            total[e] += a
-    return from_coefficients(n, total)
 
 
 def render_value(v: CyclotomicValue) -> str:

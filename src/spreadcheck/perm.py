@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 from functools import cached_property, partial
-from operator import itemgetter
+from itertools import compress
+from operator import itemgetter, ne
 from typing import Callable, Collection, Iterable, Sequence
 
 from .errors import CapExceeded
@@ -78,19 +79,21 @@ class Permutation:
         return self.images[point]
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
-        """Disjoint cycle decomposition, each cycle (an orbit of <self>) led by its smallest point."""
+        """Disjoint cycle decomposition, each cycle (an orbit of <self>) led by
+        its smallest point.  Without include_fixed only the moved points,
+        found in one C-level pass, are walked."""
+        points = range(len(self.images))
         seen: set[int] = set()
         out: list[tuple[int, ...]] = []
-        for start in range(len(self.images)):
+        for start in points if include_fixed else compress(points, map(ne, self.images, points)):
             if start not in seen:
                 cycle = tuple(orbit_walk({start: start}, [(self.images.__getitem__, _unchanged)]))
                 seen.update(cycle)
-                if len(cycle) > 1 or include_fixed:
-                    out.append(cycle)
+                out.append(cycle)
         return out
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles(include_fixed=True)))
+        return math.lcm(*(len(c) for c in self.cycles()))  # 1 for the identity
 
     def cycle_string(self) -> str:
         cycles = self.cycles()

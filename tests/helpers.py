@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import gc
 import tracemalloc
+from collections.abc import Iterable, Sequence
+from math import lcm
 
 from spreadcheck.autos import Automorphism, _cayley_walk
-from spreadcheck.cyclotomic import sum_of_products
+from spreadcheck.cyclotomic import CyclotomicValue, from_coefficients
 from spreadcheck.diagonal import DiagonalGroup, right_translation
 from spreadcheck.errors import InvalidSubgroup
 from spreadcheck.perm import (
@@ -435,6 +437,36 @@ def class_mult_coefficient(table, c1, c2, h):
         if table.class_of(table.multiply(table.inverse[x], h)) == c2:
             count += 1
     return count
+
+
+def sum_of_products(
+    terms: Iterable[tuple[int, Sequence[CyclotomicValue]]],
+) -> CyclotomicValue:
+    """The value of the sum of w v_1 ... v_r over the terms (w, (v_1, ..., v_r)),
+    the oracle for the orthogonality kernel chartab._orthogonal.
+
+    Every factor is read as a polynomial in one primitive n-th root of unity,
+    n the lcm of all the factors' orders, and every product is added into one
+    coefficient list of length n: exponents are taken modulo n, as x^n - 1 is
+    a multiple of Phi_n.  That list is reduced modulo Phi_n once.  An empty
+    sum is 0, and a term with no factors adds its weight.
+    """
+    terms = list(terms)
+    n = lcm(*(v.order for _, factors in terms for v in factors))
+    total = [0] * n
+    for weight, factors in terms:
+        product = {0: weight}
+        for v in factors:
+            step, grown = n // v.order, {}
+            for e, a in product.items():
+                for j, c in enumerate(v.coeffs):
+                    if c:
+                        k = (e + j * step) % n
+                        grown[k] = grown.get(k, 0) + a * c
+            product = grown
+        for e, a in product.items():
+            total[e] += a
+    return from_coefficients(n, total)
 
 
 def class_algebra_consistent(table, ct, triples):

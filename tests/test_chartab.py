@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import pytest
 
-from helpers import class_algebra_consistent, class_mult_coefficient, recheck_witness
+from helpers import class_algebra_consistent, class_mult_coefficient, recheck_witness, sum_of_products
 from spreadcheck import catalog, chartab, cli
 from spreadcheck.chartab import (
     CharTripleRefutation,
@@ -23,7 +23,7 @@ from spreadcheck.chartab import (
     row_orthogonality_holds,
     validate_character_witness,
 )
-from spreadcheck.cyclotomic import CyclotomicValue, from_coefficients, sum_of_products
+from spreadcheck.cyclotomic import CyclotomicValue, from_coefficients
 from spreadcheck.diagonal import DiagonalGroup
 from spreadcheck.errors import CapExceeded, VerificationInconsistency
 from spreadcheck.perm import Permutation, PermutationGroup
@@ -162,6 +162,46 @@ def test_orthogonality_checkers_reject_every_raised_coefficient(name):
                 assert not column_orthogonality_holds(table), (i, l, t)
                 tampered += 1
     assert tampered >= ct.num_classes ** 2
+
+
+def test_orthogonality_checkers_reject_a_tampered_all_rational_row(monkeypatch):
+    """The degree-4 character of A5 is rational everywhere, as is the 2A
+    column.  Its value on 2A raised by one is caught by the integer sums
+    alone: with every reduction reading 0, the true table still passes and
+    the tampered one fails both checks."""
+    ct = _ct("A5")
+    c2a = 3
+    row = list(ct.rows[3])
+    assert all(v.is_rational for v in row) and all(r[c2a].is_rational for r in ct.rows)
+    row[c2a] = CyclotomicValue.from_int(row[c2a].as_int() + 1)
+    tampered = dataclasses.replace(ct, rows=ct.rows[:3] + (tuple(row),) + ct.rows[4:])
+    monkeypatch.setattr(chartab, "_reduce", lambda coeffs, n: [0])
+    assert row_orthogonality_holds(ct) and column_orthogonality_holds(ct)
+    assert not row_orthogonality_holds(tampered)
+    assert not column_orthogonality_holds(tampered)
+
+
+@pytest.mark.parametrize("name", ["A5", "PSL(2,7)", "PSL(2,8)", "PSL(2,13)", "M11"])
+def test_orthogonality_kernel_matches_the_oracle(name):
+    """Two rows or two columns of one table, with the table's weights or
+    random ones: the kernel's verdict is that of three exact sums through
+    the oracle helpers.sum_of_products, each norm set to the oracle's own
+    when that is an integer."""
+    ct = _ct(name)
+    columns = [tuple(row[l] for row in ct.rows) for l in range(ct.num_classes)]
+    rng = random.Random(name)
+    verdicts = []
+    for vectors, natural in ((ct.rows, list(ct.class_sizes)), (columns, [1] * len(ct.rows))):
+        for _ in range(40):
+            pair = [rng.choice(vectors), rng.choice(vectors)]
+            weights = natural if rng.random() < 0.5 else [rng.randint(-3, 3) for _ in natural]
+            sums = [[sum_of_products((w, (a, b.conjugate())) for w, a, b in zip(weights, u, v)) for v in pair]
+                    for u in pair]
+            norms = [sums[i][i].as_int() if sums[i][i].is_rational else 0 for i in (0, 1)]
+            expected = sums[0][1].is_zero and all(sums[i][i] == CyclotomicValue.from_int(norms[i]) for i in (0, 1))
+            assert chartab._orthogonal(pair, weights, norms.__getitem__) is expected
+            verdicts.append(expected)
+    assert True in verdicts and False in verdicts
 
 
 @pytest.mark.parametrize("name", ["A5", "PSL(2,7)"])
@@ -460,6 +500,59 @@ def test_search_psl28_families():
     expected = {(r, s1, s2) for r in order9 for s1, s2 in pairs7}
     expected |= {(r, s1, s2) for r in order7 for s1, s2 in pairs9}
     assert set(found) == expected
+
+
+BASE_GROUPS = [name for name in catalog.catalog_names() if not name.endswith("_3sets")]
+BASE_TRIPLE_COUNTS = {"A5": 1, "A6": 4, "A7": 2, "A8": 15, "A9": 11, "M11": 9, "M12": 11, "PSL(2,11)": 7,
+                      "PSL(2,13)": 15, "PSL(2,7)": 1, "PSL(2,8)": 30, "PSL(3,2)": 1}
+
+
+@lru_cache(maxsize=None)
+def _partition(name):
+    return class_orbit_partition(catalog.load_group_table(name), catalog.load_automorphisms(name))
+
+
+@pytest.mark.parametrize("name", BASE_GROUPS)
+def test_search_lists_exactly_the_triples_the_check_passes(name):
+    """Over every triple of distinct r and s1 < s2, non-witnesses included,
+    the search returns the ones character_triple_check passes, in order."""
+    t, ct, part = catalog.load_group_table(name), _ct(name), _partition(name)
+    k = ct.num_classes
+    checked = [character_triple_check(t, ct, part, r, s1, s2)
+               for r in range(k) for s1 in range(k) for s2 in range(s1 + 1, k) if r not in (s1, s2)]
+    found = character_triple_search(t, ct, part)
+    assert found == [c for c in checked if isinstance(c, CharWitnessSpec)]
+    assert len(found) == BASE_TRIPLE_COUNTS[name]
+
+
+class TestCheckCost:
+    def test_search_compares_each_equal_size_pair_once(self, monkeypatch):
+        """Over the 12 base tables the search makes 400 value comparisons: one
+        per character for each of the 38 pairs of equal-size classes, not one
+        per r as well (3,858)."""
+        inputs = [(catalog.load_group_table(name), _ct(name), _partition(name)) for name in BASE_GROUPS]
+        pairs = [(ct, a, b) for _, ct, _ in inputs for a in range(ct.num_classes)
+                 for b in range(a + 1, ct.num_classes) if ct.class_sizes[a] == ct.class_sizes[b]]
+        compared = []
+        eq = CyclotomicValue.__eq__
+        monkeypatch.setattr(CyclotomicValue, "__eq__", lambda v, w: compared.append(v) or eq(v, w))
+        for t, ct, part in inputs:
+            character_triple_search(t, ct, part)
+        assert len(pairs) == 38
+        assert len(compared) == sum(ct.num_classes for ct, _, _ in pairs) == 400
+
+    def test_orthogonality_reduces_only_pairs_with_an_irrational_entry(self, monkeypatch):
+        """Both checks over the 12 base tables take 1,414 pairs i <= j.  The
+        796 with no irrational entry are decided by their integer sums; each
+        of the other 618 makes one reduction modulo Phi_n."""
+        cts = [_ct(name) for name in BASE_GROUPS]
+        reductions = []
+        reduce = chartab._reduce
+        monkeypatch.setattr(chartab, "_reduce", lambda coeffs, n: reductions.append(n) or reduce(coeffs, n))
+        for ct in cts:
+            assert row_orthogonality_holds(ct) and column_orthogonality_holds(ct)
+        assert sum(ct.num_classes * (ct.num_classes + 1) for ct in cts) == 1414
+        assert len(reductions) == 618
 
 
 def test_search_finds_nothing_without_fusion_data():

@@ -482,12 +482,12 @@ class TestFileRoute:
         assert report["certificate"] == {"error": "ValueError", "message": message}
 
     def test_refusals_never_build_diag(self, capsys, monkeypatch):
-        """A char-witness triple that fails the character test and a
-        diagonal-witness pair that is not B normal in A < T are refuted
-        without the degree-|T| group of diag(T)."""
+        """A char-witness triple that fails the character test, even under a
+        cap of 0, and a diagonal-witness pair that is not B normal in A < T
+        are refuted without the degree-|T| group of diag(T)."""
         _forbid_diagonal_build(monkeypatch)
         code, report = run_json(capsys, "spreading", "char-witness", "--group", "A5",
-                                "--r", "2A", "--s1", "5A", "--s2", "5B")
+                                "--r", "2A", "--s1", "5A", "--s2", "5B", "--cap", "0")
         assert (code, report["certificate"]["violation"]) == (1, "character-not-vanishing")
         code, report = run_json(capsys, "spreading", "diagonal-witness", "--group", "A5",
                                 "--A", "V4", "--B", "A4")
@@ -548,6 +548,16 @@ class TestErrorPaths:
         assert len(entry.generators) == 1000 and entry.group.order() == 1
         assert peak < 50 * catalog.MAX_FILE_POINTS
 
+    def test_group_info_on_a_file_at_the_points_bound(self, capsys, tmp_path):
+        """group info prints the cycles of 1000 identities of degree 1000; the
+        walk reads only moved points, so there are none to walk."""
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"name": "wide", "degree": 1000, "generators": [[]] * 1000, "known_order": 1}))
+        code, report = run_json(capsys, "group", "info", "--file", str(path))
+        assert code == 0
+        assert report["certificate"]["generators"] == ["()"] * 1000
+        assert report["certificate"]["order"] == 1
+
     def test_an_unexpected_exception_is_an_internal_error(self, capsys, monkeypatch):
         """A bug exits 2 with a report marked internal and its traceback on
         stderr; it never escapes main and never exits 1, which means refuted."""
@@ -586,14 +596,13 @@ class TestErrorPaths:
 
     def test_cap_exceeded(self, capsys):
         # a cap of 0 is a cap, not "no cap"
-        for cap in ("3", "0"):
-            code, report = run_json(
-                capsys, "spreading", "diagonal-witness", "--group", "A5",
-                "--A", "A4", "--B", "V4", "--cap", cap,
-            )
-            assert code == 2
-            assert report["certificate"]["error"] == "CapExceeded"
-            assert report["inputs"]["cap"] == int(cap)
+        for argv in (["diagonal-witness", "--A", "A4", "--B", "V4"],
+                     ["char-witness", "--r", "3A", "--s1", "5A", "--s2", "5B"]):
+            for cap in ("3", "0"):
+                code, report = run_json(capsys, "spreading", *argv, "--group", "A5", "--cap", cap)
+                assert code == 2
+                assert report["certificate"]["error"] == "CapExceeded"
+                assert report["inputs"]["cap"] == int(cap)
 
     @pytest.mark.parametrize(
         "command,data,message",

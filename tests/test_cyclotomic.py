@@ -6,13 +6,13 @@ from math import gcd
 
 import pytest
 
+from helpers import sum_of_products
 from spreadcheck.cyclotomic import (
     CyclotomicValue,
     cyclotomic_polynomial,
     from_coefficients,
     _reduce,
     render_value,
-    sum_of_products,
 )
 
 

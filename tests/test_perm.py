@@ -1,5 +1,7 @@
 """Permutation arithmetic and stabilizer-chain behavior."""
 
+import math
+import random
 import re
 
 import pytest
@@ -18,7 +20,7 @@ from helpers import (
     power,
     sorted_tuple_set_orbit,
 )
-from spreadcheck import catalog
+from spreadcheck import catalog, perm
 from spreadcheck.catalog import parse_permutation
 from spreadcheck.diagonal import DiagonalGroup
 from spreadcheck.errors import CapExceeded
@@ -88,6 +90,33 @@ class TestPermutation:
         assert Permutation.from_cycles(6, p.cycles()) == p
         assert p.cycle_string() == "(0 3)(1 4 5)"
         assert moved_points(p) == [0, 1, 3, 4, 5]
+
+    def test_cycles_walk_only_the_moved_points(self, monkeypatch):
+        """The identity of degree 1000 makes no orbit_walk call and has order
+        1.  With fixed points included, the cycles are each point's orbit led
+        by its smallest point, in the order of those points; without them,
+        the same list less its 1-cycles."""
+        walks = []
+        monkeypatch.setattr(perm, "orbit_walk", lambda *args: walks.append(args) or orbit_walk(*args))
+        e = identity(1000)
+        assert (e.cycles(), e.order(), e.cycle_string()) == ([], 1, "()")
+        assert walks == []
+        assert e.cycles(include_fixed=True) == [(x,) for x in range(1000)]
+        rng = random.Random(7)
+        for _ in range(30):
+            images = list(range(12))
+            rng.shuffle(images)
+            p, expected, seen = Permutation(images), [], set()
+            for start in range(12):
+                cycle = [start]
+                while images[cycle[-1]] != start:
+                    cycle.append(images[cycle[-1]])
+                if start not in seen:
+                    seen.update(cycle)
+                    expected.append(tuple(cycle))
+            assert p.cycles(include_fixed=True) == expected
+            assert p.cycles() == [c for c in expected if len(c) > 1]
+            assert p.order() == math.lcm(*map(len, expected))
 
     def test_parse_permutation(self):
         assert parse_permutation([1, 0, 2], 3) == cyc(3, [0, 1])
